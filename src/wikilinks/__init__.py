@@ -4,14 +4,15 @@ Pipeline stages (each also available as a CLI subcommand):
 
 1. extract  - stream dumps; emit raw per-revision link records and the
               per-revision redirect history;
-2. snapshot - per date, select the last revision of each page strictly
-              before the instant, resolve redirect chains, and emit the
-              links that existed at that moment;
+2. snapshot - for every date at once, select the last revision of each
+              page strictly before the instant, resolve redirect chains,
+              and emit the links that existed at that moment; one pass
+              over each input serves all dates, holding one entry per
+              selected revision and per title;
 3. graph    - resolve and deduplicate active links into an edge list;
 4. analytics - node/edge counts, growth series, PageRank rankings.
 """
 
-from .analytics import GraphStats, PageRankResult, RankedArticle, pagerank
 from .dump import PageHistory, PageMeta, Revision, filter_namespace, open_dump
 from .errors import ConfigurationError, DataFormatError, DumpFormatError
 from .graph import EdgeRecord, build_graph, emit_edges
@@ -37,6 +38,20 @@ from .wikitext import (
 )
 
 __version__ = "0.1.0"
+
+# analytics needs numpy and scipy, so it is imported on first use: the
+# stages that never count or rank (extract, snapshot, graph, verify) do not
+# pay for loading them.
+_ANALYTICS = ("GraphStats", "PageRankResult", "RankedArticle", "pagerank")
+
+
+def __getattr__(name: str):
+    if name in _ANALYTICS:
+        from . import analytics
+
+        return getattr(analytics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ConfigurationError",

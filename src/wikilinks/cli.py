@@ -10,15 +10,18 @@ missing input.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import shlex
 import sys
 import time
+import zlib
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import analytics, graph, pipeline, snapshot
+from . import graph, pipeline, snapshot
 from .dump import filter_namespace, open_dump
 from .errors import ConfigurationError, DataFormatError, DumpFormatError
 from .extsort import external_sort
@@ -212,29 +215,44 @@ def _sort_into(tmp_path: Path, final_path: Path, fields, key) -> None:
         writer.write_rows(external_sort(iter_rows(tmp_path, fields), key))
 
 
-def _shard_files(config: RunConfig, kind: str) -> list[Path]:
-    return sorted(config.output_dir.glob(f"{config.language}wiki.{kind}.[0-9]*.csv.gz"))
+def _extract_shards(config: RunConfig) -> tuple[list[Path], list[Path]] | None:
+    """The raw-link and redirect-history shards of the last extract run.
+
+    They are read from the extract manifest, not found by name, so shards
+    left over from an earlier run with more inputs are never read. Returns
+    None when the manifest is missing.
+    """
+    path = config.manifest_path()
+    if not path.is_file():
+        return None
+    try:
+        shards = json.loads(path.read_text(encoding="utf-8"))["shards"]
+        raw = [config.output_dir / shard["files"][0] for shard in shards]
+        redirects = [config.output_dir / shard["files"][1] for shard in shards]
+    except (ValueError, KeyError, IndexError, TypeError) as err:
+        raise DataFormatError(f"{path}: unreadable extract manifest: {err!r}") from err
+    return raw, redirects
 
 
 def cmd_snapshot(config: RunConfig) -> int:
-    raw_shards = _shard_files(config, "rawwikilinks")
-    redirect_shards = _shard_files(config, "redirecthistory")
-    if not raw_shards or not redirect_shards:
-        _event(
-            "missing-input",
-            detail="run extract first",
-            patterns=[
-                str(config.output_dir / f"{config.language}wiki.rawwikilinks.*.csv.gz"),
-                str(config.output_dir / f"{config.language}wiki.redirecthistory.*.csv.gz"),
-            ],
-        )
+    shards = _extract_shards(config)
+    if shards is None:
+        _event("missing-input", path=str(config.manifest_path()), detail="run extract first")
         return EXIT_USAGE
-    for date in config.dates:
+    raw_shards, redirect_shards = shards
+    missing = [str(p) for p in raw_shards + redirect_shards if not p.is_file()]
+    if not raw_shards or missing:
+        _event("missing-input", paths=missing, detail="run extract first")
+        return EXIT_USAGE
+    # One pass over each input serves every date (see the snapshot module).
+    dates = config.dates
+    selection = snapshot.select_revisions(
+        pipeline.read_redirect_events(redirect_shards), dates
+    )
+    done = []
+    for date, pages_at_date in zip(dates, selection.states()):
         label = date.label
-        selected = snapshot.select_snapshot_revisions(
-            pipeline.read_redirect_events(redirect_shards), date
-        )
-        resolved = snapshot.resolve_snapshot(selected)
+        resolved = snapshot.resolve_snapshot(pages_at_date)
         pages = snapshot.write_resolved_redirects(
             config.path("resolvedredirects", date=label), resolved
         )
@@ -245,16 +263,24 @@ def cmd_snapshot(config: RunConfig) -> int:
         ) as writer:
             for page in sorted(cycles, key=lambda p: p.page_id):
                 writer.write_row((page.title, page.immediate_target or ""))
-        existing = frozenset(page.title for page in selected.values())
-        links = snapshot.build_link_snapshot(
-            pipeline.read_raw_records(raw_shards), selected, existing
-        )
-        link_count = snapshot.write_snapshot_links(
-            config.path("wikilinksnapshot", date=label), links
-        )
+        done.append((label, pages, len(cycles)))
+    # A failure mid-pass aborts every writer, so each date keeps its marker.
+    with ExitStack() as stack:
+        writers = [
+            stack.enter_context(
+                DatasetWriter(config.path("wikilinksnapshot", date=date.label),
+                              snapshot.SNAPSHOT_LINK_FIELDS)
+            )
+            for date in dates
+        ]
+        for index, row in snapshot.iter_link_rows(
+            pipeline.read_raw_records(raw_shards), selection
+        ):
+            writers[index].write_row(row)
+    for (label, pages, cycles), writer in zip(done, writers):
         _event(
-            "snapshot-done", date=label, pages=pages, links=link_count,
-            redirect_cycles=len(cycles),
+            "snapshot-done", date=label, pages=pages, links=writer.rows_written,
+            redirect_cycles=cycles,
         )
     return EXIT_OK
 
@@ -280,6 +306,8 @@ def cmd_graph(config: RunConfig) -> int:
 
 
 def cmd_pagerank(config: RunConfig, args: argparse.Namespace) -> int:
+    from . import analytics  # numpy and scipy load only for the stages that use them
+
     if args.output and len(config.dates) > 1:
         raise ConfigurationError("--output needs exactly one --date")
     for date in config.dates:
@@ -314,6 +342,8 @@ def cmd_pagerank(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
+    from . import analytics  # numpy and scipy load only for the stages that use them
+
     collected = []
     for date in config.dates:
         label = date.label
@@ -448,6 +478,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FATAL
     except OSError as err:
         _event("fatal", detail=str(err))
+        return EXIT_FATAL
+    except (EOFError, zlib.error, csv.Error) as err:
+        # A truncated or corrupt dataset file.
+        _event("fatal", detail=f"{type(err).__name__}: {err}")
         return EXIT_FATAL
     return EXIT_OK
 

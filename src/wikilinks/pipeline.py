@@ -334,15 +334,22 @@ def sort_dataset(
         tmp_path.unlink(missing_ok=True)
 
 
-def read_raw_records(paths: Sequence[str | Path]) -> Iterator[RawLinkRecord]:
-    """Stream raw link records merged from sorted shard files."""
+def read_raw_records(paths: Sequence[str | Path]) -> Iterator[list[str]]:
+    """Stream raw link rows merged from sorted shard files.
+
+    Rows come in (page_id, revision_timestamp, revision_id) order, each
+    revision's links in document order, as plain string lists in
+    :data:`RAW_LINK_FIELDS` order.
+    """
     streams = [iter_rows(path, RAW_LINK_FIELDS) for path in sorted(map(str, paths))]
-    for row in heap_merge(*streams, key=raw_sort_key):
-        yield RawLinkRecord.from_row(row)
+    return heap_merge(*streams, key=raw_sort_key)
 
 
-def read_redirect_events(paths: Sequence[str | Path]) -> Iterator[RedirectEvent]:
-    """Stream redirect events merged from sorted shard files."""
+def read_redirect_events(paths: Sequence[str | Path]) -> Iterator[list[str]]:
+    """Stream redirect-history rows merged from sorted shard files.
+
+    Rows come in (page_id, revision_timestamp, revision_id) order, as plain
+    string lists in :data:`REDIRECT_FIELDS` order.
+    """
     streams = [iter_rows(path, REDIRECT_FIELDS) for path in sorted(map(str, paths))]
-    for row in heap_merge(*streams, key=redirect_sort_key):
-        yield RedirectEvent.from_row(row)
+    return heap_merge(*streams, key=redirect_sort_key)

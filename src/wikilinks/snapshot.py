@@ -1,4 +1,4 @@
-"""Materialize the state of the wiki at a fixed instant.
+"""Materialize the state of the wiki at fixed instants.
 
 A page belongs to a snapshot iff it has at least one revision strictly
 before the snapshot instant; its state is its latest such revision (ties on
@@ -7,17 +7,28 @@ derive the redirect map of that instant, resolve redirect chains to their
 final targets, and filter the raw link records down to the links that
 existed at that moment, flagging each as active (target page exists) or
 not.
+
+All dates are built in one pass over each input. The redirect history and
+the raw links are both sorted by (page_id, timestamp, revision_id), and
+timestamps compare as fixed-width strings. So one scan of the redirect
+history finds the revision every date selects for each page
+(:func:`select_revisions`), and one scan of the raw links sends each link of
+a selected revision to every date that selected it (:func:`iter_link_rows`).
+Memory holds one entry per selected revision and one per title, not one per
+page and date. The single-date functions are one-date calls of the same code.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .dump import parse_timestamp
-from .pipeline import RawLinkRecord, RedirectEvent
+from .dump import format_timestamp, parse_timestamp
+from .errors import DataFormatError
+from .pipeline import redirect_sort_key
 from .storage import DatasetWriter, iter_rows
 from .wikitext import normalize_title
 
@@ -75,6 +86,20 @@ class SnapshotDate:
     def label(self) -> str:
         return self.instant.strftime("%Y-%m-%d")
 
+    @property
+    def cutoff(self) -> str:
+        """The instant in the dump's timestamp format, for string comparison.
+
+        A revision belongs to the snapshot iff its timestamp string sorts
+        before this one. Timestamps have whole seconds, so an instant with a
+        fractional second rounds up: a revision stamped in that same second
+        is still strictly before the instant.
+        """
+        instant = self.instant
+        if instant.microsecond:
+            instant = instant.replace(microsecond=0) + timedelta(seconds=1)
+        return format_timestamp(instant)
+
     def includes(self, timestamp: datetime) -> bool:
         return timestamp < self.instant
 
@@ -90,7 +115,6 @@ class SnapshotPage:
     page_id: int
     title: str
     revision_id: int
-    timestamp: datetime
     target: str | None  # normalized redirect target title, None for articles
     target_fragment: str | None
 
@@ -99,35 +123,97 @@ class SnapshotPage:
         return self.target is not None
 
 
+@dataclass(slots=True)
+class Selection:
+    """The revisions a run's dates select, from one pass over the redirect history.
+
+    ``revisions`` maps the (page_id, revision_id) of every selected revision
+    to ``(start, stop, title, target, target_fragment)``: the revision is its
+    page's state at date indexes ``start`` to ``stop - 1`` of the
+    ``date_count`` ascending dates. ``titles`` maps every title to a bit mask
+    of the date indexes at which a page with that title exists.
+    """
+
+    revisions: dict[tuple[int, int], tuple[int, int, str, str | None, str | None]]
+    titles: dict[str, int]
+    date_count: int
+
+    def states(self) -> Iterator[dict[int, SnapshotPage]]:
+        """The state of every page at each date in turn, keyed by page id.
+
+        A page's selected revisions serve consecutive dates through the
+        last one, so each date only replaces the pages whose selected
+        revision starts there.
+        """
+        starting: list[list[tuple[int, int]]] = [[] for _ in range(self.date_count)]
+        for key, selected in self.revisions.items():
+            starting[selected[0]].append(key)
+        state: dict[int, SnapshotPage] = {}
+        for keys in starting:
+            for page_id, revision_id in keys:
+                _, _, title, target, fragment = self.revisions[page_id, revision_id]
+                state[page_id] = SnapshotPage(page_id, title, revision_id, target, fragment)
+            yield dict(state)
+
+
+def select_revisions(
+    events: Iterable[Sequence[str]], dates: Sequence[SnapshotDate]
+) -> Selection:
+    """Latest revision strictly before each of ``dates``, for every page.
+
+    ``events`` are redirect-history rows in (page_id, timestamp, revision_id)
+    order, as :func:`pipeline.read_redirect_events` yields them; a revision
+    listed twice counts once. ``dates`` ascend. A revision is selected from
+    the first date after its timestamp up to, not including, the first date
+    after its page's next revision.
+    """
+    cutoffs = [date.cutoff for date in dates]
+    if cutoffs != sorted(cutoffs):
+        raise ValueError("snapshot dates must ascend")
+    count = len(cutoffs)
+    revisions: dict[tuple[int, int], tuple[int, int, str, str | None, str | None]] = {}
+    titles: dict[str, int] = {}
+
+    def keep(row: Sequence[str], key: tuple[int, int], start: int, stop: int) -> None:
+        if start >= stop:
+            return
+        title = row[1]
+        target = normalize_title(row[4]) if row[4] else None
+        revisions[key] = (start, stop, title, target, row[5] or None)
+        titles[title] = titles.get(title, 0) | ((1 << stop) - (1 << start))
+
+    last = None  # (page_id, timestamp, revision_id) of the previous row
+    pending = None  # (row, (page_id, revision_id), first date index) of that row
+    for row in events:
+        page_id, timestamp, revision_id = int(row[0]), row[3], int(row[2])
+        order = (page_id, timestamp, revision_id)
+        if last is not None and order <= last:
+            if order == last:
+                continue
+            raise DataFormatError(
+                f"redirect history out of (page_id, timestamp, revision_id) order at {order}"
+            )
+        start = bisect_right(cutoffs, timestamp)
+        if pending is not None:
+            same_page = pending[1][0] == page_id
+            keep(*pending, start if same_page else count)
+        pending = (row, (page_id, revision_id), start)
+        last = order
+    if pending is not None:
+        keep(*pending, count)
+    return Selection(revisions, titles, count)
+
+
 def select_snapshot_revisions(
-    events: Iterable[RedirectEvent], date: SnapshotDate
+    events: Iterable[Sequence[str]], date: SnapshotDate
 ) -> dict[int, SnapshotPage]:
     """Latest revision strictly before ``date`` for every page that has one.
 
-    ``events`` is the per-revision redirect history, which doubles as the
-    complete revision index. Events for one page must arrive in
-    (timestamp, revision_id) order, which the extract stage guarantees.
+    ``events`` are redirect-history rows in any order; the per-revision
+    redirect history doubles as the complete revision index.
     """
-    selected: dict[int, SnapshotPage] = {}
-    for event in events:
-        if not date.includes(event.timestamp):
-            continue
-        current = selected.get(event.page_id)
-        if current is not None and (current.timestamp, current.revision_id) >= (
-            event.timestamp,
-            event.revision_id,
-        ):
-            continue
-        target = normalize_title(event.target) if event.target is not None else None
-        selected[event.page_id] = SnapshotPage(
-            page_id=event.page_id,
-            title=event.page_title,
-            revision_id=event.revision_id,
-            timestamp=event.timestamp,
-            target=target,
-            target_fragment=event.tosection,
-        )
-    return selected
+    selection = select_revisions(sorted(events, key=redirect_sort_key), [date])
+    return next(selection.states())
 
 
 def build_redirect_map(selected: Mapping[int, SnapshotPage]) -> dict[str, str]:
@@ -262,38 +348,56 @@ class SnapshotLink:
         )
 
 
+def iter_link_rows(
+    records: Iterable[Sequence[str]], selection: Selection
+) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """``(date index, wikilinksnapshot row)`` for every link of a selected revision.
+
+    ``records`` are raw link rows, as :func:`pipeline.read_raw_records`
+    yields them; each date's rows come out in that order. Targets are
+    normalized once per row; links whose target normalizes to nothing (pure
+    fragment links like ``[[#top]]``) are dropped. ``is_active`` records
+    whether the target title existed at the date; redirect pages count as
+    existing.
+    """
+    revisions = selection.revisions
+    titles = selection.titles
+    for row in records:
+        selected = revisions.get((int(row[0]), int(row[2])))
+        if selected is None:
+            continue
+        target = normalize_title(row[9])
+        if target is None:
+            continue
+        link = (row[0], row[1], target, row[10], row[11], row[12], row[13], row[14])
+        exists = titles.get(target, 0)
+        for index in range(selected[0], selected[1]):
+            yield index, (*link, "1" if exists >> index & 1 else "0")
+
+
 def build_link_snapshot(
-    records: Iterable[RawLinkRecord],
+    records: Iterable[Sequence[str]],
     selected: Mapping[int, SnapshotPage],
     existing_titles: frozenset[str] | set[str],
 ) -> Iterator[SnapshotLink]:
-    """Filter raw link records down to the snapshot's selected revisions.
+    """Filter raw link rows down to one snapshot's selected revisions.
 
-    Targets are normalized; links whose target normalizes to nothing (pure
-    fragment links like ``[[#top]]``) are dropped. ``is_active`` records
-    whether the target title existed at the instant; redirect pages count
-    as existing.
+    The one-date form of :func:`iter_link_rows`: ``selected`` comes from
+    :func:`select_snapshot_revisions`, and ``existing_titles`` are the
+    titles that exist at its date.
     """
-    selected_revisions = {
-        (page.page_id, page.revision_id) for page in selected.values()
-    }
-    for record in records:
-        if (record.page_id, record.revision_id) not in selected_revisions:
-            continue
-        target = normalize_title(record.link)
-        if target is None:
-            continue
-        yield SnapshotLink(
-            page_id=record.page_id,
-            page_title=record.page_title,
-            link=target,
-            tosection=record.tosection,
-            anchor=record.anchor,
-            section_name=record.section_name,
-            section_level=record.section_level,
-            section_number=record.section_number,
-            is_active=target in existing_titles,
-        )
+    one_date = Selection(
+        {
+            (page.page_id, page.revision_id): (
+                0, 1, page.title, page.target, page.target_fragment
+            )
+            for page in selected.values()
+        },
+        dict.fromkeys(existing_titles, 1),
+        1,
+    )
+    for _, row in iter_link_rows(records, one_date):
+        yield SnapshotLink.from_row(row)
 
 
 def _target_with_fragment(page: ResolvedPage) -> str:

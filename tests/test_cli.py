@@ -84,6 +84,45 @@ class TestSnapshotAndGraph:
     def test_snapshot_requires_extract(self, out_dir):
         assert cli.main(["snapshot", *base_args(out_dir), "--date", "2018-03-01"]) == 2
 
+    def test_snapshot_requires_extract_manifest(self, out_dir, minidump_path):
+        assert cli.main(["extract", *base_args(out_dir), str(minidump_path)]) == 0
+        (out_dir / "enwiki.extract.manifest.json").unlink()
+        assert cli.main(["snapshot", *base_args(out_dir), "--date", "2018-03-01"]) == 2
+
+    def test_snapshot_reads_only_the_shards_of_the_last_extract(
+        self, out_dir, minidump_path, tmp_path
+    ):
+        first = tmp_path / "d1.xml"
+        second = tmp_path / "d2.xml"
+        for dump in (first, second):
+            dump.write_bytes(minidump_path.read_bytes())
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        assert cli.main(["extract", *base_args(out_dir), str(first), str(second)]) == 0
+        assert cli.main(["extract", *base_args(out_dir), str(first)]) == 0
+        assert (out_dir / "enwiki.rawwikilinks.0001.csv.gz").exists()  # left over
+        assert cli.main(["extract", *base_args(fresh), str(first)]) == 0
+        for target in (out_dir, fresh):
+            assert cli.main(["snapshot", *base_args(target), *date_args()]) == 0
+        for date in FIXTURE_DATES:
+            for kind in ("resolvedredirects", "wikilinksnapshot"):
+                name = f"enwiki.{kind}.{date}.csv.gz"
+                assert sha256_of(out_dir / name) == sha256_of(fresh / name), name
+
+    def test_truncated_raw_shard_is_fatal_and_marks_every_date(
+        self, out_dir, minidump_path, capsys
+    ):
+        assert cli.main(["extract", *base_args(out_dir), str(minidump_path)]) == 0
+        shard = out_dir / "enwiki.rawwikilinks.0000.csv.gz"
+        shard.write_bytes(shard.read_bytes()[:-12])
+        capsys.readouterr()
+        assert cli.main(["snapshot", *base_args(out_dir), *date_args()]) == 1
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [e["event"] for e in events] == ["fatal"]
+        for date in FIXTURE_DATES:
+            assert (out_dir / f"enwiki.wikilinksnapshot.{date}.csv.gz.partial").exists()
+        assert cli.main(["verify", *base_args(out_dir)]) == 1
+
     def test_graph_requires_snapshot(self, out_dir, minidump_path):
         assert cli.main(["extract", *base_args(out_dir), str(minidump_path)]) == 0
         assert cli.main(["graph", *base_args(out_dir), "--date", "2018-03-01"]) == 2
@@ -228,6 +267,23 @@ class TestPagerankCommand:
 
 
 class TestConsoleScript:
+    def test_cli_import_leaves_numpy_and_scipy_unloaded(self):
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, wikilinks.cli, wikilinks\n"
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+            "print(wikilinks.pagerank.__module__)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={"PYTHONPATH": src, "PATH": ""},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["[]", "wikilinks.analytics"]
+
     def test_installed_entrypoint(self, out_dir, minidump_path):
         import subprocess
         import sys

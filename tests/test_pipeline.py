@@ -187,7 +187,7 @@ class TestSortAndMerge:
                           row(3, 30, "2016-01-01T00:00:00Z", "a2")])
         with DatasetWriter(shard_b, RAW_LINK_FIELDS) as w:
             w.write_rows([row(2, 20, "2016-01-01T00:00:00Z", "b1")])
-        merged = [r.link for r in read_raw_records([shard_b, shard_a])]
+        merged = [r[9] for r in read_raw_records([shard_b, shard_a])]
         assert merged == ["a1", "b1", "a2"]
 
     def test_redirect_events_merge(self, tmp_path):
@@ -198,8 +198,8 @@ class TestSortAndMerge:
                 ("1", "A", "11", "2016-02-01T00:00:00Z", "X", "Top"),
             ])
         events = list(read_redirect_events([path]))
-        assert [e.target for e in events] == [None, "X"]
-        assert events[1].tosection == "Top"
+        assert [e[4] for e in events] == ["", "X"]
+        assert events[1][5] == "Top"
 
     def test_deterministic_rerun_checksums(self, tmp_path, minidump_path):
         with open(minidump_path, "rb") as f:

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 from datetime import datetime, timezone
 
-from wikilinks.pipeline import RawLinkRecord, RedirectEvent
+import pytest
+
+from wikilinks.errors import DataFormatError
+from wikilinks.pipeline import redirect_sort_key
 from wikilinks.snapshot import (
     RESOLUTION_ARTICLE,
     RESOLUTION_CYCLE,
@@ -15,6 +18,7 @@ from wikilinks.snapshot import (
     read_snapshot_links,
     resolve_chains,
     resolve_snapshot,
+    select_revisions,
     select_snapshot_revisions,
     write_resolved_redirects,
     write_snapshot_links,
@@ -24,18 +28,21 @@ from wikilinks.snapshot import (
 MARCH_2018 = SnapshotDate.of("2018-03-01")
 
 
-def ts(value: str) -> datetime:
-    return datetime.strptime(value, "%Y-%m-%d").replace(tzinfo=timezone.utc)
+def ts(value: str) -> str:
+    """A dump timestamp: midnight UTC of a YYYY-MM-DD day, or a full timestamp."""
+    return value if len(value) > 10 else value + "T00:00:00Z"
 
 
 def event(page_id, title, rev_id, when, target=None, tosection=None):
-    return RedirectEvent(page_id, title, rev_id, ts(when), target, tosection)
+    """A redirect-history row."""
+    return (str(page_id), title, str(rev_id), ts(when), target or "", tosection or "")
 
 
 def raw(page_id, title, rev_id, link, when="2016-01-01"):
-    return RawLinkRecord(
-        page_id, title, rev_id, None, ts(when), "registered", "U", 1, False,
-        link, None, None, "", 0, 0,
+    """A raw link row."""
+    return (
+        str(page_id), title, str(rev_id), "", ts(when), "registered", "U", "1", "0",
+        link, "", "", "", "0", "0",
     )
 
 
@@ -94,8 +101,63 @@ class TestSelectSnapshotRevisions:
         ]
         selected = select_snapshot_revisions(events, MARCH_2018)
         assert sorted(selected) == [1, 2]  # one entry per page by construction
+        stamps = {int(e[2]): e[3] for e in events}
         for page in selected.values():
-            assert page.timestamp < MARCH_2018.instant
+            assert stamps[page.revision_id] < MARCH_2018.cutoff
+        assert {p: page.revision_id for p, page in selected.items()} == {1: 11, 2: 20}
+
+    def test_fractional_second_instant_includes_that_second(self):
+        events = [
+            event(1, "P", 10, "2017-06-01"),
+            event(1, "P", 11, "2018-03-01T00:00:00Z"),
+        ]
+        fractional = SnapshotDate.of("2018-03-01T00:00:00.5Z")
+        assert fractional.cutoff == "2018-03-01T00:00:01Z"
+        assert select_snapshot_revisions(events, fractional)[1].revision_id == 11
+        assert select_snapshot_revisions(events, MARCH_2018)[1].revision_id == 10
+
+
+class TestSelectRevisions:
+    DATES = [SnapshotDate.of(d) for d in ("2016-03-01", "2017-03-01", "2018-03-01")]
+
+    def test_spans_of_dates_per_revision(self):
+        events = [
+            event(1, "P", 10, "2015-01-01"),
+            event(1, "P", 11, "2015-06-01"),  # replaces 10 before the first date
+            event(1, "P", 12, "2017-03-01"),  # stamped exactly at the second date
+            event(2, "Q", 20, "2017-05-01", target="p"),
+            event(3, "R", 30, "2019-01-01"),  # after every date
+        ]
+        selection = select_revisions(events, self.DATES)
+        assert selection.revisions == {
+            (1, 11): (0, 2, "P", None, None),
+            (1, 12): (2, 3, "P", None, None),
+            (2, 20): (2, 3, "Q", "P", None),
+        }
+        assert selection.titles == {"P": 0b111, "Q": 0b100}
+
+    def test_every_date_agrees_with_its_one_date_selection(self):
+        events = [
+            event(1, "P", 10, "2015-01-01"),
+            event(1, "P", 12, "2016-06-01", target="Q"),
+            event(1, "P", 11, "2016-06-01"),
+            event(1, "P", 13, "2018-01-01"),
+            event(2, "Q", 20, "2016-01-01"),
+        ]
+        selection = select_revisions(sorted(events, key=redirect_sort_key), self.DATES)
+        states = list(selection.states())
+        assert [len(state) for state in states] == [2, 2, 2]
+        for state, date in zip(states, self.DATES):
+            assert state == select_snapshot_revisions(events, date)
+
+    def test_a_state_for_every_date_when_nothing_is_selected(self):
+        selection = select_revisions([event(1, "P", 10, "2019-01-01")], self.DATES)
+        assert list(selection.states()) == [{}, {}, {}]
+
+    def test_out_of_order_history_is_refused(self):
+        events = [event(1, "P", 11, "2016-01-01"), event(1, "P", 10, "2015-01-01")]
+        with pytest.raises(DataFormatError):
+            select_revisions(events, self.DATES)
 
 
 class TestBuildRedirectMap:
