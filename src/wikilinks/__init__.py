@@ -16,7 +16,7 @@ Pipeline stages (each also available as a CLI subcommand):
 from .dump import PageHistory, PageMeta, Revision, filter_namespace, open_dump
 from .errors import ConfigurationError, DataFormatError, DumpFormatError
 from .graph import EdgeRecord, build_graph, emit_edges
-from .pipeline import RawLinkRecord, RedirectEvent, RunSummary, extract_all, extract_redirect_history
+from .pipeline import RunSummary, extract_all
 from .snapshot import (
     ResolvedPage,
     SnapshotDate,
@@ -65,9 +65,7 @@ __all__ = [
     "PageMeta",
     "PageRankResult",
     "RankedArticle",
-    "RawLinkRecord",
     "RedirectDecl",
-    "RedirectEvent",
     "ResolvedPage",
     "Revision",
     "RunSummary",
@@ -80,7 +78,6 @@ __all__ = [
     "emit_edges",
     "extract_all",
     "extract_links",
-    "extract_redirect_history",
     "filter_namespace",
     "get_profile",
     "normalize_title",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -49,28 +49,32 @@ class PageRankResult:
         return dict(zip(self.node_ids, self.scores.tolist()))
 
 
-def _count_rows(path: str | Path, fields: Sequence[str], int_columns: Sequence[int]) -> int:
+def _checked_rows(
+    path: str | Path, fields: Sequence[str], int_columns: Sequence[int]
+) -> Iterator[list[str]]:
+    """Rows of a graph file, each with every column and digit-only ids.
+
+    A short or long row, a bad id or a file that cannot be read to its end
+    raises :class:`DataFormatError` naming the row.
+    """
     count = 0
-    rows = iter_rows(path, fields)
-    while True:
-        try:
-            row = next(rows)
-        except StopIteration:
-            return count
-        except DataFormatError:
-            raise
-        except Exception as err:
-            raise DataFormatError(f"{path}: unreadable row after {count} data rows: {err}")
-        if len(row) != len(fields):
-            raise DataFormatError(
-                f"{path}: row {count + 2} has {len(row)} columns, expected {len(fields)}"
-            )
-        for col in int_columns:
-            if not row[col].isdigit():
+    try:
+        for row in iter_rows(path, fields):
+            if len(row) != len(fields):
                 raise DataFormatError(
-                    f"{path}: row {count + 2} column {fields[col]} is not an id: {row[col]!r}"
+                    f"{path}: row {count + 2} has {len(row)} columns, expected {len(fields)}"
                 )
-        count += 1
+            for col in int_columns:
+                if not row[col].isdigit():
+                    raise DataFormatError(
+                        f"{path}: row {count + 2} column {fields[col]} is not an id: {row[col]!r}"
+                    )
+            count += 1
+            yield row
+    except DataFormatError:
+        raise
+    except Exception as err:
+        raise DataFormatError(f"{path}: unreadable row after {count} data rows: {err}")
 
 
 def compute_stats(
@@ -81,8 +85,8 @@ def compute_stats(
     date: str = "",
 ) -> GraphStats:
     """Exact node and edge counts of one emitted snapshot graph."""
-    edges = _count_rows(edge_path, EDGE_FIELDS, (0, 2))
-    nodes = _count_rows(node_path, NODE_FIELDS, (0,))
+    edges = sum(1 for _ in _checked_rows(edge_path, EDGE_FIELDS, (0, 2)))
+    nodes = sum(1 for _ in _checked_rows(node_path, NODE_FIELDS, (0,)))
     return GraphStats(language, date, nodes, edges)
 
 
@@ -99,16 +103,19 @@ def write_growth_series(stats: Iterable[GraphStats], path: str | Path) -> int:
 def load_graph_file(
     edge_path: str | Path, node_path: str | Path | None = None
 ) -> tuple[list[tuple[int, int]], dict[int, str]]:
-    """Edges plus an id -> title map, including isolated nodes if given."""
+    """Edges plus an id -> title map, including isolated nodes if given.
+
+    Rows are checked as :func:`compute_stats` checks them.
+    """
     titles: dict[int, str] = {}
     edges: list[tuple[int, int]] = []
-    for row in iter_rows(edge_path, EDGE_FIELDS):
+    for row in _checked_rows(edge_path, EDGE_FIELDS, (0, 2)):
         src, dst = int(row[0]), int(row[2])
         edges.append((src, dst))
         titles[src] = row[1]
         titles[dst] = row[3]
     if node_path is not None:
-        for row in iter_rows(node_path, NODE_FIELDS):
+        for row in _checked_rows(node_path, NODE_FIELDS, (0,)):
             titles[int(row[0])] = row[1]
     return edges, titles
 

@@ -33,7 +33,9 @@ from .storage import (
     PARTIAL_SUFFIX,
     DatasetWriter,
     iter_rows,
+    partial_path,
     verify_checksum,
+    write_checksum,
 )
 from .wikitext import LanguageProfile, get_profile, load_profiles
 
@@ -145,31 +147,36 @@ def cmd_extract(config: RunConfig) -> int:
             sevenzip_command=config.sevenzip_command,
             on_issue=lambda issue: issues.update([issue.kind]),
         )
-        # Mark the final outputs incomplete for the whole shard build; the
-        # sorting writer removes the markers only after a clean close.
+        # Mark the final outputs incomplete for the whole shard build. Rows
+        # go straight to the final files, already sorted while page ids
+        # ascend; a shard whose pages break that order is sorted afterwards.
         for target in (raw_path, redirect_path):
-            Path(str(target) + PARTIAL_SUFFIX).touch()
-        tmp_raw = Path(str(raw_path) + ".unsorted")
-        tmp_redirect = Path(str(redirect_path) + ".unsorted")
-        try:
-            with DatasetWriter(tmp_raw, pipeline.RAW_LINK_FIELDS, sidecar=False) as sink, \
-                    DatasetWriter(tmp_redirect, pipeline.REDIRECT_FIELDS, sidecar=False) as redirect_sink:
-                summary = pipeline.extract_all(
-                    filter_namespace(pages, ARTICLE_NAMESPACE),
-                    profile,
-                    sink,
-                    redirect_sink=redirect_sink,
-                    jobs=config.jobs,
-                    strip_inert_spans=config.strip_inert_spans,
-                )
-            _sort_into(tmp_raw, raw_path, pipeline.RAW_LINK_FIELDS, pipeline.raw_sort_key)
-            _sort_into(
-                tmp_redirect, redirect_path, pipeline.REDIRECT_FIELDS,
-                pipeline.redirect_sort_key,
+            partial_path(target).touch()
+        with DatasetWriter(raw_path, pipeline.RAW_LINK_FIELDS, sidecar=False) as sink, \
+                DatasetWriter(redirect_path, pipeline.REDIRECT_FIELDS, sidecar=False) as redirect_sink:
+            summary = pipeline.extract_all(
+                filter_namespace(pages, ARTICLE_NAMESPACE),
+                profile,
+                sink,
+                redirect_sink=redirect_sink,
+                jobs=config.jobs,
+                strip_inert_spans=config.strip_inert_spans,
             )
-        finally:
-            tmp_raw.unlink(missing_ok=True)
-            tmp_redirect.unlink(missing_ok=True)
+        for writer, fields, key in (
+            (sink, pipeline.RAW_LINK_FIELDS, pipeline.raw_sort_key),
+            (redirect_sink, pipeline.REDIRECT_FIELDS, pipeline.redirect_sort_key),
+        ):
+            if summary.ascending:
+                write_checksum(writer.path, writer.sha256)
+                partial_path(writer.path).unlink()
+            else:
+                # A prefix keeps the .gz suffix, so the file reads back decompressed.
+                unsorted = writer.path.with_name("unsorted." + writer.path.name)
+                writer.path.replace(unsorted)
+                try:
+                    _sort_into(unsorted, writer.path, fields, key)
+                finally:
+                    unsorted.unlink(missing_ok=True)
         totals.merge(summary)
         shards.append(
             {
@@ -178,6 +185,7 @@ def cmd_extract(config: RunConfig) -> int:
                 "pages": summary.pages,
                 "revisions": summary.revisions,
                 "links": summary.links,
+                "resorted": not summary.ascending,
                 "files": [raw_path.name, redirect_path.name],
             }
         )
@@ -187,6 +195,7 @@ def cmd_extract(config: RunConfig) -> int:
             pages=summary.pages,
             revisions=summary.revisions,
             links=summary.links,
+            resorted=not summary.ascending,
         )
     totals.errors = issues["page-skipped"]
     manifest = {

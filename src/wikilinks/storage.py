@@ -2,8 +2,9 @@
 dataset files with SHA-256 sidecars, and crash markers for partial output.
 
 All dataset files are UTF-8 CSV (RFC 4180 quoting, LF line endings), gzipped
-when the path ends in ``.gz``. Gzip members are written with ``mtime=0`` and
-no embedded filename so that reruns produce byte-identical files.
+when the path ends in ``.gz``. Gzip members are written at the fixed
+compression level :data:`GZIP_LEVEL`, with ``mtime=0`` and no embedded
+filename, so that reruns produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ DEFAULT_SEVENZIP = ("7z", "e", "-so")
 
 PARTIAL_SUFFIX = ".partial"
 CHECKSUM_SUFFIX = ".sha256"
+# zlib's own default. On the pipeline's CSV it compresses 2.5-3x faster than
+# gzip's default of 9, for files under 0.5% larger. A constant, not an
+# option: the level is part of the bytes of every .gz output.
+GZIP_LEVEL = 6
 
 
 def codec_for_path(path: str | Path) -> str:
@@ -112,6 +117,10 @@ def checksum_path(path: str | Path) -> Path:
     return Path(str(path) + CHECKSUM_SUFFIX)
 
 
+def partial_path(path: str | Path) -> Path:
+    return Path(str(path) + PARTIAL_SUFFIX)
+
+
 def write_checksum(path: str | Path, digest: str | None = None) -> Path:
     """Write a sha256sum-compatible sidecar ("<hex>  <filename>")."""
     if digest is None:
@@ -149,12 +158,14 @@ class DatasetWriter:
 
     Creates a ``<path>.partial`` marker at open and removes it only after a
     clean close, so interrupted runs are detectable. On close a ``.sha256``
-    sidecar is written from the bytes that actually hit the disk. Passing
-    ``"-"`` as the path writes plain CSV to standard output instead.
+    sidecar is written from the bytes that actually hit the disk, and their
+    digest is kept in :attr:`sha256` either way. Passing ``"-"`` as the path
+    writes plain CSV to standard output instead.
     """
 
     def __init__(self, path: str | Path, header: Sequence[str], *, sidecar: bool = True):
         self.rows_written = 0
+        self.sha256: str | None = None
         self._header = list(header)
         self._sidecar = sidecar
         self._stdout = str(path) == "-"
@@ -163,7 +174,7 @@ class DatasetWriter:
             self._csv.writerow(self._header)
             return
         self.path = Path(path)
-        self._marker = Path(str(path) + PARTIAL_SUFFIX)
+        self._marker = partial_path(path)
         if sidecar:
             self._marker.touch()
         self._digest = hashlib.sha256()
@@ -171,7 +182,9 @@ class DatasetWriter:
         sink = _HashingWriter(self._raw, self._digest)
         self._zip = None
         if self.path.suffix == ".gz":
-            self._zip = gzip.GzipFile(filename="", mode="wb", fileobj=sink, mtime=0)
+            self._zip = gzip.GzipFile(
+                filename="", mode="wb", fileobj=sink, mtime=0, compresslevel=GZIP_LEVEL
+            )
             stream = self._zip
         else:
             stream = sink
@@ -198,13 +211,17 @@ class DatasetWriter:
         if self._zip is not None:
             self._zip.close()
         self._raw.close()
+        self.sha256 = self._digest.hexdigest()
         if self._sidecar:
-            write_checksum(self.path, self._digest.hexdigest())
+            write_checksum(self.path, self.sha256)
             self._marker.unlink(missing_ok=True)
 
     def abort(self) -> None:
-        """Close file handles but keep the .partial marker; no checksum."""
-        if self._stdout:
+        """Close file handles but keep the .partial marker; no checksum.
+
+        Safe to call again, or after close.
+        """
+        if self._stdout or self._raw.closed:
             return
         try:
             self._text.flush()
@@ -227,7 +244,15 @@ class DatasetWriter:
 def iter_rows(
     path: str | Path, expected_header: Sequence[str] | None = None
 ) -> Iterator[list[str]]:
-    """Yield data rows of a dataset file, validating the header if given."""
+    """Yield data rows of a dataset file, validating the header if given.
+
+    A file whose ``.partial`` marker is still present was left half-written
+    by a failed run and is refused with :class:`DataFormatError`.
+    """
+    if partial_path(path).exists():
+        raise DataFormatError(
+            f"{path}: left incomplete by a failed run ({PARTIAL_SUFFIX} marker present)"
+        )
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rt", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)

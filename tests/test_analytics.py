@@ -200,3 +200,19 @@ class TestRankings:
         edges, titles = load_graph_file(edge_path, node_path)
         assert edges == [(1, 2)]
         assert titles == {1: "N1", 2: "N2", 3: "N3"}
+
+    @pytest.mark.parametrize("bad_row", ["x,A,2,B", "1,A,2", "1,A,-2,B"])
+    def test_load_graph_file_checks_rows_as_stats_does(self, tmp_path, bad_row):
+        import gzip
+
+        edge_path = tmp_path / "bad.csv.gz"
+        with gzip.open(edge_path, "wt", encoding="utf-8") as f:
+            f.write("page_id_from,page_title_from,page_id_to,page_title_to\n")
+            f.write("1,A,2,B\n")
+            f.write(bad_row + "\n")
+        node_path = tmp_path / "n.csv.gz"
+        emit_nodes([], node_path)
+        with pytest.raises(DataFormatError, match="row 3"):
+            load_graph_file(edge_path, node_path)
+        with pytest.raises(DataFormatError, match="row 3"):
+            compute_stats(edge_path, node_path)

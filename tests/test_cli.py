@@ -4,10 +4,13 @@ import gzip
 import json
 from pathlib import Path
 
+import pytest
+
 from wikilinks import cli
-from wikilinks.storage import iter_rows, sha256_of
+from wikilinks.storage import iter_rows, sha256_of, verify_checksum
 
 from conftest import FIXTURE_DATES, GOLDEN_DIR, run_pipeline
+from test_dump import dump_bytes, page_xml
 
 
 def base_args(out: Path) -> list[str]:
@@ -80,6 +83,85 @@ class TestExtract:
         assert names == ["enwiki.rawwikilinks.0000.csv.gz", "enwiki.rawwikilinks.0001.csv.gz"]
 
 
+def _page(page_id, revisions):
+    return page_xml(f"Page {page_id}", page_id, revisions)
+
+
+def _rev(rev_id, timestamp, text):
+    return {"id": rev_id, "timestamp": timestamp, "text": text}
+
+
+# Page 3's history, listed with two same-second revisions out of id order.
+PAGE_3 = [
+    _rev(31, "2016-01-01T00:00:00Z", "[[A]] [[B|b]]"),
+    _rev(33, "2016-05-01T10:00:00Z", "[[A]] == S ==\n[[C#x]]"),
+    _rev(32, "2016-05-01T10:00:00Z", "[[C]] [[A]]"),
+    _rev(34, "2017-02-01T00:00:00Z", "#REDIRECT [[Page 1]]"),
+]
+IN_ORDER_PAGES = [
+    _page(1, [_rev(11, "2016-02-01T00:00:00Z", "[[Page 3]] [[D]]")]),
+    _page(2, [_rev(22, "2016-03-01T00:00:00Z", "[[A]]"),
+              _rev(21, "2016-03-01T00:00:00Z", "[[B]]")]),
+    _page(3, PAGE_3),
+    _page(5, [_rev(51, "2015-01-01T00:00:00Z", "no links")]),
+]
+# The same pages in descending id order, page 3 split across two elements.
+SHUFFLED_PAGES = [
+    _page(5, [_rev(51, "2015-01-01T00:00:00Z", "no links")]),
+    _page(3, PAGE_3[2:]),
+    _page(2, [_rev(22, "2016-03-01T00:00:00Z", "[[A]]"),
+              _rev(21, "2016-03-01T00:00:00Z", "[[B]]")]),
+    _page(3, PAGE_3[:2]),
+    _page(1, [_rev(11, "2016-02-01T00:00:00Z", "[[Page 3]] [[D]]")]),
+]
+SHARDS = ("enwiki.rawwikilinks.0000.csv.gz", "enwiki.redirecthistory.0000.csv.gz")
+
+
+class TestExtractWritePaths:
+    """Extract writes in-order dumps straight to the final files and sorts
+    the others afterwards; both paths must give the same bytes."""
+
+    def _extract(self, tmp_path, name, pages, jobs):
+        dump = tmp_path / f"{name}.xml"
+        dump.write_bytes(dump_bytes(*pages))
+        out = tmp_path / name
+        out.mkdir()
+        assert cli.main(["extract", *base_args(out), "--jobs", str(jobs), str(dump)]) == 0
+        return out
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_out_of_order_dump_gives_the_same_shards(self, tmp_path, jobs):
+        ordered = self._extract(tmp_path, "ordered", IN_ORDER_PAGES, jobs)
+        shuffled = self._extract(tmp_path, "shuffled", SHUFFLED_PAGES, jobs)
+        for out, resorted in ((ordered, False), (shuffled, True)):
+            manifest = json.loads((out / "enwiki.extract.manifest.json").read_text())
+            assert manifest["shards"][0]["resorted"] is resorted
+            assert sorted(p.name for p in out.iterdir() if "unsorted" in p.name) == []
+            assert not list(out.glob("*.partial"))
+        for name in SHARDS:
+            expected = gzip.open(ordered / name, "rb").read()
+            assert gzip.open(shuffled / name, "rb").read() == expected, name
+            assert verify_checksum(shuffled / name) and verify_checksum(ordered / name)
+        raw = list(iter_rows(ordered / SHARDS[0]))
+        assert [(r[0], r[2], r[9]) for r in raw if r[0] == "3"] == [
+            ("3", "31", "A"), ("3", "31", "B"), ("3", "32", "C"), ("3", "32", "A"),
+            ("3", "33", "A"), ("3", "33", "C"), ("3", "34", "Page 1"),
+        ]
+
+    def test_in_order_dump_is_never_sorted_again(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("extract sorted an in-order dump")
+
+        monkeypatch.setattr(cli, "external_sort", refuse)
+        monkeypatch.setattr(cli, "_sort_into", refuse)
+        out = self._extract(tmp_path, "ordered", IN_ORDER_PAGES, 1)
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*SHARDS, *(name + ".sha256" for name in SHARDS), "enwiki.extract.manifest.json"]
+        )
+        for name in SHARDS:
+            assert verify_checksum(out / name)
+
+
 class TestSnapshotAndGraph:
     def test_snapshot_requires_extract(self, out_dir):
         assert cli.main(["snapshot", *base_args(out_dir), "--date", "2018-03-01"]) == 2
@@ -122,6 +204,20 @@ class TestSnapshotAndGraph:
         for date in FIXTURE_DATES:
             assert (out_dir / f"enwiki.wikilinksnapshot.{date}.csv.gz.partial").exists()
         assert cli.main(["verify", *base_args(out_dir)]) == 1
+
+    def test_failed_extract_leaves_shards_that_snapshot_refuses(
+        self, out_dir, minidump_path, tmp_path, capsys
+    ):
+        assert cli.main(["extract", *base_args(out_dir), str(minidump_path)]) == 0
+        bad = tmp_path / "bad.xml"
+        bad.write_bytes(minidump_path.read_bytes()[:2000])
+        assert cli.main(["extract", *base_args(out_dir), str(bad)]) == 1
+        # The earlier manifest still names the now half-written shards.
+        capsys.readouterr()
+        assert cli.main(["snapshot", *base_args(out_dir), *date_args()]) == 1
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [e["event"] for e in events] == ["fatal"]
+        assert ".partial" in events[0]["detail"]
 
     def test_graph_requires_snapshot(self, out_dir, minidump_path):
         assert cli.main(["extract", *base_args(out_dir), str(minidump_path)]) == 0
@@ -252,6 +348,15 @@ class TestPagerankCommand:
         assert rows[0][1] == "Gamma"  # most linked-to page
         total = sum(float(r[2]) for r in rows)
         assert abs(total - 1.0) < 1e-4  # 6 significant digits per score
+
+    def test_malformed_edge_row_is_fatal(self, out_dir, capsys):
+        with gzip.open(out_dir / "enwiki.wikilinkgraph.2018-03-01.csv.gz", "wt") as f:
+            f.write("page_id_from,page_title_from,page_id_to,page_title_to\n1,A,2,B\nx,A,2,B\n")
+        capsys.readouterr()
+        assert cli.main(["pagerank", *base_args(out_dir), "--date", "2018-03-01"]) == 1
+        (event,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert event["event"] == "fatal"
+        assert "row 3" in event["detail"]
 
     def test_pagerank_requires_graph(self, out_dir):
         assert cli.main(["pagerank", *base_args(out_dir), "--date", "2018-03-01"]) == 2

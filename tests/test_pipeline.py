@@ -4,19 +4,16 @@ import io
 
 import pytest
 
+from wikilinks.cli import _sort_into
 from wikilinks.dump import filter_namespace, read_pages
 from wikilinks.pipeline import (
     RAW_LINK_FIELDS,
     REDIRECT_FIELDS,
-    RawLinkRecord,
-    RedirectEvent,
     extract_all,
-    extract_redirect_history,
     raw_sort_key,
     read_raw_records,
     read_redirect_events,
     redirect_sort_key,
-    sort_dataset,
 )
 from wikilinks.storage import DatasetWriter, iter_rows, sha256_of
 from wikilinks.wikitext import get_profile
@@ -41,6 +38,11 @@ def run_extract(tmp_path, pages, jobs=1, strip=False):
             strip_inert_spans=strip,
         )
     return summary, raw, redirects
+
+
+def redirect_rows(tmp_path, pages):
+    _, _, redirects = run_extract(tmp_path, pages)
+    return list(iter_rows(redirects, REDIRECT_FIELDS))
 
 
 class TestExtractAll:
@@ -89,8 +91,6 @@ class TestExtractAll:
             "7", "P", "11", "", "2016-01-01T00:00:00Z", "registered", "U", "9",
             "1", "A", "frag", "anchor text", "Sec", "2", "1",
         ]
-        record = RawLinkRecord.from_row(row)
-        assert record.to_row() == tuple(row)
 
     def test_worker_pool_output_identical_to_serial(self, tmp_path, minidump_path):
         with open(minidump_path, "rb") as f:
@@ -122,44 +122,49 @@ class TestExtractAll:
 
 
 class TestRedirectHistory:
-    def test_single_redirect_revision(self):
+    def test_single_redirect_revision(self, tmp_path):
         pages = pages_from(page_xml("P", 1, [dict(BASIC_REV, text="#REDIRECT [[X]]")]))
-        (event,) = extract_redirect_history(iter(pages), EN)
-        assert event.target == "X"
-        assert event.page_title == "P"
+        (row,) = redirect_rows(tmp_path, pages)
+        assert row[4] == "X"
+        assert row[1] == "P"
 
-    def test_page_becoming_redirect(self):
+    def test_page_becoming_redirect(self, tmp_path):
         revs = [
             {"id": 1, "timestamp": "2016-01-01T00:00:00Z", "text": "article text"},
             {"id": 2, "timestamp": "2016-02-01T00:00:00Z", "text": "#REDIRECT [[X]]"},
         ]
-        events = list(extract_redirect_history(iter(pages_from(page_xml("P", 1, revs))), EN))
-        assert [e.target for e in events] == [None, "X"]
+        rows = redirect_rows(tmp_path, pages_from(page_xml("P", 1, revs)))
+        assert [r[4] for r in rows] == ["", "X"]
 
-    def test_never_redirect_page(self):
+    def test_never_redirect_page(self, tmp_path):
         revs = [
             {"id": 1, "timestamp": "2016-01-01T00:00:00Z", "text": "a"},
             {"id": 2, "timestamp": "2016-02-01T00:00:00Z", "text": "b"},
         ]
-        events = list(extract_redirect_history(iter(pages_from(page_xml("P", 1, revs))), EN))
-        assert [e.target for e in events] == [None, None]
+        rows = redirect_rows(tmp_path, pages_from(page_xml("P", 1, revs)))
+        assert [r[4] for r in rows] == ["", ""]
 
-    def test_events_ordered_by_timestamp(self):
+    def test_events_ordered_by_timestamp(self, tmp_path):
         revs = [
             {"id": 2, "timestamp": "2016-02-01T00:00:00Z", "text": "b"},
             {"id": 1, "timestamp": "2016-01-01T00:00:00Z", "text": "a"},
+            {"id": 4, "timestamp": "2016-03-01T00:00:00Z", "text": "d"},
+            {"id": 3, "timestamp": "2016-03-01T00:00:00Z", "text": "c"},
         ]
-        events = list(extract_redirect_history(iter(pages_from(page_xml("P", 1, revs))), EN))
-        assert [e.revision_id for e in events] == [1, 2]
+        rows = redirect_rows(tmp_path, pages_from(page_xml("P", 1, revs)))
+        assert [r[2] for r in rows] == ["1", "2", "3", "4"]
+        assert rows == sorted(rows, key=redirect_sort_key)
 
-    def test_row_roundtrip(self):
+    def test_row_roundtrip(self, tmp_path):
         pages = pages_from(page_xml("P", 1, [dict(BASIC_REV, text="#REDIRECT [[X#Top]]")]))
-        (event,) = extract_redirect_history(iter(pages), EN)
-        assert RedirectEvent.from_row(event.to_row()) == event
+        (row,) = redirect_rows(tmp_path, pages)
+        assert row == ["1", "P", "11", "2016-01-01T00:00:00Z", "X", "Top"]
+        assert list(read_redirect_events([tmp_path / "redirects.csv.gz"])) == [row]
 
 
 class TestSortAndMerge:
-    def test_sort_dataset_orders_by_key(self, tmp_path):
+    def test_sort_into_orders_by_key(self, tmp_path):
+        unsorted = tmp_path / "unsorted.csv.gz"
         path = tmp_path / "raw.csv.gz"
         records = [
             ("2", "B", "20", "", "2016-01-01T00:00:00Z", "registered", "U", "1", "0",
@@ -169,9 +174,9 @@ class TestSortAndMerge:
             ("1", "A", "10", "", "2016-01-01T00:00:00Z", "registered", "U", "1", "0",
              "L3", "", "", "", "0", "0"),
         ]
-        with DatasetWriter(path, RAW_LINK_FIELDS) as writer:
+        with DatasetWriter(unsorted, RAW_LINK_FIELDS) as writer:
             writer.write_rows(records)
-        sort_dataset(path, RAW_LINK_FIELDS, raw_sort_key)
+        _sort_into(unsorted, path, RAW_LINK_FIELDS, raw_sort_key)
         rows = list(iter_rows(path, RAW_LINK_FIELDS))
         assert [r[9] for r in rows] == ["L3", "L2", "L1"]
 
@@ -206,8 +211,13 @@ class TestSortAndMerge:
             pages = list(filter_namespace(read_pages(f), 0))
         digests = []
         for name in ("one", "two"):
-            _, raw, redirects = run_extract(tmp_path / name, pages)
-            sort_dataset(raw, RAW_LINK_FIELDS, raw_sort_key)
-            sort_dataset(redirects, REDIRECT_FIELDS, redirect_sort_key)
+            summary, raw, redirects = run_extract(tmp_path / name, pages)
+            assert summary.ascending
             digests.append((sha256_of(raw), sha256_of(redirects)))
+            # Pages in ascending id order come out sorted: sorting is a no-op.
+            for path, fields, key in ((raw, RAW_LINK_FIELDS, raw_sort_key),
+                                      (redirects, REDIRECT_FIELDS, redirect_sort_key)):
+                resorted = path.with_name("sorted." + path.name)
+                _sort_into(path, resorted, fields, key)
+                assert sha256_of(resorted) == sha256_of(path)
         assert digests[0] == digests[1]

@@ -87,6 +87,33 @@ class TestDatasetWriter:
         assert marker.exists()
         assert not checksum_path(path).exists()
 
+    def test_abort_twice_or_after_close_is_harmless(self, tmp_path):
+        writer = DatasetWriter(tmp_path / "data.csv.gz", ("a",))
+        writer.abort()
+        writer.abort()
+        closed = DatasetWriter(tmp_path / "done.csv.gz", ("a",))
+        closed.close()
+        closed.abort()
+        assert verify_checksum(tmp_path / "done.csv.gz")
+
+    def test_sha256_kept_without_sidecar(self, tmp_path):
+        path = tmp_path / "data.csv.gz"
+        with DatasetWriter(path, ("a",), sidecar=False) as writer:
+            writer.write_row(("1",))
+        assert writer.sha256 == sha256_of(path)
+
+    def test_half_written_file_is_refused(self, tmp_path):
+        path = tmp_path / "data.csv.gz"
+        with pytest.raises(RuntimeError):
+            with DatasetWriter(path, ("a",)) as writer:
+                writer.write_row(("1",))
+                raise RuntimeError("simulated crash")
+        # The aborted file is a valid gzip; only its marker tells it apart.
+        with pytest.raises(DataFormatError, match="partial"):
+            list(iter_rows(path, ("a",)))
+        (tmp_path / "data.csv.gz.partial").unlink()
+        assert list(iter_rows(path, ("a",))) == [["1"]]
+
     def test_no_sidecar_mode(self, tmp_path):
         path = tmp_path / "tmp.csv"
         with DatasetWriter(path, ("a",), sidecar=False) as writer:
