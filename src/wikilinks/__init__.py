@@ -15,7 +15,7 @@ Pipeline stages (each also available as a CLI subcommand):
 
 from .dump import PageHistory, PageMeta, Revision, filter_namespace, open_dump
 from .errors import ConfigurationError, DataFormatError, DumpFormatError
-from .graph import EdgeRecord, build_graph, emit_edges
+from .graph import build_graph, emit_edges
 from .pipeline import RunSummary, extract_all
 from .snapshot import (
     ResolvedPage,
@@ -57,7 +57,6 @@ __all__ = [
     "ConfigurationError",
     "DataFormatError",
     "DumpFormatError",
-    "EdgeRecord",
     "ExtractedLink",
     "GraphStats",
     "LanguageProfile",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import shlex
 import sys
@@ -122,6 +123,58 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def extract_shard(config: RunConfig, profile: LanguageProfile, shard: int,
+                  input_path: Path) -> pipeline.RunSummary:
+    """Extract one dump file into raw-link and redirect-history shard ``shard``.
+
+    Everything the shard needs happens here, so it can run in a worker
+    process: its files depend on its input alone, and only the summary, with
+    the dump reader's issue counts in ``diagnostics`` and ``errors``, comes
+    back.
+    """
+    raw_path = config.path("rawwikilinks", shard=shard)
+    redirect_path = config.path("redirecthistory", shard=shard)
+    issues: Counter = Counter()
+    pages = open_dump(
+        input_path,
+        config.codec,
+        sevenzip_command=config.sevenzip_command,
+        on_issue=lambda issue: issues.update([issue.kind]),
+    )
+    # Mark the final outputs incomplete for the whole shard build. Rows go
+    # straight to the final files, already sorted while page ids ascend; a
+    # shard whose pages break that order is sorted afterwards.
+    for target in (raw_path, redirect_path):
+        partial_path(target).touch()
+    with DatasetWriter(raw_path, pipeline.RAW_LINK_FIELDS, sidecar=False) as sink, \
+            DatasetWriter(redirect_path, pipeline.REDIRECT_FIELDS, sidecar=False) as redirect_sink:
+        summary = pipeline.extract_all(
+            filter_namespace(pages, ARTICLE_NAMESPACE),
+            profile,
+            sink,
+            redirect_sink=redirect_sink,
+            strip_inert_spans=config.strip_inert_spans,
+        )
+    for writer, fields, key in (
+        (sink, pipeline.RAW_LINK_FIELDS, pipeline.raw_sort_key),
+        (redirect_sink, pipeline.REDIRECT_FIELDS, pipeline.redirect_sort_key),
+    ):
+        if summary.ascending:
+            write_checksum(writer.path, writer.sha256)
+            partial_path(writer.path).unlink()
+        else:
+            # A prefix keeps the .gz suffix, so the file reads back decompressed.
+            unsorted = writer.path.with_name("unsorted." + writer.path.name)
+            writer.path.replace(unsorted)
+            try:
+                _sort_into(unsorted, writer.path, fields, key)
+            finally:
+                unsorted.unlink(missing_ok=True)
+    summary.errors = issues["page-skipped"]
+    summary.diagnostics.update(issues)
+    return summary
+
+
 def cmd_extract(config: RunConfig) -> int:
     missing = [str(p) for p in config.inputs if not p.is_file()]
     if missing:
@@ -133,78 +186,45 @@ def cmd_extract(config: RunConfig) -> int:
     profile = config.profile()
     config.output_dir.mkdir(parents=True, exist_ok=True)
 
-    issues: Counter = Counter()
+    inputs = sorted(config.inputs, key=str)
+    extract = functools.partial(extract_shard, config, profile)
+    workers = min(config.jobs, len(inputs))
     totals = pipeline.RunSummary()
     shards = []
     started = time.perf_counter()
-    for shard_index, input_path in enumerate(sorted(config.inputs, key=str)):
-        raw_path = config.path("rawwikilinks", shard=shard_index)
-        redirect_path = config.path("redirecthistory", shard=shard_index)
-        _event("extract-shard-start", input=str(input_path), shard=shard_index)
-        pages = open_dump(
-            input_path,
-            config.codec,
-            sevenzip_command=config.sevenzip_command,
-            on_issue=lambda issue: issues.update([issue.kind]),
-        )
-        # Mark the final outputs incomplete for the whole shard build. Rows
-        # go straight to the final files, already sorted while page ids
-        # ascend; a shard whose pages break that order is sorted afterwards.
-        for target in (raw_path, redirect_path):
-            partial_path(target).touch()
-        with DatasetWriter(raw_path, pipeline.RAW_LINK_FIELDS, sidecar=False) as sink, \
-                DatasetWriter(redirect_path, pipeline.REDIRECT_FIELDS, sidecar=False) as redirect_sink:
-            summary = pipeline.extract_all(
-                filter_namespace(pages, ARTICLE_NAMESPACE),
-                profile,
-                sink,
-                redirect_sink=redirect_sink,
-                jobs=config.jobs,
-                strip_inert_spans=config.strip_inert_spans,
-            )
-        for writer, fields, key in (
-            (sink, pipeline.RAW_LINK_FIELDS, pipeline.raw_sort_key),
-            (redirect_sink, pipeline.REDIRECT_FIELDS, pipeline.redirect_sort_key),
-        ):
-            if summary.ascending:
-                write_checksum(writer.path, writer.sha256)
-                partial_path(writer.path).unlink()
-            else:
-                # A prefix keeps the .gz suffix, so the file reads back decompressed.
-                unsorted = writer.path.with_name("unsorted." + writer.path.name)
-                writer.path.replace(unsorted)
-                try:
-                    _sort_into(unsorted, writer.path, fields, key)
-                finally:
-                    unsorted.unlink(missing_ok=True)
-        totals.merge(summary)
-        shards.append(
-            {
+    with ExitStack() as stack:
+        if workers == 1:
+            summaries = map(extract, range(len(inputs)), inputs)
+        else:
+            # Imported here: loading them costs every stage process 10 ms.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+            ))
+            summaries = pool.map(extract, range(len(inputs)), inputs)
+        for shard, input_path in enumerate(inputs):
+            _event("extract-shard-start", input=str(input_path), shard=shard)
+            summary = next(summaries)
+            totals.merge(summary)
+            counts = {"pages": summary.pages, "revisions": summary.revisions,
+                      "links": summary.links, "resorted": not summary.ascending}
+            shards.append({
                 "input": str(input_path),
-                "shard": shard_index,
-                "pages": summary.pages,
-                "revisions": summary.revisions,
-                "links": summary.links,
-                "resorted": not summary.ascending,
-                "files": [raw_path.name, redirect_path.name],
-            }
-        )
-        _event(
-            "extract-shard-done",
-            shard=shard_index,
-            pages=summary.pages,
-            revisions=summary.revisions,
-            links=summary.links,
-            resorted=not summary.ascending,
-        )
-    totals.errors = issues["page-skipped"]
+                "shard": shard,
+                **counts,
+                "files": [config.path("rawwikilinks", shard=shard).name,
+                          config.path("redirecthistory", shard=shard).name],
+            })
+            _event("extract-shard-done", shard=shard, **counts)
     manifest = {
         "language": config.language,
         "pages": totals.pages,
         "revisions": totals.revisions,
         "links": totals.links,
         "errors": totals.errors,
-        "diagnostics": dict(sorted((totals.diagnostics + issues).items())),
+        "diagnostics": dict(sorted(totals.diagnostics.items())),
         "flags": {"strip_inert_spans": config.strip_inert_spans},
         "shards": shards,
     }
@@ -416,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="parse dumps into raw link and redirect datasets")
     common(p, dates=False)
     p.add_argument("inputs", nargs="+", metavar="DUMP", help="dump file(s)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="dump files to extract at once; a single dump runs in one process")
     p.add_argument("--codec", choices=CODECS, help="force input codec (default: by extension)")
     p.add_argument(
         "--strip-inert-spans",

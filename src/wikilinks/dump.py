@@ -10,6 +10,7 @@ tag names.
 from __future__ import annotations
 
 import logging
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -36,7 +37,7 @@ class PageMeta:
 class Revision:
     revision_id: int
     parent_id: int | None
-    timestamp: datetime
+    timestamp: str  # fixed-width UTC, YYYY-MM-DDTHH:MM:SSZ
     user_type: str
     user_username: str
     user_id: int | None
@@ -73,6 +74,22 @@ def parse_timestamp(value: str) -> datetime:
 
 def format_timestamp(dt: datetime) -> str:
     return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+_FIXED_WIDTH = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+
+
+def normalize_timestamp(value: str) -> str:
+    """A dump timestamp in the fixed-width UTC form, which compares as a string.
+
+    Dumps write that form, so it is kept as it is once its fields are known
+    to be in range; any other accepted form is converted. Raises ValueError
+    for a timestamp that is not a valid instant.
+    """
+    if _FIXED_WIDTH.fullmatch(value):
+        datetime.fromisoformat(value[:-1])  # range check only
+        return value
+    return format_timestamp(parse_timestamp(value))
 
 
 def _local(tag: str) -> str:
@@ -132,7 +149,7 @@ def _parse_revision(elem: ET.Element, issue, page_id, title) -> Revision:
     if timestamp is None:
         raise _PageSkip(f"revision {rev_id} without timestamp")
     try:
-        ts = parse_timestamp(timestamp)
+        ts = normalize_timestamp(timestamp)
     except ValueError:
         raise _PageSkip(f"revision {rev_id} has unparsable timestamp {timestamp!r}")
     parent = _text(_find(elem, "parentid"))

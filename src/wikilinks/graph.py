@@ -18,25 +18,19 @@ without a single active link still appear in the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DataFormatError
 from .extsort import external_sort, unique_justseen
 from .snapshot import RESOLUTION_DANGLING, ResolvedPage, SnapshotLink
-from .storage import DatasetWriter, iter_rows
+from .storage import DatasetWriter
 
 EDGE_FIELDS = ("page_id_from", "page_title_from", "page_id_to", "page_title_to")
 NODE_FIELDS = ("page_id", "page_title")
 
-
-@dataclass(frozen=True, slots=True)
-class EdgeRecord:
-    page_id_from: int
-    page_title_from: str
-    page_id_to: int
-    page_title_to: str
+# One edge as its CSV row, in EDGE_FIELDS order.
+EdgeRow = tuple[str, str, str, str]
 
 
 def _edge_target(
@@ -68,8 +62,8 @@ def iter_candidate_edges(
     resolved: Mapping[str, ResolvedPage],
     *,
     drop_self_loops: bool = False,
-) -> Iterator[EdgeRecord]:
-    """Pre-dedup edge stream: resolved article links plus redirect edges."""
+) -> Iterator[EdgeRow]:
+    """Pre-dedup edge rows: resolved article links plus redirect edges."""
     for link in links:
         if not link.is_active:
             continue
@@ -88,7 +82,7 @@ def iter_candidate_edges(
             direct_self_link = link.link == link.page_title
             if direct_self_link or drop_self_loops:
                 continue
-        yield EdgeRecord(link.page_id, link.page_title, target.page_id, target.title)
+        yield str(link.page_id), link.page_title, str(target.page_id), target.title
     for page in resolved.values():
         if not page.is_redirect or page.resolution == RESOLUTION_DANGLING:
             continue
@@ -100,7 +94,7 @@ def iter_candidate_edges(
             )
         if drop_self_loops and final.page_id == page.page_id:
             continue
-        yield EdgeRecord(page.page_id, page.title, final.page_id, final.title)
+        yield str(page.page_id), page.title, str(final.page_id), final.title
 
 
 def build_graph(
@@ -109,41 +103,22 @@ def build_graph(
     *,
     drop_self_loops: bool = False,
     tmpdir: str | None = None,
-) -> tuple[Iterator[EdgeRecord], list[tuple[int, str]]]:
-    """Return (deduplicated sorted edge stream, node list) for one snapshot."""
+) -> tuple[Iterator[EdgeRow], list[tuple[int, str]]]:
+    """Return (deduplicated edge rows sorted by id pair, node list) for one snapshot."""
     nodes = sorted((p.page_id, p.title) for p in resolved.values())
 
     def pair_key(row):
         return int(row[0]), int(row[2])
 
-    def edges() -> Iterator[EdgeRecord]:
-        candidates = (
-            (str(e.page_id_from), e.page_title_from, str(e.page_id_to), e.page_title_to)
-            for e in iter_candidate_edges(
-                links, resolved, drop_self_loops=drop_self_loops
-            )
-        )
-        deduped = unique_justseen(
-            external_sort(candidates, pair_key, tmpdir=tmpdir), pair_key
-        )
-        for row in deduped:
-            yield EdgeRecord(int(row[0]), row[1], int(row[2]), row[3])
-
-    return edges(), nodes
+    candidates = iter_candidate_edges(links, resolved, drop_self_loops=drop_self_loops)
+    edges = unique_justseen(external_sort(candidates, pair_key, tmpdir=tmpdir), pair_key)
+    return edges, nodes
 
 
-def emit_edges(edges: Iterable[EdgeRecord], path: str | Path) -> int:
+def emit_edges(edges: Iterable[EdgeRow], path: str | Path) -> int:
     """Write the edge dataset (sorted, deduplicated) with its checksum."""
     with DatasetWriter(path, EDGE_FIELDS) as writer:
-        for edge in edges:
-            writer.write_row(
-                (
-                    str(edge.page_id_from),
-                    edge.page_title_from,
-                    str(edge.page_id_to),
-                    edge.page_title_to,
-                )
-            )
+        writer.write_rows(edges)
         return writer.rows_written
 
 
@@ -152,8 +127,3 @@ def emit_nodes(nodes: Iterable[tuple[int, str]], path: str | Path) -> int:
         for page_id, title in nodes:
             writer.write_row((str(page_id), title))
         return writer.rows_written
-
-
-def read_edges(path: str | Path) -> Iterator[EdgeRecord]:
-    for row in iter_rows(path, EDGE_FIELDS):
-        yield EdgeRecord(int(row[0]), row[1], int(row[2]), row[3])

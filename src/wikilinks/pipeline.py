@@ -8,22 +8,21 @@ Produces the two per-revision datasets the later stages build on:
   wikitext is a redirect and to where, which doubles as the complete
   revision index needed for snapshot selection.
 
-Workers process whole pages independently and results are consumed in
-input order. Each page's rows come out in sort-key order, so when pages
-arrive in ascending id order the output is already sorted; otherwise the
-caller sorts it (see ``RunSummary.ascending``).
+One call handles one dump shard in one process; ``extract --jobs N``
+parallelises across dump files, not within one. Each page's rows come out
+in sort-key order, so when pages arrive in ascending id order the output is
+already sorted; otherwise the caller sorts it (see ``RunSummary.ascending``).
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 from heapq import merge as heap_merge
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .dump import PageHistory, format_timestamp
+from .dump import PageHistory
 from .storage import DatasetWriter, iter_rows
 from .wikitext import LanguageProfile, blank_inert_spans, detect_redirect, extract_links
 
@@ -76,24 +75,20 @@ class RunSummary:
 
 
 def _page_rows(
-    page: PageHistory, profile: LanguageProfile, strip_inert_spans: bool
-) -> tuple[int, list[tuple[str, ...]], list[tuple[str, ...]], int, Counter]:
-    """Page id, raw link rows and redirect rows of one page, in sort-key order.
+    page: PageHistory, profile: LanguageProfile, strip_inert_spans: bool,
+    diagnostics: Counter,
+) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
+    """Raw link rows and redirect rows of one page, in sort-key order.
 
-    Revisions are ordered by (formatted timestamp, revision id), the key
-    :func:`raw_sort_key` and :func:`redirect_sort_key` use, with a stable
-    sort; each revision's links stay in document order.
+    The dump reader already orders revisions by (timestamp, revision id),
+    the key :func:`raw_sort_key` and :func:`redirect_sort_key` use; each
+    revision's links stay in document order.
     """
     raw_rows: list[tuple[str, ...]] = []
     redirect_rows: list[tuple[str, ...]] = []
-    diagnostics: Counter = Counter()
     page_id = str(page.meta.page_id)
     title = page.meta.title
-    revisions = sorted(
-        ((format_timestamp(rev.timestamp), rev) for rev in page.revisions),
-        key=lambda pair: (pair[0], pair[1].revision_id),
-    )
-    for timestamp, rev in revisions:
+    for rev in page.revisions:
         # Blank once so link extraction and redirect detection see the same text.
         text = blank_inert_spans(rev.wikitext) if strip_inert_spans else rev.wikitext
         revision_id = str(rev.revision_id)
@@ -103,7 +98,7 @@ def _page_rows(
             title,
             revision_id,
             "" if rev.parent_id is None else str(rev.parent_id),
-            timestamp,
+            rev.timestamp,
             rev.user_type,
             rev.user_username,
             "" if rev.user_id is None else str(rev.user_id),
@@ -127,39 +122,12 @@ def _page_rows(
                 page_id,
                 title,
                 revision_id,
-                timestamp,
+                rev.timestamp,
                 (decl.target or "") if decl else "",
                 (decl.tosection or "") if decl else "",
             )
         )
-    return page.meta.page_id, raw_rows, redirect_rows, len(page.revisions), diagnostics
-
-
-def _batch_rows(args):
-    batch, profile, strip = args
-    return [_page_rows(page, profile, strip) for page in batch]
-
-
-def _batched(pages: Iterable[PageHistory], size: int):
-    batch = []
-    for page in pages:
-        batch.append(page)
-        if len(batch) >= size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
-
-
-def _bounded_map(executor, fn, items, window: int):
-    """map() preserving order while keeping at most ``window`` tasks in flight."""
-    pending = deque()
-    for item in items:
-        pending.append(executor.submit(fn, item))
-        if len(pending) >= window:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+    return raw_rows, redirect_rows
 
 
 def extract_all(
@@ -168,9 +136,7 @@ def extract_all(
     sink: DatasetWriter,
     *,
     redirect_sink: DatasetWriter | None = None,
-    jobs: int = 1,
     strip_inert_spans: bool = False,
-    batch_size: int = 16,
 ) -> RunSummary:
     """Write one raw link row per link per revision of every page in ``pages``.
 
@@ -183,10 +149,11 @@ def extract_all(
     """
     summary = RunSummary()
     last_page_id = None
-
-    def consume(result) -> None:
-        nonlocal last_page_id
-        page_id, raw_rows, redirect_rows, revisions, diagnostics = result
+    for page in pages:
+        raw_rows, redirect_rows = _page_rows(
+            page, profile, strip_inert_spans, summary.diagnostics
+        )
+        page_id = page.meta.page_id
         if last_page_id is not None and page_id <= last_page_id:
             summary.ascending = False
         last_page_id = page_id
@@ -200,20 +167,8 @@ def extract_all(
                 redirect_sink.abort()
             raise
         summary.pages += 1
-        summary.revisions += revisions
+        summary.revisions += len(page.revisions)
         summary.links += len(raw_rows)
-        summary.diagnostics.update(diagnostics)
-
-    if jobs <= 1:
-        for page in pages:
-            consume(_page_rows(page, profile, strip_inert_spans))
-        return summary
-
-    batches = ((batch, profile, strip_inert_spans) for batch in _batched(pages, batch_size))
-    with ProcessPoolExecutor(max_workers=jobs) as executor:
-        for results in _bounded_map(executor, _batch_rows, batches, window=jobs * 2):
-            for result in results:
-                consume(result)
     return summary
 
 

@@ -166,6 +166,10 @@ def select_revisions(
     listed twice counts once. ``dates`` ascend. A revision is selected from
     the first date after its timestamp up to, not including, the first date
     after its page's next revision.
+
+    Raises :class:`DataFormatError` when the rows of one page id carry two
+    titles, or when two page ids that both exist before the last date share
+    a title: either would give a date two pages for one title, or none.
     """
     cutoffs = [date.cutoff for date in dates]
     if cutoffs != sorted(cutoffs):
@@ -173,11 +177,22 @@ def select_revisions(
     count = len(cutoffs)
     revisions: dict[tuple[int, int], tuple[int, int, str, str | None, str | None]] = {}
     titles: dict[str, int] = {}
+    kept_page = None  # the page id of the last revision kept
 
     def keep(row: Sequence[str], key: tuple[int, int], start: int, stop: int) -> None:
+        nonlocal kept_page
         if start >= stop:
             return
         title = row[1]
+        if key[0] != kept_page:
+            # Rows come in page-id order, so a title already present belongs
+            # to an earlier page id.
+            if title in titles:
+                raise DataFormatError(
+                    f"title {title!r} is held by more than one page id, "
+                    f"page {key[0]} among them; inputs are inconsistent"
+                )
+            kept_page = key[0]
         target = normalize_title(row[4]) if row[4] else None
         revisions[key] = (start, stop, title, target, row[5] or None)
         titles[title] = titles.get(title, 0) | ((1 << stop) - (1 << start))
@@ -187,6 +202,11 @@ def select_revisions(
     for row in events:
         page_id, timestamp, revision_id = int(row[0]), row[3], int(row[2])
         order = (page_id, timestamp, revision_id)
+        if pending is not None and pending[1][0] == page_id and pending[0][1] != row[1]:
+            raise DataFormatError(
+                f"page {page_id} carries two titles, {pending[0][1]!r} and {row[1]!r}; "
+                "inputs are inconsistent"
+            )
         if last is not None and order <= last:
             if order == last:
                 continue

@@ -15,7 +15,7 @@ from wikilinks.analytics import (
     write_rankings,
 )
 from wikilinks.errors import ConfigurationError, DataFormatError
-from wikilinks.graph import EdgeRecord, emit_edges, emit_nodes
+from wikilinks.graph import emit_edges, emit_nodes
 from wikilinks.storage import iter_rows
 
 
@@ -42,7 +42,7 @@ def dense_pagerank(edges, nodes, damping=0.85):
 def graph_files(tmp_path, edges, nodes):
     edge_path = tmp_path / "g.csv.gz"
     node_path = tmp_path / "g.nodes.csv.gz"
-    emit_edges([EdgeRecord(s, f"N{s}", d, f"N{d}") for s, d in edges], edge_path)
+    emit_edges([(str(s), f"N{s}", str(d), f"N{d}") for s, d in edges], edge_path)
     emit_nodes([(n, f"N{n}") for n in nodes], node_path)
     return edge_path, node_path
 

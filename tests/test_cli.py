@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import gzip
 import json
 from pathlib import Path
@@ -114,7 +115,26 @@ SHUFFLED_PAGES = [
     _page(3, PAGE_3[:2]),
     _page(1, [_rev(11, "2016-02-01T00:00:00Z", "[[Page 3]] [[D]]")]),
 ]
+def _write_dumps(directory: Path, *shards) -> list[str]:
+    """Write each list of pages as dump file ``d<number>.xml``; returns the paths."""
+    paths = []
+    for number, pages in enumerate(shards):
+        path = directory / f"d{number}.xml"
+        path.write_bytes(dump_bytes(*pages))
+        paths.append(str(path))
+    return paths
+
+
 SHARDS = ("enwiki.rawwikilinks.0000.csv.gz", "enwiki.redirecthistory.0000.csv.gz")
+# Timestamps with UTC offsets. In UTC, revisions 11-13 share one second and
+# are listed out of id order, and revision 22 moves to the next day.
+OFFSET_PAGES = [
+    _page(1, [_rev(13, "2016-05-01T12:00:00+02:00", "[[B]] [[Page 2]]"),
+              _rev(12, "2016-05-01T10:00:00Z", "[[A]] [[C#x|c]]"),
+              _rev(11, "2016-05-01T09:30:00-00:30", "#REDIRECT [[A]]")]),
+    _page(2, [_rev(22, "2016-04-30T23:30:00-01:00", "[[Page 1]]"),
+              _rev(21, "2016-05-01T00:00:00Z", "#redirect [[Page 1#Top]]")]),
+]
 
 
 class TestExtractWritePaths:
@@ -147,6 +167,13 @@ class TestExtractWritePaths:
             ("3", "31", "A"), ("3", "31", "B"), ("3", "32", "C"), ("3", "32", "A"),
             ("3", "33", "A"), ("3", "33", "C"), ("3", "34", "Page 1"),
         ]
+
+    def test_offset_timestamps_match_golden(self, tmp_path):
+        out = self._extract(tmp_path, "offsets", OFFSET_PAGES, 1)
+        for name, golden in zip(SHARDS, ("enwiki.rawwikilinks.offsets.csv",
+                                         "enwiki.redirecthistory.offsets.csv")):
+            produced = gzip.open(out / name, "rb").read()
+            assert produced == (GOLDEN_DIR / golden).read_bytes(), name
 
     def test_in_order_dump_is_never_sorted_again(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -219,6 +246,41 @@ class TestSnapshotAndGraph:
         assert [e["event"] for e in events] == ["fatal"]
         assert ".partial" in events[0]["detail"]
 
+    def _refuse_snapshot(self, tmp_path, capsys, *shards) -> str:
+        """Extract ``shards`` as dump files, then expect snapshot to refuse them
+        before it opens any output; returns the fatal event's detail."""
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["extract", *base_args(out), *_write_dumps(tmp_path, *shards)]) == 0
+        before = sorted(p.name for p in out.iterdir())
+        capsys.readouterr()
+        assert cli.main(["snapshot", *base_args(out), *date_args()]) == 1
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [e["event"] for e in events] == ["fatal"]
+        assert sorted(p.name for p in out.iterdir()) == before
+        return events[0]["detail"]
+
+    def test_snapshot_refuses_a_page_id_with_two_titles(self, tmp_path, capsys):
+        detail = self._refuse_snapshot(
+            tmp_path, capsys,
+            [page_xml("Alpha", 1, [_rev(11, "2016-01-01T00:00:00Z", "[[Beta]]")])],
+            [page_xml("Beta", 1, [_rev(12, "2016-02-01T00:00:00Z", "[[Alpha]]")])],
+        )
+        assert "page 1 carries two titles" in detail
+
+    def test_snapshot_refuses_a_title_held_by_two_page_ids(self, tmp_path, capsys):
+        alpha = page_xml("Alpha", 1, [_rev(11, "2016-01-01T00:00:00Z", "[[Beta]]")])
+        # A page id that only appears after the last date exists at no date.
+        later = page_xml("Alpha", 2, [_rev(21, "2019-01-01T00:00:00Z", "x")])
+        valid = tmp_path / "valid"
+        valid.mkdir()
+        assert cli.main(["extract", *base_args(valid), *_write_dumps(valid, [alpha, later])]) == 0
+        assert cli.main(["snapshot", *base_args(valid), *date_args()]) == 0
+
+        again = page_xml("Alpha", 2, [_rev(21, "2016-06-01T00:00:00Z", "x")])
+        detail = self._refuse_snapshot(tmp_path, capsys, [alpha], [again])
+        assert "title 'Alpha' is held by more than one page id" in detail
+
     def test_graph_requires_snapshot(self, out_dir, minidump_path):
         assert cli.main(["extract", *base_args(out_dir), str(minidump_path)]) == 0
         assert cli.main(["graph", *base_args(out_dir), "--date", "2018-03-01"]) == 2
@@ -264,6 +326,76 @@ class TestSnapshotAndGraph:
         )
         assert all(row[0] != row[2] for row in rows)
         assert len(rows) == 11  # the Gamma->Gamma loop is gone
+
+
+class TestShardPool:
+    def test_worker_pool_output_identical_to_serial(self, tmp_path):
+        # Page 3 is split across the first two shards; the second shard lists
+        # its pages in descending id order, so it is sorted after writing.
+        dumps = _write_dumps(
+            tmp_path,
+            [*IN_ORDER_PAGES[:2], _page(3, PAGE_3[:2])],
+            [_page(9, [_rev(91, "2016-07-01T00:00:00Z", "[[Page 2]] [[Page 9]]")]),
+             _page(3, PAGE_3[2:])],
+            [_page(5, [_rev(51, "2015-01-01T00:00:00Z", "no links")]),
+             _page(6, [_rev(61, "2017-01-01T00:00:00Z", "#REDIRECT [[Page 9]]")])],
+        )
+        outputs = []
+        for jobs in (1, 2, 8):
+            out = tmp_path / f"jobs{jobs}"
+            out.mkdir()
+            assert cli.main(["extract", *base_args(out), "--jobs", str(jobs), *dumps]) == 0
+            assert cli.main(["snapshot", *base_args(out), *date_args()]) == 0
+            assert cli.main(["graph", *base_args(out), *date_args()]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        manifest = json.loads(outputs[0]["enwiki.extract.manifest.json"])
+        assert [shard["resorted"] for shard in manifest["shards"]] == [False, True, False]
+        assert len(outputs[0]) == 33  # manifest, 6 shard and 10 dated files, their sidecars
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+    def test_malformed_second_shard_fails_the_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        good, bad = _write_dumps(tmp_path, IN_ORDER_PAGES, [])
+        assert cli.main(["extract", *base_args(out), good]) == 0
+        manifest = (out / "enwiki.extract.manifest.json").read_bytes()
+        Path(bad).write_text("<mediawiki><page><title>x</title")
+        capsys.readouterr()
+        assert cli.main(["extract", *base_args(out), "--jobs", "2", good, bad]) == 1
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert events[-1]["event"] == "fatal" and bad in events[-1]["detail"]
+        assert {p.name for p in out.glob("*.partial")} == {
+            "enwiki.rawwikilinks.0001.csv.gz.partial",
+            "enwiki.redirecthistory.0001.csv.gz.partial",
+        }
+        assert (out / "enwiki.extract.manifest.json").read_bytes() == manifest
+
+    def test_pool_size_is_capped_by_the_shard_count(self, tmp_path, monkeypatch):
+        requested = []
+
+        class RecordingPool:
+            """Records the pool size and runs the shards in this process."""
+
+            def __init__(self, max_workers, mp_context):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        dumps = _write_dumps(tmp_path, IN_ORDER_PAGES, SHUFFLED_PAGES)
+        for name, inputs in (("two", dumps), ("one", dumps[:1])):
+            out = tmp_path / name
+            out.mkdir()
+            assert cli.main(["extract", *base_args(out), "--jobs", "8", *inputs]) == 0
+        assert requested == [2]
 
 
 class TestDeterminism:
@@ -326,12 +458,12 @@ class TestStats:
 
 class TestPagerankCommand:
     def test_triangle_equal_scores(self, tmp_path):
-        from wikilinks.graph import EdgeRecord, emit_edges, emit_nodes
+        from wikilinks.graph import emit_edges, emit_nodes
 
         out = tmp_path / "out"
         out.mkdir()
         emit_edges(
-            [EdgeRecord(1, "A", 2, "B"), EdgeRecord(2, "B", 3, "C"), EdgeRecord(3, "C", 1, "A")],
+            [("1", "A", "2", "B"), ("2", "B", "3", "C"), ("3", "C", "1", "A")],
             out / "enwiki.wikilinkgraph.2018-03-01.csv.gz",
         )
         emit_nodes([(1, "A"), (2, "B"), (3, "C")], out / "enwiki.wikilinkgraph.nodes.2018-03-01.csv.gz")

@@ -66,7 +66,7 @@ class TestReadPages:
         (rev,) = page.revisions
         assert rev.revision_id == 11
         assert rev.parent_id is None
-        assert rev.timestamp == datetime(2016, 1, 1, tzinfo=timezone.utc)
+        assert rev.timestamp == "2016-01-01T00:00:00Z"
         assert rev.wikitext == "hello [[World]]"
         assert rev.user_type == "registered"
         assert rev.user_id == 9
@@ -89,6 +89,26 @@ class TestReadPages:
         ]
         (page,) = read_all(dump_bytes(page_xml("A", 1, revs)))
         assert [r.revision_id for r in page.revisions] == [11, 12]
+
+    def test_offset_timestamps_become_fixed_width_utc(self):
+        revs = [
+            {"id": 12, "timestamp": "2016-01-01T01:00:00+01:00", "text": "later"},
+            {"id": 11, "timestamp": "2016-01-01T00:00:00Z", "text": "earlier"},
+        ]
+        (page,) = read_all(dump_bytes(page_xml("A", 1, revs)))
+        assert [(r.revision_id, r.timestamp) for r in page.revisions] == [
+            (11, "2016-01-01T00:00:00Z"),
+            (12, "2016-01-01T00:00:00Z"),
+        ]
+
+    @pytest.mark.parametrize("stamp", ["2016-13-01T00:00:00Z", "garbage"])
+    def test_unparsable_timestamp_skips_page(self, stamp):
+        issues: list[PageIssue] = []
+        bad = page_xml("A", 1, [dict(BASIC_REV, timestamp=stamp)])
+        pages = read_all(dump_bytes(bad, page_xml("B", 2, [BASIC_REV])), on_issue=issues.append)
+        assert [p.meta.title for p in pages] == ["B"]
+        assert [i.kind for i in issues] == ["page-skipped"]
+        assert "unparsable timestamp" in issues[0].detail
 
     def test_non_article_namespace_passes_through(self):
         (page,) = read_all(dump_bytes(page_xml("Talk:A", 2, [BASIC_REV], ns=1)))

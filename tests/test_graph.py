@@ -5,13 +5,7 @@ from collections import Counter
 import pytest
 
 from wikilinks.errors import DataFormatError
-from wikilinks.graph import (
-    EdgeRecord,
-    build_graph,
-    emit_edges,
-    emit_nodes,
-    read_edges,
-)
+from wikilinks.graph import EDGE_FIELDS, build_graph, emit_edges, emit_nodes
 from wikilinks.snapshot import (
     RESOLUTION_ARTICLE,
     RESOLUTION_CYCLE,
@@ -20,7 +14,7 @@ from wikilinks.snapshot import (
     ResolvedPage,
     SnapshotLink,
 )
-from wikilinks.storage import sha256_of
+from wikilinks.storage import iter_rows, sha256_of
 
 
 def article(page_id, title):
@@ -49,14 +43,14 @@ class TestBuildGraph:
         }
         edges = edges_of([link(1, "P", "NYC")], resolved)
         assert edges == [
-            EdgeRecord(1, "P", 3, "New York City"),
-            EdgeRecord(2, "NYC", 3, "New York City"),
+            ("1", "P", "3", "New York City"),
+            ("2", "NYC", "3", "New York City"),
         ]
 
     def test_duplicate_links_collapse(self):
         resolved = {"P": article(1, "P"), "A": article(2, "A")}
         edges = edges_of([link(1, "P", "A"), link(1, "P", "A")], resolved)
-        assert edges == [EdgeRecord(1, "P", 2, "A")]
+        assert edges == [("1", "P", "2", "A")]
 
     def test_duplicates_after_resolution_collapse(self):
         resolved = {
@@ -66,8 +60,8 @@ class TestBuildGraph:
         }
         edges = edges_of([link(1, "P", "R"), link(1, "P", "A")], resolved)
         assert edges == [
-            EdgeRecord(1, "P", 3, "A"),
-            EdgeRecord(2, "R", 3, "A"),
+            ("1", "P", "3", "A"),
+            ("2", "R", "3", "A"),
         ]
 
     def test_red_link_only_page_is_an_isolated_node(self):
@@ -92,12 +86,12 @@ class TestBuildGraph:
         }
         # the redirect page's wikitext links B, but only the resolution edge counts
         edges = edges_of([link(1, "R", "B"), link(1, "R", "A")], resolved)
-        assert edges == [EdgeRecord(1, "R", 2, "A")]
+        assert edges == [("1", "R", "2", "A")]
 
     def test_direct_self_link_dropped(self):
         resolved = {"P": article(1, "P"), "A": article(2, "A")}
         edges = edges_of([link(1, "P", "P"), link(1, "P", "A")], resolved)
-        assert edges == [EdgeRecord(1, "P", 2, "A")]
+        assert edges == [("1", "P", "2", "A")]
 
     def test_self_loop_via_redirect_retained(self):
         resolved = {
@@ -105,7 +99,7 @@ class TestBuildGraph:
             "R": redirect(2, "R", "P", "P"),
         }
         edges = edges_of([link(1, "P", "R")], resolved)
-        assert EdgeRecord(1, "P", 1, "P") in edges
+        assert ("1", "P", "1", "P") in edges
 
     def test_drop_self_loops_flag(self):
         resolved = {
@@ -113,8 +107,8 @@ class TestBuildGraph:
             "R": redirect(2, "R", "P", "P"),
         }
         edges = edges_of([link(1, "P", "R")], resolved, drop_self_loops=True)
-        assert EdgeRecord(1, "P", 1, "P") not in edges
-        assert EdgeRecord(2, "R", 1, "P") in edges
+        assert ("1", "P", "1", "P") not in edges
+        assert ("2", "R", "1", "P") in edges
 
     def test_cycle_members_link_each_other(self):
         resolved = {
@@ -122,7 +116,7 @@ class TestBuildGraph:
             "B": redirect(2, "B", "A", "A", RESOLUTION_CYCLE),
         }
         edges = edges_of([], resolved)
-        assert edges == [EdgeRecord(1, "A", 2, "B"), EdgeRecord(2, "B", 1, "A")]
+        assert edges == [("1", "A", "2", "B"), ("2", "B", "1", "A")]
 
     def test_link_into_cycle_uses_fallback_target(self):
         resolved = {
@@ -131,7 +125,7 @@ class TestBuildGraph:
             "B": redirect(3, "B", "A", "A", RESOLUTION_CYCLE),
         }
         edges = edges_of([link(1, "P", "A")], resolved)
-        assert EdgeRecord(1, "P", 3, "B") in edges
+        assert ("1", "P", "3", "B") in edges
 
     def test_unknown_target_title_is_fatal(self):
         resolved = {"P": article(1, "P")}
@@ -161,7 +155,7 @@ class TestBuildGraph:
             link(1, "A", "D"),
         ]
         edges = edges_of(links, resolved)
-        keys = [(e.page_id_from, e.page_id_to) for e in edges]
+        keys = [(int(e[0]), int(e[2])) for e in edges]
         assert keys == sorted(keys)
 
     def test_dedup_never_increases_edges(self):
@@ -190,8 +184,8 @@ class TestOrphanRedirectProperty:
             link(2, "Art2", "C1"),
         ]
         edges = edges_of(links, resolved)
-        indeg = Counter(e.page_id_to for e in edges)
-        outdeg = Counter(e.page_id_from for e in edges)
+        indeg = Counter(int(e[2]) for e in edges)
+        outdeg = Counter(int(e[0]) for e in edges)
         for page in resolved.values():
             if page.is_redirect and page.resolution == RESOLUTION_RESOLVED:
                 assert indeg[page.page_id] == 0
@@ -202,7 +196,7 @@ class TestEmit:
     def test_two_edges_three_lines(self, tmp_path):
         path = tmp_path / "edges.csv.gz"
         emit_edges(
-            [EdgeRecord(1, "A", 2, "B"), EdgeRecord(2, "B", 1, "A")], path
+            [("1", "A", "2", "B"), ("2", "B", "1", "A")], path
         )
         import gzip
 
@@ -226,15 +220,15 @@ class TestEmit:
         digests = set()
         for name in ("a.csv.gz", "b.csv.gz"):
             path = tmp_path / name
-            emit_edges([EdgeRecord(1, "A", 2, "B")], path)
+            emit_edges([("1", "A", "2", "B")], path)
             digests.add(sha256_of(path))
         assert len(digests) == 1
 
     def test_read_back(self, tmp_path):
         path = tmp_path / "edges.csv.gz"
-        edges = [EdgeRecord(1, "A", 2, "B")]
+        edges = [("1", "A", "2", "B")]
         emit_edges(edges, path)
-        assert list(read_edges(path)) == edges
+        assert [tuple(row) for row in iter_rows(path, EDGE_FIELDS)] == edges
 
     def test_emit_nodes(self, tmp_path):
         path = tmp_path / "nodes.csv.gz"

@@ -27,15 +27,14 @@ def pages_from(*page_xmls):
     return list(read_pages(io.BytesIO(dump_bytes(*page_xmls))))
 
 
-def run_extract(tmp_path, pages, jobs=1, strip=False):
+def run_extract(tmp_path, pages, strip=False):
     tmp_path.mkdir(parents=True, exist_ok=True)
     raw = tmp_path / "raw.csv.gz"
     redirects = tmp_path / "redirects.csv.gz"
     with DatasetWriter(raw, RAW_LINK_FIELDS) as sink, \
             DatasetWriter(redirects, REDIRECT_FIELDS) as redirect_sink:
         summary = extract_all(
-            iter(pages), EN, sink, redirect_sink=redirect_sink, jobs=jobs,
-            strip_inert_spans=strip,
+            iter(pages), EN, sink, redirect_sink=redirect_sink, strip_inert_spans=strip,
         )
     return summary, raw, redirects
 
@@ -91,14 +90,6 @@ class TestExtractAll:
             "7", "P", "11", "", "2016-01-01T00:00:00Z", "registered", "U", "9",
             "1", "A", "frag", "anchor text", "Sec", "2", "1",
         ]
-
-    def test_worker_pool_output_identical_to_serial(self, tmp_path, minidump_path):
-        with open(minidump_path, "rb") as f:
-            pages = list(filter_namespace(read_pages(f), 0))
-        _, raw1, red1 = run_extract(tmp_path / "serial", pages)
-        _, raw8, red8 = run_extract(tmp_path / "pooled", pages, jobs=4)
-        assert sha256_of(raw1) == sha256_of(raw8)
-        assert sha256_of(red1) == sha256_of(red8)
 
     def test_sink_failure_aborts_with_partial_marker(self, tmp_path):
         class FailingWriter(DatasetWriter):

@@ -4,7 +4,8 @@ random page histories, every date compared with ``tests/bruteforce.py``.
 The histories mix the cases the snapshot rules name: same-second revisions
 listed out of order, revisions stamped exactly at a date's midnight,
 redirects that turn back into articles, chains, cycles and dangling
-redirects, and one page whose revisions are split across two dump shards.
+redirects, and one page whose revisions are split across two dump shards,
+extracted one shard at a time or both at once.
 """
 
 from __future__ import annotations
@@ -99,15 +100,15 @@ def run(out: Path, *argv: str) -> None:
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(histories())
-def test_every_date_matches_bruteforce(history):
+@given(histories(), st.sampled_from((1, 2)))
+def test_every_date_matches_bruteforce(history, jobs):
     date_args = [arg for date in DATES for arg in ("--date", date)]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         dumps, whole = write_dumps(*history, tmp)
         out = tmp / "out"
         out.mkdir()
-        run(out, "extract", *map(str, dumps))
+        run(out, "extract", "--jobs", str(jobs), *map(str, dumps))
         run(out, "snapshot", *date_args)
         run(out, "graph", *date_args)
         for date in DATES:
