@@ -5,11 +5,13 @@ Pipeline stages (each also available as a CLI subcommand):
 1. extract  - stream dumps; emit raw per-revision link records and the
               per-revision redirect history;
 2. snapshot - for every date at once, select the last revision of each
-              page strictly before the instant, resolve redirect chains,
-              and emit the links that existed at that moment; one pass
-              over each input serves all dates, holding one entry per
-              selected revision and per title;
-3. graph    - resolve and deduplicate active links into an edge list;
+              page strictly before the instant
+              (select_snapshot_revisions), resolve redirect chains, and
+              emit the links that existed at that moment
+              (build_link_snapshot); one pass over each input serves all
+              dates, holding one entry per selected revision and per title;
+3. graph    - resolve and deduplicate the active links of each date's
+              snapshot rows into an edge list;
 4. analytics - node/edge counts, growth series, PageRank rankings.
 """
 
@@ -20,9 +22,7 @@ from .pipeline import RunSummary, extract_all
 from .snapshot import (
     ResolvedPage,
     SnapshotDate,
-    SnapshotLink,
     build_link_snapshot,
-    build_redirect_map,
     resolve_chains,
     select_snapshot_revisions,
 )
@@ -69,10 +69,8 @@ __all__ = [
     "Revision",
     "RunSummary",
     "SnapshotDate",
-    "SnapshotLink",
     "build_graph",
     "build_link_snapshot",
-    "build_redirect_map",
     "detect_redirect",
     "emit_edges",
     "extract_all",

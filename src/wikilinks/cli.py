@@ -275,13 +275,13 @@ def cmd_snapshot(config: RunConfig) -> int:
         return EXIT_USAGE
     # One pass over each input serves every date (see the snapshot module).
     dates = config.dates
-    selection = snapshot.select_revisions(
+    selection = snapshot.select_snapshot_revisions(
         pipeline.read_redirect_events(redirect_shards), dates
     )
     done = []
-    for date, pages_at_date in zip(dates, selection.states()):
+    for date, state in zip(dates, selection.states()):
         label = date.label
-        resolved = snapshot.resolve_snapshot(pages_at_date)
+        resolved = snapshot.resolve_snapshot(state)
         pages = snapshot.write_resolved_redirects(
             config.path("resolvedredirects", date=label), resolved
         )
@@ -302,10 +302,9 @@ def cmd_snapshot(config: RunConfig) -> int:
             )
             for date in dates
         ]
-        for index, row in snapshot.iter_link_rows(
+        snapshot.write_snapshot_links(writers, snapshot.build_link_snapshot(
             pipeline.read_raw_records(raw_shards), selection
-        ):
-            writers[index].write_row(row)
+        ))
     for (label, pages, cycles), writer in zip(done, writers):
         _event(
             "snapshot-done", date=label, pages=pages, links=writer.rows_written,

@@ -17,8 +17,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 Row = Sequence[str]
 
 
-def _spill(rows: list[Row], tmpdir: str | None):
-    f = tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=tmpdir)
+def _spill(rows: list[Row]):
+    f = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
     writer = csv.writer(f, lineterminator="\n")
     writer.writerows(rows)
     f.seek(0)
@@ -30,7 +30,6 @@ def external_sort(
     key: Callable[[Row], object],
     *,
     chunk_rows: int = 200_000,
-    tmpdir: str | None = None,
 ) -> Iterator[list[str]]:
     """Yield ``rows`` sorted by ``key`` using bounded memory."""
     chunks = []
@@ -40,14 +39,14 @@ def external_sort(
             buffer.append(row)
             if len(buffer) >= chunk_rows:
                 buffer.sort(key=key)
-                chunks.append(_spill(buffer, tmpdir))
+                chunks.append(_spill(buffer))
                 buffer = []
         buffer.sort(key=key)
         if not chunks:
             yield from buffer
             return
         if buffer:
-            chunks.append(_spill(buffer, tmpdir))
+            chunks.append(_spill(buffer))
         # heapq.merge breaks key ties toward the earlier iterable, and chunks
         # are passed in spill order, so the overall sort stays stable.
         yield from heapq.merge(*(csv.reader(f) for f in chunks), key=key)

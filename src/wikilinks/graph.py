@@ -19,11 +19,11 @@ without a single active link still appear in the graph.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataFormatError
 from .extsort import external_sort, unique_justseen
-from .snapshot import RESOLUTION_DANGLING, ResolvedPage, SnapshotLink
+from .snapshot import RESOLUTION_DANGLING, ResolvedPage
 from .storage import DatasetWriter
 
 EDGE_FIELDS = ("page_id_from", "page_title_from", "page_id_to", "page_title_to")
@@ -58,31 +58,36 @@ def _edge_target(
 
 
 def iter_candidate_edges(
-    links: Iterable[SnapshotLink],
+    links: Iterable[Sequence[str]],
     resolved: Mapping[str, ResolvedPage],
     *,
     drop_self_loops: bool = False,
 ) -> Iterator[EdgeRow]:
-    """Pre-dedup edge rows: resolved article links plus redirect edges."""
-    for link in links:
-        if not link.is_active:
-            continue
-        source = resolved.get(link.page_title)
+    """Pre-dedup edge rows: resolved article links plus redirect edges.
+
+    ``links`` are ``wikilinksnapshot`` rows (``snapshot.SNAPSHOT_LINK_FIELDS``).
+    """
+    for row in links:
+        if row[8] != "1":
+            continue  # not active: the target did not exist at the date
+        page_id, title, link = row[0], row[1], row[2]
+        source = resolved.get(title)
         if source is None:
             raise DataFormatError(
-                f"snapshot link source {link.page_title!r} is missing from the "
+                f"snapshot link source {title!r} is missing from the "
                 "resolved pages dataset; inputs are inconsistent"
             )
         if source.is_redirect:
             continue  # a redirect's body contributes nothing beyond its target
-        target = _edge_target(link.link, resolved)
+        target = _edge_target(link, resolved)
         if target is None:
             continue
-        if target.page_id == link.page_id:
-            direct_self_link = link.link == link.page_title
+        target_id = str(target.page_id)
+        if target_id == page_id:
+            direct_self_link = link == title
             if direct_self_link or drop_self_loops:
                 continue
-        yield str(link.page_id), link.page_title, str(target.page_id), target.title
+        yield page_id, title, target_id, target.title
     for page in resolved.values():
         if not page.is_redirect or page.resolution == RESOLUTION_DANGLING:
             continue
@@ -98,11 +103,10 @@ def iter_candidate_edges(
 
 
 def build_graph(
-    links: Iterable[SnapshotLink],
+    links: Iterable[Sequence[str]],
     resolved: Mapping[str, ResolvedPage],
     *,
     drop_self_loops: bool = False,
-    tmpdir: str | None = None,
 ) -> tuple[Iterator[EdgeRow], list[tuple[int, str]]]:
     """Return (deduplicated edge rows sorted by id pair, node list) for one snapshot."""
     nodes = sorted((p.page_id, p.title) for p in resolved.values())
@@ -111,7 +115,7 @@ def build_graph(
         return int(row[0]), int(row[2])
 
     candidates = iter_candidate_edges(links, resolved, drop_self_loops=drop_self_loops)
-    edges = unique_justseen(external_sort(candidates, pair_key, tmpdir=tmpdir), pair_key)
+    edges = unique_justseen(external_sort(candidates, pair_key), pair_key)
     return edges, nodes
 
 

@@ -12,10 +12,11 @@ All dates are built in one pass over each input. The redirect history and
 the raw links are both sorted by (page_id, timestamp, revision_id), and
 timestamps compare as fixed-width strings. So one scan of the redirect
 history finds the revision every date selects for each page
-(:func:`select_revisions`), and one scan of the raw links sends each link of
-a selected revision to every date that selected it (:func:`iter_link_rows`).
-Memory holds one entry per selected revision and one per title, not one per
-page and date. The single-date functions are one-date calls of the same code.
+(:func:`select_snapshot_revisions`), and one scan of the raw links sends each
+link of a selected revision to every date that selected it
+(:func:`build_link_snapshot`). Memory holds one entry per selected revision
+and one per title, not one per page and date. Links travel as
+``wikilinksnapshot`` CSV rows from the raw links to the graph stage.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dump import format_timestamp, parse_timestamp
 from .errors import DataFormatError
-from .pipeline import redirect_sort_key
 from .storage import DatasetWriter, iter_rows
 from .wikitext import normalize_title
 
@@ -100,27 +100,14 @@ class SnapshotDate:
             instant = instant.replace(microsecond=0) + timedelta(seconds=1)
         return format_timestamp(instant)
 
-    def includes(self, timestamp: datetime) -> bool:
-        return timestamp < self.instant
-
 
 def yearly_snapshot_dates(first: int = 2001, last: int = 2018) -> list[SnapshotDate]:
     return [SnapshotDate.march_first(year) for year in range(first, last + 1)]
 
 
-@dataclass(slots=True)
-class SnapshotPage:
-    """The selected revision of one page at the snapshot instant."""
-
-    page_id: int
-    title: str
-    revision_id: int
-    target: str | None  # normalized redirect target title, None for articles
-    target_fragment: str | None
-
-    @property
-    def is_redirect(self) -> bool:
-        return self.target is not None
+# One page at one date: (page_id, normalized redirect target or None for an
+# article, redirect target fragment or None), keyed by title.
+PageState = tuple[int, str | None, str | None]
 
 
 @dataclass(slots=True)
@@ -138,25 +125,24 @@ class Selection:
     titles: dict[str, int]
     date_count: int
 
-    def states(self) -> Iterator[dict[int, SnapshotPage]]:
-        """The state of every page at each date in turn, keyed by page id.
+    def states(self) -> Iterator[dict[str, PageState]]:
+        """The state of every page at each date in turn, keyed by title.
 
         A page's selected revisions serve consecutive dates through the
         last one, so each date only replaces the pages whose selected
-        revision starts there.
+        revision starts there. A title names one page id (selection refuses
+        anything else), so keying by title loses nothing.
         """
-        starting: list[list[tuple[int, int]]] = [[] for _ in range(self.date_count)]
-        for key, selected in self.revisions.items():
-            starting[selected[0]].append(key)
-        state: dict[int, SnapshotPage] = {}
-        for keys in starting:
-            for page_id, revision_id in keys:
-                _, _, title, target, fragment = self.revisions[page_id, revision_id]
-                state[page_id] = SnapshotPage(page_id, title, revision_id, target, fragment)
+        starting: list[list[tuple[str, PageState]]] = [[] for _ in range(self.date_count)]
+        for (page_id, _), (start, _, title, target, fragment) in self.revisions.items():
+            starting[start].append((title, (page_id, target, fragment)))
+        state: dict[str, PageState] = {}
+        for pages in starting:
+            state.update(pages)
             yield dict(state)
 
 
-def select_revisions(
+def select_snapshot_revisions(
     events: Iterable[Sequence[str]], dates: Sequence[SnapshotDate]
 ) -> Selection:
     """Latest revision strictly before each of ``dates``, for every page.
@@ -224,25 +210,6 @@ def select_revisions(
     return Selection(revisions, titles, count)
 
 
-def select_snapshot_revisions(
-    events: Iterable[Sequence[str]], date: SnapshotDate
-) -> dict[int, SnapshotPage]:
-    """Latest revision strictly before ``date`` for every page that has one.
-
-    ``events`` are redirect-history rows in any order; the per-revision
-    redirect history doubles as the complete revision index.
-    """
-    selection = select_revisions(sorted(events, key=redirect_sort_key), [date])
-    return next(selection.states())
-
-
-def build_redirect_map(selected: Mapping[int, SnapshotPage]) -> dict[str, str]:
-    """title -> immediate (normalized) target for pages that are redirects."""
-    return {
-        page.title: page.target for page in selected.values() if page.target is not None
-    }
-
-
 @dataclass(frozen=True, slots=True)
 class ResolvedPage:
     """A snapshot page with its redirect chain resolved.
@@ -268,12 +235,12 @@ def resolve_chains(
     pages: Mapping[str, int],
     *,
     fragments: Mapping[str, str | None] | None = None,
-    max_depth: int = MAX_CHAIN_DEPTH,
 ) -> dict[str, ResolvedPage]:
     """Resolve every page title to a :class:`ResolvedPage`.
 
     ``redirects`` maps redirect titles to their immediate targets;
-    ``pages`` maps every existing title to its page id.
+    ``pages`` maps every existing title to its page id. A chain longer than
+    :data:`MAX_CHAIN_DEPTH` hops is treated like a cycle.
     """
     fragments = fragments or {}
     resolved: dict[str, ResolvedPage] = {}
@@ -288,7 +255,7 @@ def resolve_chains(
         seen = {title}
         resolution = RESOLUTION_CYCLE
         final = immediate
-        for _ in range(max_depth):
+        for _ in range(MAX_CHAIN_DEPTH):
             current = redirects[current]
             if current not in redirects:
                 final = current
@@ -314,61 +281,15 @@ def resolve_chains(
     return resolved
 
 
-def resolve_snapshot(selected: Mapping[int, SnapshotPage]) -> dict[str, ResolvedPage]:
-    """Build and fully resolve the redirect map of a snapshot."""
-    redirects = build_redirect_map(selected)
-    pages = {page.title: page.page_id for page in selected.values()}
-    fragments = {
-        page.title: page.target_fragment
-        for page in selected.values()
-        if page.target is not None
-    }
+def resolve_snapshot(state: Mapping[str, PageState]) -> dict[str, ResolvedPage]:
+    """Resolve the redirect chains of one date's state (see :meth:`Selection.states`)."""
+    redirects = {title: page[1] for title, page in state.items() if page[1] is not None}
+    fragments = {title: state[title][2] for title in redirects}
+    pages = {title: page[0] for title, page in state.items()}
     return resolve_chains(redirects, pages, fragments=fragments)
 
 
-@dataclass(frozen=True, slots=True)
-class SnapshotLink:
-    """One link of a selected revision, with its normalized target."""
-
-    page_id: int
-    page_title: str
-    link: str
-    tosection: str | None
-    anchor: str | None
-    section_name: str
-    section_level: int
-    section_number: int
-    is_active: bool
-
-    def to_row(self) -> tuple[str, ...]:
-        return (
-            str(self.page_id),
-            self.page_title,
-            self.link,
-            self.tosection or "",
-            self.anchor or "",
-            self.section_name,
-            str(self.section_level),
-            str(self.section_number),
-            "1" if self.is_active else "0",
-        )
-
-    @classmethod
-    def from_row(cls, row: Sequence[str]) -> "SnapshotLink":
-        return cls(
-            page_id=int(row[0]),
-            page_title=row[1],
-            link=row[2],
-            tosection=row[3] or None,
-            anchor=row[4] or None,
-            section_name=row[5],
-            section_level=int(row[6]),
-            section_number=int(row[7]),
-            is_active=row[8] == "1",
-        )
-
-
-def iter_link_rows(
+def build_link_snapshot(
     records: Iterable[Sequence[str]], selection: Selection
 ) -> Iterator[tuple[int, tuple[str, ...]]]:
     """``(date index, wikilinksnapshot row)`` for every link of a selected revision.
@@ -393,31 +314,6 @@ def iter_link_rows(
         exists = titles.get(target, 0)
         for index in range(selected[0], selected[1]):
             yield index, (*link, "1" if exists >> index & 1 else "0")
-
-
-def build_link_snapshot(
-    records: Iterable[Sequence[str]],
-    selected: Mapping[int, SnapshotPage],
-    existing_titles: frozenset[str] | set[str],
-) -> Iterator[SnapshotLink]:
-    """Filter raw link rows down to one snapshot's selected revisions.
-
-    The one-date form of :func:`iter_link_rows`: ``selected`` comes from
-    :func:`select_snapshot_revisions`, and ``existing_titles`` are the
-    titles that exist at its date.
-    """
-    one_date = Selection(
-        {
-            (page.page_id, page.revision_id): (
-                0, 1, page.title, page.target, page.target_fragment
-            )
-            for page in selected.values()
-        },
-        dict.fromkeys(existing_titles, 1),
-        1,
-    )
-    for _, row in iter_link_rows(records, one_date):
-        yield SnapshotLink.from_row(row)
 
 
 def _target_with_fragment(page: ResolvedPage) -> str:
@@ -461,13 +357,20 @@ def read_resolved_redirects(path: str | Path) -> dict[str, ResolvedPage]:
     return resolved
 
 
-def write_snapshot_links(path: str | Path, links: Iterable[SnapshotLink]) -> int:
-    with DatasetWriter(path, SNAPSHOT_LINK_FIELDS) as writer:
-        for link in links:
-            writer.write_row(link.to_row())
-        return writer.rows_written
+def write_snapshot_links(
+    writers: Sequence[DatasetWriter], indexed_rows: Iterable[tuple[int, Sequence[str]]]
+) -> int:
+    """Write each ``(date index, row)`` to that date's ``wikilinksnapshot`` writer.
+
+    ``indexed_rows`` come from :func:`build_link_snapshot`. Returns the
+    writers' row count summed over all dates.
+    """
+    write = [writer.write_row for writer in writers]
+    for index, row in indexed_rows:
+        write[index](row)
+    return sum(writer.rows_written for writer in writers)
 
 
-def read_snapshot_links(path: str | Path) -> Iterator[SnapshotLink]:
-    for row in iter_rows(path, SNAPSHOT_LINK_FIELDS):
-        yield SnapshotLink.from_row(row)
+def read_snapshot_links(path: str | Path) -> Iterator[list[str]]:
+    """The rows of one date's ``wikilinksnapshot`` file, in SNAPSHOT_LINK_FIELDS order."""
+    return iter_rows(path, SNAPSHOT_LINK_FIELDS)

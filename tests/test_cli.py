@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import ast
 import concurrent.futures
+import functools
 import gzip
 import json
 from pathlib import Path
 
 import pytest
 
-from wikilinks import cli
+from wikilinks import cli, graph, snapshot
 from wikilinks.storage import iter_rows, sha256_of, verify_checksum
 
 from conftest import FIXTURE_DATES, GOLDEN_DIR, run_pipeline
@@ -326,6 +328,66 @@ class TestSnapshotAndGraph:
         )
         assert all(row[0] != row[2] for row in rows)
         assert len(rows) == 11  # the Gamma->Gamma loop is gone
+
+
+TRACED_STAGE = Path(__file__).resolve().parent.parent / "perfbench" / "traced_stage.py"
+
+
+def traced_names(module: str) -> set[str]:
+    """The ``<module>.<name>`` functions the benchmark tracer rebinds."""
+    tree = ast.parse(TRACED_STAGE.read_text(encoding="utf-8"))
+    return {
+        target.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Attribute)
+        and isinstance(target.value, ast.Name)
+        and target.value.id == module
+    }
+
+
+class TestTracedNames:
+    """Every snapshot and graph function the benchmark tracer wraps must be
+    one the stages call, or its spans and counts read 0."""
+
+    def test_every_traced_name_is_called(self, out_dir, minidump_path, monkeypatch, capsys):
+        results: dict[str, list] = {}
+
+        def record(module, name):
+            fn = getattr(module, name)
+
+            @functools.wraps(fn)
+            def recorded(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                results.setdefault(f"{module.__name__}.{name}", []).append(result)
+                return result
+
+            return recorded
+
+        traced = {module: traced_names(module.__name__.rpartition(".")[2])
+                  for module in (snapshot, graph)}
+        assert {"select_snapshot_revisions", "build_link_snapshot",
+                "write_snapshot_links"} <= traced[snapshot]
+        assert "iter_candidate_edges" in traced[graph]
+        for module, names in traced.items():
+            for name in names:
+                monkeypatch.setattr(module, name, record(module, name))
+
+        assert cli.main(["extract", *base_args(out_dir), str(minidump_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["snapshot", *base_args(out_dir), *date_args()]) == 0
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert cli.main(["graph", *base_args(out_dir), *date_args()]) == 0
+
+        expected = {f"{module.__name__}.{name}"
+                    for module, names in traced.items() for name in names}
+        assert expected - results.keys() == set()
+        links = [e["links"] for e in events if e["event"] == "snapshot-done"]
+        assert len(links) == len(FIXTURE_DATES)
+        written = results["wikilinks.snapshot.write_snapshot_links"]
+        assert all(type(rows) is int for rows in written)
+        assert sum(written) == sum(links) > 0
 
 
 class TestShardPool:

@@ -12,7 +12,6 @@ from wikilinks.snapshot import (
     RESOLUTION_DANGLING,
     RESOLUTION_RESOLVED,
     ResolvedPage,
-    SnapshotLink,
 )
 from wikilinks.storage import iter_rows, sha256_of
 
@@ -26,7 +25,8 @@ def redirect(page_id, title, immediate, final, resolution=RESOLUTION_RESOLVED):
 
 
 def link(page_id, title, target, active=True):
-    return SnapshotLink(page_id, title, target, None, None, "", 0, 0, active)
+    """A wikilinksnapshot row."""
+    return (str(page_id), title, target, "", "", "", "0", "0", "1" if active else "0")
 
 
 def edges_of(links, resolved, **kwargs):
@@ -161,7 +161,7 @@ class TestBuildGraph:
     def test_dedup_never_increases_edges(self):
         resolved = {t: article(i + 1, t) for i, t in enumerate("ABC")}
         links = [link(1, "A", "B"), link(1, "A", "B"), link(2, "B", "C")]
-        active = [l for l in links if l.is_active]
+        active = [l for l in links if l[8] == "1"]
         edges = edges_of(links, resolved)
         assert len(edges) <= len(active)
 

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from datetime import datetime, timezone
-
 import pytest
 
 from wikilinks.errors import DataFormatError
@@ -11,19 +9,19 @@ from wikilinks.snapshot import (
     RESOLUTION_CYCLE,
     RESOLUTION_DANGLING,
     RESOLUTION_RESOLVED,
+    SNAPSHOT_LINK_FIELDS,
     SnapshotDate,
     build_link_snapshot,
-    build_redirect_map,
     read_resolved_redirects,
     read_snapshot_links,
     resolve_chains,
     resolve_snapshot,
-    select_revisions,
     select_snapshot_revisions,
     write_resolved_redirects,
     write_snapshot_links,
     yearly_snapshot_dates,
 )
+from wikilinks.storage import DatasetWriter
 
 MARCH_2018 = SnapshotDate.of("2018-03-01")
 
@@ -46,6 +44,25 @@ def raw(page_id, title, rev_id, link, when="2016-01-01"):
     )
 
 
+def select_at(events, date=MARCH_2018):
+    """The selection of one date from redirect-history rows in any order."""
+    return select_snapshot_revisions(sorted(events, key=redirect_sort_key), [date])
+
+
+def selected_at(events, date=MARCH_2018):
+    """page_id -> (revision_id, title, target, fragment) selected at one date."""
+    return {
+        page_id: (revision_id, *selected[2:])
+        for (page_id, revision_id), selected in select_at(events, date).revisions.items()
+    }
+
+
+def redirects_at(events, date=MARCH_2018):
+    """title -> immediate target of the redirect pages at one date."""
+    resolved = resolve_snapshot(next(select_at(events, date).states()))
+    return {title: page.immediate_target for title, page in resolved.items() if page.is_redirect}
+
+
 class TestSnapshotDate:
     def test_label_and_parsing(self):
         assert MARCH_2018.label == "2018-03-01"
@@ -53,8 +70,9 @@ class TestSnapshotDate:
         assert SnapshotDate.march_first(2018) == MARCH_2018
 
     def test_strictly_before(self):
-        assert MARCH_2018.includes(datetime(2018, 2, 28, 23, 59, 59, tzinfo=timezone.utc))
-        assert not MARCH_2018.includes(datetime(2018, 3, 1, tzinfo=timezone.utc))
+        # A revision belongs to the snapshot iff its timestamp sorts before the cutoff.
+        assert "2018-02-28T23:59:59Z" < MARCH_2018.cutoff
+        assert not "2018-03-01T00:00:00Z" < MARCH_2018.cutoff
 
     def test_yearly_defaults(self):
         dates = yearly_snapshot_dates()
@@ -69,27 +87,24 @@ class TestSelectSnapshotRevisions:
             event(1, "P", 10, "2017-06-01"),
             event(1, "P", 11, "2018-02-28"),
         ]
-        selected = select_snapshot_revisions(events, MARCH_2018)
-        assert selected[1].revision_id == 11
+        assert selected_at(events)[1][0] == 11
 
     def test_created_at_instant_is_absent(self):
         # strictly-before boundary: midnight of the snapshot day is outside
         events = [event(1, "P", 10, "2018-03-01")]
-        assert select_snapshot_revisions(events, MARCH_2018) == {}
+        assert selected_at(events) == {}
 
     def test_equal_timestamps_higher_revision_wins(self):
         events = [
             event(1, "P", 11, "2017-06-01"),
             event(1, "P", 10, "2017-06-01"),
         ]
-        selected = select_snapshot_revisions(events, MARCH_2018)
-        assert selected[1].revision_id == 11
+        assert selected_at(events)[1][0] == 11
 
     def test_redirect_target_normalized(self):
         events = [event(1, "P", 10, "2017-06-01", target="new_york  city")]
-        selected = select_snapshot_revisions(events, MARCH_2018)
-        assert selected[1].target == "New york city"
-        assert selected[1].is_redirect
+        assert selected_at(events)[1] == (10, "P", "New york city", None)
+        assert redirects_at(events) == {"P": "New york city"}
 
     def test_every_selection_is_before_instant_and_unique(self):
         events = [
@@ -99,12 +114,13 @@ class TestSelectSnapshotRevisions:
             event(2, "Q", 20, "2017-01-01"),
             event(2, "Q", 21, "2018-06-01"),
         ]
-        selected = select_snapshot_revisions(events, MARCH_2018)
-        assert sorted(selected) == [1, 2]  # one entry per page by construction
+        selection = select_at(events)
+        page_ids = [page_id for page_id, _ in selection.revisions]
+        assert sorted(page_ids) == [1, 2]  # one revision per page
         stamps = {int(e[2]): e[3] for e in events}
-        for page in selected.values():
-            assert stamps[page.revision_id] < MARCH_2018.cutoff
-        assert {p: page.revision_id for p, page in selected.items()} == {1: 11, 2: 20}
+        for _, revision_id in selection.revisions:
+            assert stamps[revision_id] < MARCH_2018.cutoff
+        assert {p: page[0] for p, page in selected_at(events).items()} == {1: 11, 2: 20}
 
     def test_fractional_second_instant_includes_that_second(self):
         events = [
@@ -113,8 +129,8 @@ class TestSelectSnapshotRevisions:
         ]
         fractional = SnapshotDate.of("2018-03-01T00:00:00.5Z")
         assert fractional.cutoff == "2018-03-01T00:00:01Z"
-        assert select_snapshot_revisions(events, fractional)[1].revision_id == 11
-        assert select_snapshot_revisions(events, MARCH_2018)[1].revision_id == 10
+        assert selected_at(events, fractional)[1][0] == 11
+        assert selected_at(events)[1][0] == 10
 
 
 class TestSelectRevisions:
@@ -128,7 +144,7 @@ class TestSelectRevisions:
             event(2, "Q", 20, "2017-05-01", target="p"),
             event(3, "R", 30, "2019-01-01"),  # after every date
         ]
-        selection = select_revisions(events, self.DATES)
+        selection = select_snapshot_revisions(events, self.DATES)
         assert selection.revisions == {
             (1, 11): (0, 2, "P", None, None),
             (1, 12): (2, 3, "P", None, None),
@@ -144,20 +160,21 @@ class TestSelectRevisions:
             event(1, "P", 13, "2018-01-01"),
             event(2, "Q", 20, "2016-01-01"),
         ]
-        selection = select_revisions(sorted(events, key=redirect_sort_key), self.DATES)
+        selection = select_snapshot_revisions(sorted(events, key=redirect_sort_key), self.DATES)
         states = list(selection.states())
         assert [len(state) for state in states] == [2, 2, 2]
+        assert states[1] == {"P": (1, "Q", None), "Q": (2, None, None)}
         for state, date in zip(states, self.DATES):
-            assert state == select_snapshot_revisions(events, date)
+            assert state == next(select_at(events, date).states())
 
     def test_a_state_for_every_date_when_nothing_is_selected(self):
-        selection = select_revisions([event(1, "P", 10, "2019-01-01")], self.DATES)
+        selection = select_snapshot_revisions([event(1, "P", 10, "2019-01-01")], self.DATES)
         assert list(selection.states()) == [{}, {}, {}]
 
     def test_out_of_order_history_is_refused(self):
         events = [event(1, "P", 11, "2016-01-01"), event(1, "P", 10, "2015-01-01")]
         with pytest.raises(DataFormatError):
-            select_revisions(events, self.DATES)
+            select_snapshot_revisions(events, self.DATES)
 
 
 class TestBuildRedirectMap:
@@ -167,18 +184,15 @@ class TestBuildRedirectMap:
             event(1, "P", 10, "2016-01-01", target="X"),
             event(1, "P", 11, "2017-01-01"),
         ]
-        selected = select_snapshot_revisions(events, MARCH_2018)
-        assert build_redirect_map(selected) == {}
+        assert redirects_at(events) == {}
 
     def test_redirect_created_after_date_absent(self):
         events = [event(1, "P", 10, "2019-01-01", target="X")]
-        selected = select_snapshot_revisions(events, MARCH_2018)
-        assert build_redirect_map(selected) == {}
+        assert redirects_at(events) == {}
 
     def test_normal_redirect_present(self):
         events = [event(1, "P", 10, "2016-01-01", target="X")]
-        selected = select_snapshot_revisions(events, MARCH_2018)
-        assert build_redirect_map(selected) == {"P": "X"}
+        assert redirects_at(events) == {"P": "X"}
 
 
 class TestResolveChains:
@@ -257,45 +271,37 @@ class TestResolveChains:
 
 
 class TestBuildLinkSnapshot:
-    def make_selected(self):
-        events = [
-            event(1, "P", 10, "2016-01-01"),
-            event(2, "NYC", 20, "2016-01-01", target="New York City"),
-            event(3, "New York City", 30, "2016-01-01"),
-        ]
-        return select_snapshot_revisions(events, MARCH_2018)
+    EVENTS = [
+        event(1, "P", 10, "2016-01-01"),
+        event(2, "NYC", 20, "2016-01-01", target="New York City"),
+        event(3, "New York City", 30, "2016-01-01"),
+    ]
+
+    def links(self, records):
+        """The wikilinksnapshot rows of ``records`` at MARCH_2018."""
+        indexed = list(build_link_snapshot(records, select_at(self.EVENTS)))
+        assert {index for index, _ in indexed} <= {0}
+        return [row for _, row in indexed]
 
     def test_link_to_redirect_page_is_active(self):
-        selected = self.make_selected()
-        existing = frozenset(p.title for p in selected.values())
-        records = [raw(1, "P", 10, "NYC")]
-        (link,) = build_link_snapshot(records, selected, existing)
-        assert link.is_active  # the redirect page itself exists
+        (link,) = self.links([raw(1, "P", 10, "NYC")])
+        assert link[8] == "1"  # the redirect page itself exists
 
     def test_red_link_inactive(self):
-        selected = self.make_selected()
-        existing = frozenset(p.title for p in selected.values())
-        (link,) = build_link_snapshot([raw(1, "P", 10, "Never Created")], selected, existing)
-        assert not link.is_active
+        (link,) = self.links([raw(1, "P", 10, "Never Created")])
+        assert link[8] == "0"
 
     def test_empty_normalized_target_dropped(self):
-        selected = self.make_selected()
-        existing = frozenset(p.title for p in selected.values())
-        links = list(build_link_snapshot([raw(1, "P", 10, "")], selected, existing))
-        assert links == []
+        assert self.links([raw(1, "P", 10, "")]) == []
 
     def test_unselected_revisions_filtered_out(self):
-        selected = self.make_selected()
-        existing = frozenset(p.title for p in selected.values())
         records = [raw(1, "P", 10, "NYC"), raw(1, "P", 99, "NYC")]
-        assert len(list(build_link_snapshot(records, selected, existing))) == 1
+        assert len(self.links(records)) == 1
 
     def test_target_normalization(self):
-        selected = self.make_selected()
-        existing = frozenset(p.title for p in selected.values())
-        (link,) = build_link_snapshot([raw(1, "P", 10, "new_york city")], selected, existing)
-        assert link.link == "New york city"
-        assert not link.is_active  # case differs beyond the first letter
+        (link,) = self.links([raw(1, "P", 10, "new_york city")])
+        assert link[2] == "New york city"
+        assert link[8] == "0"  # case differs beyond the first letter
 
 
 class TestRoundTrip:
@@ -304,8 +310,7 @@ class TestRoundTrip:
             event(1, "A", 10, "2016-01-01", target="B", tosection="Sec"),
             event(2, "B", 20, "2016-01-01"),
         ]
-        selected = select_snapshot_revisions(events, MARCH_2018)
-        resolved = resolve_snapshot(selected)
+        resolved = resolve_snapshot(next(select_at(events).states()))
         path = tmp_path / "resolved.csv.gz"
         assert write_resolved_redirects(path, resolved) == 2
         loaded = read_resolved_redirects(path)
@@ -317,9 +322,22 @@ class TestRoundTrip:
 
     def test_snapshot_links_file(self, tmp_path):
         events = [event(1, "P", 10, "2016-01-01"), event(2, "Q", 20, "2016-01-01")]
-        selected = select_snapshot_revisions(events, MARCH_2018)
-        existing = frozenset(p.title for p in selected.values())
-        links = list(build_link_snapshot([raw(1, "P", 10, "Q")], selected, existing))
+        indexed = list(build_link_snapshot([raw(1, "P", 10, "Q")], select_at(events)))
         path = tmp_path / "links.csv.gz"
-        assert write_snapshot_links(path, links) == 1
-        assert list(read_snapshot_links(path)) == links
+        with DatasetWriter(path, SNAPSHOT_LINK_FIELDS) as writer:
+            assert write_snapshot_links([writer], indexed) == 1
+        assert [tuple(row) for row in read_snapshot_links(path)] == [
+            ("1", "P", "Q", "", "", "", "0", "0", "1")
+        ]
+
+    def test_snapshot_links_files_of_two_dates(self, tmp_path):
+        dates = [SnapshotDate.of("2016-03-01"), MARCH_2018]
+        events = [event(1, "P", 10, "2016-01-01"), event(2, "Q", 20, "2017-01-01")]
+        selection = select_snapshot_revisions(events, dates)
+        indexed = build_link_snapshot([raw(1, "P", 10, "Q")], selection)
+        paths = [tmp_path / f"links.{date.label}.csv.gz" for date in dates]
+        with DatasetWriter(paths[0], SNAPSHOT_LINK_FIELDS) as first, \
+                DatasetWriter(paths[1], SNAPSHOT_LINK_FIELDS) as second:
+            assert write_snapshot_links([first, second], indexed) == 2
+        # Q exists only from 2017 on, so the link turns active at the second date.
+        assert [row[8] for path in paths for row in read_snapshot_links(path)] == ["0", "1"]

@@ -18,6 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wikilinks import cli
+from wikilinks.snapshot import (
+    MAX_CHAIN_DEPTH,
+    RESOLUTION_CYCLE,
+    RESOLUTION_RESOLVED,
+    read_resolved_redirects,
+)
 from wikilinks.storage import iter_rows
 
 import bruteforce
@@ -99,6 +105,22 @@ def run(out: Path, *argv: str) -> None:
     assert cli.main([*argv, "--lang", "en", "--output-dir", str(out)]) == 0
 
 
+def assert_matches_bruteforce(out: Path, whole: Path) -> None:
+    """Every date's edges and nodes in ``out`` equal the oracle's on ``whole``."""
+    for date in DATES:
+        edges, nodes = bruteforce.snapshot_edges(whole, date)
+        produced_edges = [
+            (int(r[0]), r[1], int(r[2]), r[3])
+            for r in iter_rows(out / f"enwiki.wikilinkgraph.{date}.csv.gz", EDGE_FIELDS)
+        ]
+        produced_nodes = [
+            (int(r[0]), r[1])
+            for r in iter_rows(out / f"enwiki.wikilinkgraph.nodes.{date}.csv.gz", NODE_FIELDS)
+        ]
+        assert produced_edges == edges, date
+        assert produced_nodes == nodes, date
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(histories(), st.sampled_from((1, 2)))
 def test_every_date_matches_bruteforce(history, jobs):
@@ -111,18 +133,7 @@ def test_every_date_matches_bruteforce(history, jobs):
         run(out, "extract", "--jobs", str(jobs), *map(str, dumps))
         run(out, "snapshot", *date_args)
         run(out, "graph", *date_args)
-        for date in DATES:
-            edges, nodes = bruteforce.snapshot_edges(whole, date)
-            produced_edges = [
-                (int(r[0]), r[1], int(r[2]), r[3])
-                for r in iter_rows(out / f"enwiki.wikilinkgraph.{date}.csv.gz", EDGE_FIELDS)
-            ]
-            produced_nodes = [
-                (int(r[0]), r[1])
-                for r in iter_rows(out / f"enwiki.wikilinkgraph.nodes.{date}.csv.gz", NODE_FIELDS)
-            ]
-            assert produced_edges == edges, date
-            assert produced_nodes == nodes, date
+        assert_matches_bruteforce(out, whole)
 
         # Each date of the all-dates pass equals a snapshot of that date alone.
         alone = tmp / "alone"
@@ -137,3 +148,32 @@ def test_every_date_matches_bruteforce(history, jobs):
             for kind in ("resolvedredirects", "wikilinksnapshot"):
                 name = f"enwiki.{kind}.{date}.csv.gz"
                 assert gzip.open(alone / name).read() == gzip.open(out / name).read(), name
+
+
+def test_chains_at_the_depth_cap_match_bruteforce(tmp_path):
+    """A chain of MAX_CHAIN_DEPTH hops resolves; one hop more is treated like
+    a cycle and falls back to its first hop. An article links both heads."""
+    pages = [(1, "Article", "[[Short 0]] [[Long 0]]"), (2, "End", "no links")]
+    for name, hops in (("Short", MAX_CHAIN_DEPTH), ("Long", MAX_CHAIN_DEPTH + 1)):
+        for hop in range(hops):
+            target = f"{name} {hop + 1}" if hop + 1 < hops else "End"
+            pages.append((len(pages) + 1, f"{name} {hop}", f"#REDIRECT [[{target}]]"))
+    whole = tmp_path / "chains.xml"
+    whole.write_bytes(dump_bytes(*(
+        page_xml(title, page_id, [{"id": 1000 + page_id, "timestamp": STAMPS[0], "text": text}])
+        for page_id, title, text in pages
+    )))
+    out = tmp_path / "out"
+    out.mkdir()
+    date_args = [arg for date in DATES for arg in ("--date", date)]
+    run(out, "extract", str(whole))
+    run(out, "snapshot", *date_args)
+    run(out, "graph", *date_args)
+    assert_matches_bruteforce(out, whole)
+    for date in DATES:
+        resolved = read_resolved_redirects(out / f"enwiki.resolvedredirects.{date}.csv.gz")
+        assert (resolved["Short 0"].resolution, resolved["Short 0"].final_target) == (
+            RESOLUTION_RESOLVED, "End")
+        assert (resolved["Long 0"].resolution, resolved["Long 0"].final_target) == (
+            RESOLUTION_CYCLE, "Long 1")
+        assert resolved["Long 1"].resolution == RESOLUTION_RESOLVED
