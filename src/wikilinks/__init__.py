@@ -15,6 +15,7 @@ Pipeline stages (each also available as a CLI subcommand):
 4. analytics - node/edge counts, growth series, PageRank rankings.
 """
 
+from .analytics import GraphStats, PageRankResult, RankedArticle, pagerank
 from .dump import PageHistory, PageMeta, Revision, filter_namespace, open_dump
 from .errors import ConfigurationError, DataFormatError, DumpFormatError
 from .graph import build_graph, emit_edges
@@ -38,20 +39,6 @@ from .wikitext import (
 )
 
 __version__ = "0.1.0"
-
-# analytics needs numpy and scipy, so it is imported on first use: the
-# stages that never count or rank (extract, snapshot, graph, verify) do not
-# pay for loading them.
-_ANALYTICS = ("GraphStats", "PageRankResult", "RankedArticle", "pagerank")
-
-
-def __getattr__(name: str):
-    if name in _ANALYTICS:
-        from . import analytics
-
-        return getattr(analytics, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "ConfigurationError",

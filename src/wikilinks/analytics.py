@@ -1,27 +1,44 @@
 """Measurements over emitted graphs: counts, growth series, PageRank.
 
+Counting (:func:`compute_stats`, :func:`write_growth_series`) needs only the
+standard library; numpy and scipy are imported inside the functions that
+rank, so ``stats`` never loads them.
+
+:func:`load_graph_file` reads an edge file and its node file into arrays:
+the edges as an ``(m, 2)`` int64 array and the nodes as int64 ids plus a
+list of titles, both in file order. Titles come only from the node file,
+which must list every edge endpoint exactly once.
+
 PageRank is a matrix-free power iteration over the directed graph: each
 step spreads a node's mass uniformly over its out-links, redistributes the
 mass held by dangling nodes (out-degree 0) uniformly over all nodes, and
 mixes in a uniform teleport with weight ``1 - damping``. Scores therefore
-sum to 1 at every iteration.
+sum to 1 at every iteration. Node ids are mapped to matrix rows with a
+binary search over the sorted ids, and the sparse matrix is built from the
+edges in file order: ties in the ranking depend on the last bit of each
+score, so the order of the sums and the update expression stay fixed.
+
+Articles are ranked by descending score, and articles with exactly equal
+scores by title.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
-from scipy import sparse
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ConfigurationError, DataFormatError
 from .graph import EDGE_FIELDS, NODE_FIELDS
 from .storage import DatasetWriter, iter_rows
 
+if TYPE_CHECKING:
+    import numpy as np
+
 RANKING_FIELDS = ("rank", "title", "score")
 GROWTH_FIELDS = ("language", "date", "nodes", "edges")
+_CHECK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,19 +57,26 @@ class RankedArticle:
 
 @dataclass(frozen=True, slots=True)
 class PageRankResult:
-    node_ids: tuple[int, ...]
+    node_ids: np.ndarray  # sorted int64 ids
     scores: np.ndarray
     converged: bool
     iterations: int
 
     def as_mapping(self) -> dict[int, float]:
-        return dict(zip(self.node_ids, self.scores.tolist()))
+        return dict(zip(self.node_ids.tolist(), self.scores.tolist()))
+
+
+class GraphNodes(NamedTuple):
+    """The nodes of a graph: int64 ids and their titles, in the same order."""
+
+    ids: np.ndarray
+    titles: list[str]
 
 
 def _checked_rows(
     path: str | Path, fields: Sequence[str], int_columns: Sequence[int]
 ) -> Iterator[list[str]]:
-    """Rows of a graph file, each with every column and digit-only ids.
+    """Rows of a graph file, each with every column and ASCII-digit ids.
 
     A short or long row, a bad id or a file that cannot be read to its end
     raises :class:`DataFormatError` naming the row.
@@ -65,7 +89,7 @@ def _checked_rows(
                     f"{path}: row {count + 2} has {len(row)} columns, expected {len(fields)}"
                 )
             for col in int_columns:
-                if not row[col].isdigit():
+                if not (row[col].isascii() and row[col].isdigit()):
                     raise DataFormatError(
                         f"{path}: row {count + 2} column {fields[col]} is not an id: {row[col]!r}"
                     )
@@ -101,28 +125,62 @@ def write_growth_series(stats: Iterable[GraphStats], path: str | Path) -> int:
 
 
 def load_graph_file(
-    edge_path: str | Path, node_path: str | Path | None = None
-) -> tuple[list[tuple[int, int]], dict[int, str]]:
-    """Edges plus an id -> title map, including isolated nodes if given.
+    edge_path: str | Path, node_path: str | Path
+) -> tuple[np.ndarray, GraphNodes]:
+    """The edges as an ``(m, 2)`` int64 array of (source, target) ids, and
+    the nodes, both in file order.
 
-    Rows are checked as :func:`compute_stats` checks them.
+    Rows are checked as :func:`compute_stats` checks them. An id past
+    ``2**63 - 1``, a node id listed twice or an edge endpoint missing from
+    the node file raises :class:`DataFormatError`.
     """
-    titles: dict[int, str] = {}
-    edges: list[tuple[int, int]] = []
-    for row in _checked_rows(edge_path, EDGE_FIELDS, (0, 2)):
-        src, dst = int(row[0]), int(row[2])
-        edges.append((src, dst))
-        titles[src] = row[1]
-        titles[dst] = row[3]
-    if node_path is not None:
+    import numpy as np
+
+    pairs = array("q")  # source, target, source, target, ...
+    try:
+        for row in _checked_rows(edge_path, EDGE_FIELDS, (0, 2)):
+            pairs.append(int(row[0]))
+            pairs.append(int(row[2]))
+    except OverflowError:
+        raise DataFormatError(f"{edge_path}: row {len(pairs) // 2 + 2} has an id past 2**63 - 1")
+    ids = array("q")
+    titles: list[str] = []
+    try:
         for row in _checked_rows(node_path, NODE_FIELDS, (0,)):
-            titles[int(row[0])] = row[1]
-    return edges, titles
+            ids.append(int(row[0]))
+            titles.append(row[1])
+    except OverflowError:
+        raise DataFormatError(f"{node_path}: row {len(ids) + 2} has an id past 2**63 - 1")
+
+    edges = np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2)
+    node_ids = np.frombuffer(ids, dtype=np.int64)
+    known = np.sort(node_ids)
+    repeated = known[1:][known[1:] == known[:-1]]
+    if len(repeated):
+        raise DataFormatError(f"{node_path}: page id {repeated[0]} is listed twice")
+    for start in range(0, len(edges), _CHECK_ROWS):  # in slices, to keep the temporaries small
+        listed = np.isin(edges[start:start + _CHECK_ROWS], known).all(axis=1)
+        if not listed.all():
+            raise DataFormatError(
+                f"{edge_path}: row {start + listed.argmin() + 2} links a page"
+                f" that {node_path} does not list"
+            )
+    return edges, GraphNodes(node_ids, titles)
+
+
+def check_pagerank_options(damping: float, tolerance: float, max_iter: int) -> None:
+    """Raise :class:`ConfigurationError` unless PageRank can run with these."""
+    if not 0.0 < damping < 1.0:
+        raise ConfigurationError(f"damping must be in (0, 1), got {damping}")
+    if not tolerance >= 0.0:
+        raise ConfigurationError(f"tolerance must be >= 0, got {tolerance}")
+    if max_iter < 1:
+        raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
 
 
 def pagerank(
-    edges: Iterable[tuple[int, int]],
-    nodes: Iterable[int] | None = None,
+    edges: Sequence[tuple[int, int]] | np.ndarray,
+    nodes: Sequence[int] | np.ndarray | None = None,
     *,
     damping: float = 0.85,
     tolerance: float = 1e-12,
@@ -130,29 +188,34 @@ def pagerank(
 ) -> PageRankResult:
     """Power-iteration PageRank over a directed graph.
 
-    ``nodes`` extends the universe beyond the edges' endpoints (isolated
-    nodes still receive teleport and dangling mass). Iteration stops when
-    the L1 change drops below ``tolerance``; if ``max_iter`` is reached
-    first the result carries ``converged=False``.
+    ``edges`` is anything ``np.asarray`` turns into (source, target) id
+    pairs. ``nodes`` extends the universe beyond the edges' endpoints
+    (isolated nodes still receive teleport and dangling mass). Iteration
+    stops when the L1 change drops below ``tolerance``; if ``max_iter`` is
+    reached first the result carries ``converged=False``.
     """
-    if not 0.0 < damping < 1.0:
-        raise ConfigurationError(f"damping must be in (0, 1), got {damping}")
-    edge_list = list(edges)
-    ids = sorted(
-        set(nodes or ()) | {s for s, _ in edge_list} | {d for _, d in edge_list}
-    )
+    import numpy as np
+    from scipy import sparse
+
+    check_pagerank_options(damping, tolerance, max_iter)
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    # One column at a time: the sort copies of np.unique stay one column long.
+    universe = [np.unique(pairs[:, 0]), np.unique(pairs[:, 1])]
+    if nodes is not None:
+        universe.append(np.asarray(nodes, dtype=np.int64))
+    ids = np.unique(np.concatenate(universe))
     n = len(ids)
     if n == 0:
         raise ConfigurationError("pagerank needs a non-empty graph")
-    index = {node: i for i, node in enumerate(ids)}
-
-    src = np.fromiter((index[s] for s, _ in edge_list), dtype=np.int64, count=len(edge_list))
-    dst = np.fromiter((index[d] for _, d in edge_list), dtype=np.int64, count=len(edge_list))
+    index_type = np.int32 if n < 2**31 else np.int64
+    src = np.searchsorted(ids, pairs[:, 0]).astype(index_type)
+    dst = np.searchsorted(ids, pairs[:, 1]).astype(index_type)
     out_degree = np.bincount(src, minlength=n).astype(np.float64)
     dangling = out_degree == 0.0
 
     weights = 1.0 / out_degree[src]
     matrix = sparse.csr_matrix((weights, (dst, src)), shape=(n, n))
+    del src, dst, weights
 
     x = np.full(n, 1.0 / n)
     iterations = 0
@@ -165,19 +228,36 @@ def pagerank(
         if delta < tolerance:
             converged = True
             break
-    return PageRankResult(tuple(ids), x, converged, iterations)
+    return PageRankResult(ids, x, converged, iterations)
 
 
 def rank_articles(
-    result: PageRankResult, titles: Mapping[int, str]
+    result: PageRankResult, nodes: tuple[Sequence[int], Sequence[str]]
 ) -> list[RankedArticle]:
-    """Descending by score; ties broken by title."""
-    ranked = [
-        RankedArticle(titles[node], score)
-        for node, score in zip(result.node_ids, result.scores.tolist())
-    ]
-    ranked.sort(key=lambda a: (-a.score, a.title))
-    return ranked
+    """Descending by score; equal scores by title, then by id.
+
+    ``nodes`` is ``(ids, titles)`` in any order, listing exactly the ranked
+    ids. One stable sort orders the scores; titles are compared only
+    inside runs of equal scores.
+    """
+    import numpy as np
+
+    ids, titles = nodes
+    ids = np.asarray(ids, dtype=np.int64)
+    by_id = np.argsort(ids, kind="stable")
+    if not np.array_equal(ids[by_id], result.node_ids):
+        raise ValueError("the titles must cover exactly the ranked nodes")
+    title_of = [titles[i] for i in by_id.tolist()]  # by row of result.node_ids
+
+    scores = result.scores
+    order = np.argsort(-scores, kind="stable")
+    ordered = scores[order]
+    bounds = np.concatenate(([0], np.flatnonzero(ordered[1:] != ordered[:-1]) + 1, [len(order)]))
+    ties = np.flatnonzero(np.diff(bounds) > 1)
+    order = order.tolist()
+    for lo, hi in zip(bounds[ties].tolist(), bounds[ties + 1].tolist()):
+        order[lo:hi] = sorted(order[lo:hi], key=title_of.__getitem__)
+    return [RankedArticle(title_of[i], score) for i, score in zip(order, scores[order].tolist())]
 
 
 def write_rankings(ranked: Sequence[RankedArticle], path: str | Path) -> int:

@@ -22,7 +22,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import graph, pipeline, snapshot
+from . import analytics, graph, pipeline, snapshot
 from .dump import filter_namespace, open_dump
 from .errors import ConfigurationError, DataFormatError, DumpFormatError
 from .extsort import external_sort
@@ -333,35 +333,42 @@ def cmd_graph(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_pagerank(config: RunConfig, args: argparse.Namespace) -> int:
-    from . import analytics  # numpy and scipy load only for the stages that use them
+def _graph_paths(config: RunConfig, label: str) -> tuple[Path, Path] | None:
+    """The edge and node files of one date, or ``None`` after a
+    ``missing-input`` event when either is absent."""
+    edge_path = config.path("wikilinkgraph", date=label)
+    node_path = config.path("wikilinkgraph.nodes", date=label)
+    for needed in (edge_path, node_path):
+        if not needed.is_file():
+            _event("missing-input", path=str(needed), detail="run graph first")
+            return None
+    return edge_path, node_path
 
+
+def cmd_pagerank(config: RunConfig, args: argparse.Namespace) -> int:
     if args.output and len(config.dates) > 1:
         raise ConfigurationError("--output needs exactly one --date")
+    analytics.check_pagerank_options(args.damping, args.tolerance, args.max_iter)
     for date in config.dates:
         label = date.label
-        edge_path = config.path("wikilinkgraph", date=label)
-        node_path = config.path("wikilinkgraph.nodes", date=label)
-        if not edge_path.is_file():
-            _event("missing-input", path=str(edge_path), detail="run graph first")
+        paths = _graph_paths(config, label)
+        if paths is None:
             return EXIT_USAGE
-        edges, titles = analytics.load_graph_file(
-            edge_path, node_path if node_path.is_file() else None
-        )
+        edges, nodes = analytics.load_graph_file(*paths)
         result = analytics.pagerank(
             edges,
-            titles.keys(),
+            nodes.ids,
             damping=args.damping,
             tolerance=args.tolerance,
             max_iter=args.max_iter,
         )
-        ranked = analytics.rank_articles(result, titles)
+        ranked = analytics.rank_articles(result, nodes)
         out = args.output if args.output else config.path("pagerank", date=label)
         analytics.write_rankings(ranked, out)
         _event(
             "pagerank-done",
             date=label,
-            nodes=len(titles),
+            nodes=len(result.node_ids),
             converged=result.converged,
             iterations=result.iterations,
             top=[(a.title, float(f"{a.score:.6g}")) for a in ranked[:3]],
@@ -370,20 +377,13 @@ def cmd_pagerank(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
-    from . import analytics  # numpy and scipy load only for the stages that use them
-
     collected = []
     for date in config.dates:
         label = date.label
-        edge_path = config.path("wikilinkgraph", date=label)
-        node_path = config.path("wikilinkgraph.nodes", date=label)
-        for needed in (edge_path, node_path):
-            if not needed.is_file():
-                _event("missing-input", path=str(needed), detail="run graph first")
-                return EXIT_USAGE
-        stats = analytics.compute_stats(
-            edge_path, node_path, language=config.language, date=label
-        )
+        paths = _graph_paths(config, label)
+        if paths is None:
+            return EXIT_USAGE
+        stats = analytics.compute_stats(*paths, language=config.language, date=label)
         collected.append(stats)
         _event("stats", date=label, nodes=stats.node_count, edges=stats.edge_count)
     out = args.output if args.output else config.output_dir / f"{config.language}wiki.growth.csv"

@@ -172,6 +172,13 @@ class TestPageRank:
         with pytest.raises(ConfigurationError):
             pagerank([(1, 2)], damping=1.0)
 
+    @pytest.mark.parametrize(
+        "option", [{"max_iter": 0}, {"tolerance": -1.0}, {"tolerance": float("nan")}]
+    )
+    def test_iteration_options_validated(self, option):
+        with pytest.raises(ConfigurationError):
+            pagerank([(1, 2)], **option)
+
     def test_empty_graph_rejected(self):
         with pytest.raises(ConfigurationError):
             pagerank([])
@@ -180,12 +187,35 @@ class TestPageRank:
 class TestRankings:
     def test_ranking_sorted_with_title_tiebreak(self):
         result = pagerank([(1, 3), (2, 3)], nodes=[1, 2, 3])
-        ranked = rank_articles(result, {1: "B", 2: "A", 3: "C"})
+        ranked = rank_articles(result, ([1, 2, 3], ["B", "A", "C"]))
         assert [a.title for a in ranked] == ["C", "A", "B"]  # 1 and 2 tie
+
+    def test_ranking_equals_a_sort_on_score_then_title(self):
+        # Rings, stars and isolated nodes give long runs of equal scores.
+        rng = random.Random(7)
+        edges = [(i, i + 1 - 4 * (i % 4 == 3)) for i in range(40)]  # ten 4-rings
+        edges += [(leaf, 100 + hub) for hub in range(5) for leaf in range(200 + 10 * hub, 205 + 10 * hub)]
+        edges += [(rng.randrange(300, 340), rng.randrange(300, 340)) for _ in range(60)]
+        ids = sorted({n for edge in edges for n in edge} | set(range(400, 420)))
+        titles = [f"T{rng.randrange(1000):03d}" for _ in ids]  # out of id order, some repeated
+        result = pagerank(edges, ids)
+        ranked = rank_articles(result, (ids[::-1], titles[::-1]))
+        by_id = dict(zip(ids, titles))
+        expected = sorted(
+            zip(result.scores.tolist(), (by_id[i] for i in result.node_ids.tolist())),
+            key=lambda pair: (-pair[0], pair[1]),
+        )
+        assert [(a.score, a.title) for a in ranked] == expected
+        assert len(set(result.scores.tolist())) < len(ids) // 2  # the runs are there
+
+    def test_ranking_needs_a_title_for_every_node(self):
+        result = pagerank([(1, 2)])
+        with pytest.raises(ValueError):
+            rank_articles(result, ([1], ["One"]))
 
     def test_rankings_csv_format(self, tmp_path):
         result = pagerank([(1, 2)], tolerance=1e-14, max_iter=500)
-        ranked = rank_articles(result, {1: "One", 2: "Two"})
+        ranked = rank_articles(result, ([1, 2], ["One", "Two"]))
         path = tmp_path / "rank.csv.gz"
         assert write_rankings(ranked, path) == 2
         rows = list(iter_rows(path, ("rank", "title", "score")))
@@ -197,11 +227,35 @@ class TestRankings:
 
     def test_load_graph_file_includes_isolated_nodes(self, tmp_path):
         edge_path, node_path = graph_files(tmp_path, [(1, 2)], [1, 2, 3])
-        edges, titles = load_graph_file(edge_path, node_path)
-        assert edges == [(1, 2)]
-        assert titles == {1: "N1", 2: "N2", 3: "N3"}
+        edges, nodes = load_graph_file(edge_path, node_path)
+        assert edges.dtype == np.int64 and edges.tolist() == [[1, 2]]
+        assert dict(zip(nodes.ids.tolist(), nodes.titles)) == {1: "N1", 2: "N2", 3: "N3"}
 
-    @pytest.mark.parametrize("bad_row", ["x,A,2,B", "1,A,2", "1,A,-2,B"])
+    def test_load_graph_file_keeps_file_order(self, tmp_path):
+        edge_path, node_path = graph_files(tmp_path, [(7, 2), (2, 9), (2, 7)], [9, 2, 7])
+        edges, nodes = load_graph_file(edge_path, node_path)
+        assert edges.tolist() == [[7, 2], [2, 9], [2, 7]]
+        assert nodes.ids.tolist() == [9, 2, 7]
+        assert nodes.titles == ["N9", "N2", "N7"]
+
+    def test_load_graph_file_refuses_a_node_id_listed_twice(self, tmp_path):
+        edge_path, node_path = graph_files(tmp_path, [(1, 2)], [1, 2, 2])
+        with pytest.raises(DataFormatError, match="page id 2 is listed twice"):
+            load_graph_file(edge_path, node_path)
+
+    def test_load_graph_file_refuses_an_endpoint_missing_from_the_nodes(self, tmp_path):
+        edge_path, node_path = graph_files(tmp_path, [(1, 2), (1, 3), (3, 1)], [1, 2])
+        with pytest.raises(DataFormatError, match="row 3 links a page"):
+            load_graph_file(edge_path, node_path)
+
+    def test_load_graph_file_refuses_an_id_past_int64(self, tmp_path):
+        edge_path, node_path = graph_files(tmp_path, [(1, 2), (1, 2**63)], [1, 2])
+        with pytest.raises(DataFormatError, match="row 3 has an id past"):
+            load_graph_file(edge_path, node_path)
+
+    @pytest.mark.parametrize(
+        "bad_row", ["x,A,2,B", "1,A,2", "1,A,-2,B", "\u0661,A,2,B", "\u00b2,A,2,B"]
+    )
     def test_load_graph_file_checks_rows_as_stats_does(self, tmp_path, bad_row):
         import gzip
 

@@ -518,6 +518,82 @@ class TestStats:
         assert nodes == sorted(nodes)  # snapshot monotonicity over all years
 
 
+def tie_graph(seed: int = 8) -> tuple[list[tuple[int, str]], list[tuple[int, int]]]:
+    """(nodes sorted by id, edges sorted by pair) of a 2,000-node graph whose
+    ranking has long runs of equal scores.
+
+    It has 40 rings of five nodes, 25 dangling hubs that twelve leaves link
+    to, 25 hubs that link eight dangling leaves each, 150 isolated nodes and
+    a random part in which some nodes link nothing. Ids have gaps and the
+    titles are shuffled, so equal scores are ordered by title, not by id.
+    """
+    import random
+
+    rng = random.Random(seed)
+    ids = sorted(rng.sample(range(1, 20_000), 2_000))
+    pending = ids[:]
+    rng.shuffle(pending)
+    take = iter(pending)
+    edges = []
+    for _ in range(40):
+        ring = [next(take) for _ in range(5)]
+        edges += zip(ring, ring[1:] + ring[:1])
+    for _ in range(25):
+        hub = next(take)
+        edges += [(next(take), hub) for _ in range(12)]
+    for _ in range(25):
+        hub = next(take)
+        edges += [(hub, next(take)) for _ in range(8)]
+    linked = list(take)[150:]  # the 150 skipped are isolated
+    for node in linked:
+        edges += [(node, target) for target in rng.sample(linked, rng.randrange(6)) if target != node]
+    titles = ["Zürich", "Éclair", "Comma, Inc.", "\"Quoted\""]
+    titles += [f"Page {k:04d}" for k in range(len(ids) - len(titles))]
+    rng.shuffle(titles)
+    return list(zip(ids, titles)), sorted(edges)
+
+
+def write_graph_files(out: Path, edges: list[tuple[int, int]], nodes: list[tuple[int, str]],
+                      date: str = "2018-03-01") -> None:
+    """Edge and node files of one date, as ``graph`` writes them."""
+    title = dict(nodes)
+    graph.emit_edges(
+        [(str(s), title.get(s, f"N{s}"), str(d), title.get(d, f"N{d}")) for s, d in edges],
+        out / f"enwiki.wikilinkgraph.{date}.csv.gz",
+    )
+    graph.emit_nodes(nodes, out / f"enwiki.wikilinkgraph.nodes.{date}.csv.gz")
+
+
+def write_edge_text(out: Path, lines: str, date: str = "2018-03-01") -> None:
+    with gzip.open(out / f"enwiki.wikilinkgraph.{date}.csv.gz", "wt", encoding="utf-8") as f:
+        f.write("page_id_from,page_title_from,page_id_to,page_title_to\n" + lines)
+
+
+def stderr_events(capsys) -> list[dict]:
+    return [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+
+
+def max_rss_kb(argv: list[str], env: dict[str, str]) -> int:
+    """Peak RSS of ``python argv``, started from a small launcher process:
+    Linux carries the parent's RSS high-water mark into the child's
+    ``ru_maxrss``, and the test process is large."""
+    import subprocess
+    import sys
+
+    launch = (
+        "import os, sys\n"
+        "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], dict(os.environ))\n"
+        "_, status, usage = os.wait4(pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", launch, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    code, rss = result.stdout.split()
+    assert code == "0", result.stderr
+    return int(rss)
+
+
 class TestPagerankCommand:
     def test_triangle_equal_scores(self, tmp_path):
         from wikilinks.graph import emit_edges, emit_nodes
@@ -544,13 +620,91 @@ class TestPagerankCommand:
         assert abs(total - 1.0) < 1e-4  # 6 significant digits per score
 
     def test_malformed_edge_row_is_fatal(self, out_dir, capsys):
-        with gzip.open(out_dir / "enwiki.wikilinkgraph.2018-03-01.csv.gz", "wt") as f:
-            f.write("page_id_from,page_title_from,page_id_to,page_title_to\n1,A,2,B\nx,A,2,B\n")
+        write_edge_text(out_dir, "1,A,2,B\nx,A,2,B\n")
+        graph.emit_nodes([(1, "A"), (2, "B")], out_dir / "enwiki.wikilinkgraph.nodes.2018-03-01.csv.gz")
         capsys.readouterr()
         assert cli.main(["pagerank", *base_args(out_dir), "--date", "2018-03-01"]) == 1
         (event,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert event["event"] == "fatal"
         assert "row 3" in event["detail"]
+
+    @pytest.mark.parametrize("stage", ["stats", "pagerank"])
+    @pytest.mark.parametrize("digit", ["\u0661", "\u00b2"])  # Arabic-Indic one, superscript two
+    def test_non_ascii_digit_id_is_fatal(self, out_dir, capsys, stage, digit):
+        write_edge_text(out_dir, f"1,A,2,B\n{digit},A,2,B\n")
+        graph.emit_nodes([(1, "A"), (2, "B")], out_dir / "enwiki.wikilinkgraph.nodes.2018-03-01.csv.gz")
+        capsys.readouterr()
+        assert cli.main([stage, *base_args(out_dir), "--date", "2018-03-01"]) == 1
+        (event,) = stderr_events(capsys)
+        assert event["event"] == "fatal"
+        assert "row 3" in event["detail"]
+
+    @pytest.mark.parametrize(
+        "option", [["--damping", "1.0"], ["--max-iter", "0"], ["--tolerance", "nan"]]
+    )
+    def test_bad_option_is_refused_before_the_graph_is_read(self, out_dir, capsys, option):
+        write_edge_text(out_dir, "1,A,2,B\nx,A,2,B\n")
+        capsys.readouterr()
+        assert cli.main(["pagerank", *base_args(out_dir), "--date", "2018-03-01", *option]) == 2
+        (event,) = stderr_events(capsys)
+        assert event["event"] == "configuration-error"
+
+    def test_missing_node_file_is_missing_input(self, out_dir, capsys):
+        write_graph_files(out_dir, [(1, 2)], [(1, "A"), (2, "B")])
+        node_path = out_dir / "enwiki.wikilinkgraph.nodes.2018-03-01.csv.gz"
+        node_path.unlink()
+        capsys.readouterr()
+        assert cli.main(["pagerank", *base_args(out_dir), "--date", "2018-03-01"]) == 2
+        (event,) = stderr_events(capsys)
+        assert event == {"event": "missing-input", "path": str(node_path), "detail": "run graph first"}
+
+    @pytest.mark.parametrize(
+        "nodes, detail",
+        [
+            ([(1, "A"), (2, "B")], "row 3 links a page"),  # 3 is an endpoint
+            ([(1, "A"), (2, "B"), (3, "C"), (3, "C")], "page id 3 is listed twice"),
+        ],
+    )
+    def test_node_file_lists_every_endpoint_once(self, out_dir, capsys, nodes, detail):
+        write_graph_files(out_dir, [(1, 2), (2, 3), (3, 1)], nodes)
+        capsys.readouterr()
+        assert cli.main(["pagerank", *base_args(out_dir), "--date", "2018-03-01"]) == 1
+        (event,) = stderr_events(capsys)
+        assert event["event"] == "fatal"
+        assert detail in event["detail"]
+        assert not (out_dir / "enwiki.pagerank.2018-03-01.csv.gz").exists()
+
+    def test_rankings_with_tie_runs_match_golden(self, out_dir):
+        nodes, edges = tie_graph()
+        write_graph_files(out_dir, edges, nodes)
+        assert cli.main(["pagerank", *base_args(out_dir), "--date", "2018-03-01"]) == 0
+        with gzip.open(out_dir / "enwiki.pagerank.2018-03-01.csv.gz", "rb") as f:
+            produced = f.read()
+        assert produced == (GOLDEN_DIR / "enwiki.pagerank.tie-graph.csv").read_bytes()
+        scores = [line.rsplit(b",", 1)[1] for line in produced.splitlines()[1:]]
+        assert len(scores) == 2_000 and len(set(scores)) < 1_000  # long runs of equal scores
+
+    def test_peak_memory_per_edge(self, out_dir):
+        # 25k nodes and 200k edges; the bound is 120 B per edge above a
+        # process that only imports what pagerank imports.
+        import numpy as np
+
+        rng = np.random.default_rng(5)
+        ids = np.cumsum(rng.integers(1, 4, size=25_000))
+        pairs = np.unique(rng.integers(0, len(ids), size=(230_000, 2)), axis=0)[:200_000]
+        src, dst = ids[pairs[:, 0]].tolist(), ids[pairs[:, 1]].tolist()
+        with gzip.open(out_dir / "enwiki.wikilinkgraph.2018-03-01.csv.gz", "wt", compresslevel=1) as f:
+            f.write("page_id_from,page_title_from,page_id_to,page_title_to\n")
+            f.write("".join(f"{s},Page {s},{d},Page {d}\n" for s, d in zip(src, dst)))
+        with gzip.open(out_dir / "enwiki.wikilinkgraph.nodes.2018-03-01.csv.gz", "wt", compresslevel=1) as f:
+            f.write("page_id,page_title\n" + "".join(f"{i},Page {i}\n" for i in ids.tolist()))
+        env = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), "PATH": ""}
+        base = max_rss_kb(["-c", "import numpy, scipy.sparse, wikilinks.analytics"], env)
+        used = max_rss_kb(
+            ["-m", "wikilinks.cli", "pagerank", *base_args(out_dir), "--date", "2018-03-01"], env
+        )
+        per_edge = (used - base) * 1024 / 200_000
+        assert per_edge <= 120, f"{per_edge:.0f} B per edge above the imports"
 
     def test_pagerank_requires_graph(self, out_dir):
         assert cli.main(["pagerank", *base_args(out_dir), "--date", "2018-03-01"]) == 2
@@ -582,6 +736,25 @@ class TestConsoleScript:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines() == ["[]", "wikilinks.analytics"]
+
+    def test_stats_leaves_numpy_and_scipy_unloaded(self, out_dir):
+        import subprocess
+        import sys
+
+        write_graph_files(out_dir, [(1, 2), (2, 3)], [(1, "A"), (2, "B"), (3, "C")])
+        code = (
+            "import sys\n"
+            "from wikilinks import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code, "stats", *base_args(out_dir), "--date", "2018-03-01"],
+            capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["0 []"]
 
     def test_installed_entrypoint(self, out_dir, minidump_path):
         import subprocess
