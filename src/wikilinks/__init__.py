@@ -6,10 +6,11 @@ Pipeline stages (each also available as a CLI subcommand):
               per-revision redirect history;
 2. snapshot - for every date at once, select the last revision of each
               page strictly before the instant
-              (select_snapshot_revisions), resolve redirect chains, and
-              emit the links that existed at that moment
-              (build_link_snapshot); one pass over each input serves all
-              dates, holding one entry per selected revision and per title;
+              (select_snapshot_revisions), resolve redirect chains into
+              resolvedredirects rows, and emit the links that existed at
+              that moment (build_link_snapshot); one pass over each input
+              serves all dates, holding one entry per selected revision
+              and per title;
 3. graph    - resolve and deduplicate the active links of each date's
               snapshot rows into an edge list;
 4. analytics - node/edge counts, growth series, PageRank rankings.
@@ -20,13 +21,7 @@ from .dump import PageHistory, PageMeta, Revision, filter_namespace, open_dump
 from .errors import ConfigurationError, DataFormatError, DumpFormatError
 from .graph import build_graph, emit_edges
 from .pipeline import RunSummary, extract_all
-from .snapshot import (
-    ResolvedPage,
-    SnapshotDate,
-    build_link_snapshot,
-    resolve_chains,
-    select_snapshot_revisions,
-)
+from .snapshot import SnapshotDate, build_link_snapshot, select_snapshot_revisions
 from .wikitext import (
     ExtractedLink,
     LanguageProfile,
@@ -52,7 +47,6 @@ __all__ = [
     "PageRankResult",
     "RankedArticle",
     "RedirectDecl",
-    "ResolvedPage",
     "Revision",
     "RunSummary",
     "SnapshotDate",
@@ -67,7 +61,6 @@ __all__ = [
     "normalize_title",
     "open_dump",
     "pagerank",
-    "resolve_chains",
     "section_scan",
     "select_snapshot_revisions",
 ]

@@ -84,10 +84,6 @@ def _checked_rows(
     count = 0
     try:
         for row in iter_rows(path, fields):
-            if len(row) != len(fields):
-                raise DataFormatError(
-                    f"{path}: row {count + 2} has {len(row)} columns, expected {len(fields)}"
-                )
             for col in int_columns:
                 if not (row[col].isascii() and row[col].isdigit()):
                     raise DataFormatError(

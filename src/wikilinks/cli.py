@@ -281,17 +281,17 @@ def cmd_snapshot(config: RunConfig) -> int:
     done = []
     for date, state in zip(dates, selection.states()):
         label = date.label
-        resolved = snapshot.resolve_snapshot(state)
+        rows = snapshot.resolve_snapshot(state)
         pages = snapshot.write_resolved_redirects(
-            config.path("resolvedredirects", date=label), resolved
+            config.path("resolvedredirects", date=label), rows
         )
-        cycles = [p for p in resolved.values() if p.resolution == snapshot.RESOLUTION_CYCLE]
+        # A cycle's final target is its immediate target without the fragment.
+        cycles = [(row[1], row[4]) for row in rows if row[5] == snapshot.RESOLUTION_CYCLE]
         with DatasetWriter(
             config.path("redirectcycles", date=label, plain=True),
             ("title", "immediate_target"),
         ) as writer:
-            for page in sorted(cycles, key=lambda p: p.page_id):
-                writer.write_row((page.title, page.immediate_target or ""))
+            writer.write_rows(cycles)
         done.append((label, pages, len(cycles)))
     # A failure mid-pass aborts every writer, so each date keeps its marker.
     with ExitStack() as stack:

@@ -13,7 +13,8 @@ Rules applied to the snapshot's active links:
   from redirect resolution are kept unless ``drop_self_loops`` is set.
 
 The node list is every page of the snapshot, redirects included, so pages
-without a single active link still appear in the graph.
+without a single active link still appear in the graph. Pages come in as
+``resolvedredirects`` rows keyed by title, links as ``wikilinksnapshot`` rows.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataFormatError
 from .extsort import external_sort, unique_justseen
-from .snapshot import RESOLUTION_DANGLING, ResolvedPage
+from .snapshot import RESOLUTION_DANGLING
 from .storage import DatasetWriter
 
 EDGE_FIELDS = ("page_id_from", "page_title_from", "page_id_to", "page_title_to")
@@ -32,34 +33,43 @@ NODE_FIELDS = ("page_id", "page_title")
 # One edge as its CSV row, in EDGE_FIELDS order.
 EdgeRow = tuple[str, str, str, str]
 
+# ``resolvedredirects`` rows keyed by title, in ``snapshot.RESOLVED_FIELDS``
+# order: page_id, title, is_redirect, immediate_target, final_target, resolution.
+Resolved = Mapping[str, Sequence[str]]
 
-def _edge_target(
-    link_target: str, resolved: Mapping[str, ResolvedPage]
-) -> ResolvedPage | None:
-    """Map an active link target to the page that receives the edge."""
+
+def _final_page(redirect: Sequence[str], resolved: Resolved) -> Sequence[str]:
+    """The row of the page a redirect's edge points at.
+
+    Resolved chains and cycle fallbacks both name an existing page.
+    """
+    final = resolved.get(redirect[4])
+    if final is None:
+        raise DataFormatError(
+            f"redirect {redirect[1]!r} resolves to {redirect[4]!r} which is "
+            "missing from the resolved pages dataset; inputs are inconsistent"
+        )
+    return final
+
+
+def _edge_target(link_target: str, resolved: Resolved) -> Sequence[str] | None:
+    """The row of the page that receives the edge of an active link."""
     page = resolved.get(link_target)
     if page is None:
         raise DataFormatError(
             f"snapshot link targets {link_target!r} which is missing from the "
             "resolved pages dataset; inputs are inconsistent"
         )
-    if not page.is_redirect:
+    if page[2] != "1":
         return page
-    if page.resolution == RESOLUTION_DANGLING:
+    if page[5] == RESOLUTION_DANGLING:
         return None
-    # resolved chains and cycle fallbacks both name an existing page
-    final = resolved.get(page.final_target)
-    if final is None:
-        raise DataFormatError(
-            f"redirect {page.title!r} resolves to {page.final_target!r} which is "
-            "missing from the resolved pages dataset; inputs are inconsistent"
-        )
-    return final
+    return _final_page(page, resolved)
 
 
 def iter_candidate_edges(
     links: Iterable[Sequence[str]],
-    resolved: Mapping[str, ResolvedPage],
+    resolved: Resolved,
     *,
     drop_self_loops: bool = False,
 ) -> Iterator[EdgeRow]:
@@ -77,39 +87,34 @@ def iter_candidate_edges(
                 f"snapshot link source {title!r} is missing from the "
                 "resolved pages dataset; inputs are inconsistent"
             )
-        if source.is_redirect:
+        if source[2] == "1":
             continue  # a redirect's body contributes nothing beyond its target
         target = _edge_target(link, resolved)
         if target is None:
             continue
-        target_id = str(target.page_id)
+        target_id = target[0]
         if target_id == page_id:
             direct_self_link = link == title
             if direct_self_link or drop_self_loops:
                 continue
-        yield page_id, title, target_id, target.title
+        yield page_id, title, target_id, target[1]
     for page in resolved.values():
-        if not page.is_redirect or page.resolution == RESOLUTION_DANGLING:
+        if page[2] != "1" or page[5] == RESOLUTION_DANGLING:
             continue
-        final = resolved.get(page.final_target)
-        if final is None:
-            raise DataFormatError(
-                f"redirect {page.title!r} resolves to {page.final_target!r} which is "
-                "missing from the resolved pages dataset; inputs are inconsistent"
-            )
-        if drop_self_loops and final.page_id == page.page_id:
+        final = _final_page(page, resolved)
+        if drop_self_loops and final[0] == page[0]:
             continue
-        yield str(page.page_id), page.title, str(final.page_id), final.title
+        yield page[0], page[1], final[0], final[1]
 
 
 def build_graph(
     links: Iterable[Sequence[str]],
-    resolved: Mapping[str, ResolvedPage],
+    resolved: Resolved,
     *,
     drop_self_loops: bool = False,
 ) -> tuple[Iterator[EdgeRow], list[tuple[int, str]]]:
     """Return (deduplicated edge rows sorted by id pair, node list) for one snapshot."""
-    nodes = sorted((p.page_id, p.title) for p in resolved.values())
+    nodes = sorted((int(page[0]), page[1]) for page in resolved.values())
 
     def pair_key(row):
         return int(row[0]), int(row[2])

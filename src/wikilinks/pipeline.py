@@ -135,14 +135,14 @@ def extract_all(
     profile: LanguageProfile,
     sink: DatasetWriter,
     *,
-    redirect_sink: DatasetWriter | None = None,
+    redirect_sink: DatasetWriter,
     strip_inert_spans: bool = False,
 ) -> RunSummary:
     """Write one raw link row per link per revision of every page in ``pages``.
 
-    ``pages`` must already be filtered to the namespace of interest. When
-    ``redirect_sink`` is given, the per-revision redirect history is written
-    in the same pass. Pages are written in input order, each page's rows in
+    ``pages`` must already be filtered to the namespace of interest. The
+    per-revision redirect history goes to ``redirect_sink`` in the same
+    pass. Pages are written in input order, each page's rows in
     sort-key order; ``summary.ascending`` tells whether that made the whole
     output sorted. If a sink write fails, the writer's .partial marker is
     left in place and the error propagates.
@@ -159,12 +159,10 @@ def extract_all(
         last_page_id = page_id
         try:
             sink.write_rows(raw_rows)
-            if redirect_sink is not None:
-                redirect_sink.write_rows(redirect_rows)
+            redirect_sink.write_rows(redirect_rows)
         except Exception:
             sink.abort()
-            if redirect_sink is not None:
-                redirect_sink.abort()
+            redirect_sink.abort()
             raise
         summary.pages += 1
         summary.revisions += len(page.revisions)

@@ -3,10 +3,9 @@
 A page belongs to a snapshot iff it has at least one revision strictly
 before the snapshot instant; its state is its latest such revision (ties on
 timestamp go to the higher revision id). From the selected revisions we
-derive the redirect map of that instant, resolve redirect chains to their
-final targets, and filter the raw link records down to the links that
-existed at that moment, flagging each as active (target page exists) or
-not.
+resolve the redirect chains of that instant to their final targets, and
+filter the raw link records down to the links that existed at that moment,
+flagging each as active (target page exists) or not.
 
 All dates are built in one pass over each input. The redirect history and
 the raw links are both sorted by (page_id, timestamp, revision_id), and
@@ -16,7 +15,8 @@ history finds the revision every date selects for each page
 link of a selected revision to every date that selected it
 (:func:`build_link_snapshot`). Memory holds one entry per selected revision
 and one per title, not one per page and date. Links travel as
-``wikilinksnapshot`` CSV rows from the raw links to the graph stage.
+``wikilinksnapshot`` CSV rows from the raw links to the graph stage, and
+resolved pages as ``resolvedredirects`` rows from the date's state to it.
 """
 
 from __future__ import annotations
@@ -210,83 +210,41 @@ def select_snapshot_revisions(
     return Selection(revisions, titles, count)
 
 
-@dataclass(frozen=True, slots=True)
-class ResolvedPage:
-    """A snapshot page with its redirect chain resolved.
+def resolve_snapshot(state: Mapping[str, PageState]) -> list[tuple[str, ...]]:
+    """The ``resolvedredirects`` rows of one date's state (see :meth:`Selection.states`).
 
-    ``resolution`` is one of: article (not a redirect), resolved (chain ends
-    at an existing non-redirect page), dangling-target (chain leaves the
-    snapshot's page set), cycle (chain revisits a title or exceeds the depth
-    cap; final_target falls back to the immediate target so the page keeps
-    exactly one outgoing edge).
+    Rows come in :data:`RESOLVED_FIELDS` order, sorted by page id; the
+    ``immediate_target`` column keeps the redirect's ``#fragment``.
+    ``resolution`` is one of: article (not a redirect), resolved (the chain
+    ends at an existing non-redirect page), dangling-target (the chain leaves
+    the date's page set), cycle (the chain revisits a title or runs past
+    :data:`MAX_CHAIN_DEPTH` hops; final_target falls back to the immediate
+    target so the page keeps exactly one outgoing edge).
     """
-
-    page_id: int
-    title: str
-    is_redirect: bool
-    immediate_target: str | None
-    final_target: str | None
-    resolution: str
-    target_fragment: str | None = None
-
-
-def resolve_chains(
-    redirects: Mapping[str, str],
-    pages: Mapping[str, int],
-    *,
-    fragments: Mapping[str, str | None] | None = None,
-) -> dict[str, ResolvedPage]:
-    """Resolve every page title to a :class:`ResolvedPage`.
-
-    ``redirects`` maps redirect titles to their immediate targets;
-    ``pages`` maps every existing title to its page id. A chain longer than
-    :data:`MAX_CHAIN_DEPTH` hops is treated like a cycle.
-    """
-    fragments = fragments or {}
-    resolved: dict[str, ResolvedPage] = {}
-    for title, page_id in pages.items():
-        if title not in redirects:
-            resolved[title] = ResolvedPage(
-                page_id, title, False, None, None, RESOLUTION_ARTICLE
-            )
+    rows = []
+    for title, (page_id, immediate, fragment) in sorted(
+        state.items(), key=lambda item: item[1][0]
+    ):
+        if immediate is None:
+            rows.append((str(page_id), title, "0", "", "", RESOLUTION_ARTICLE))
             continue
-        immediate = redirects[title]
-        current = title
+        # A cycle, or a chain past the depth cap, keeps these.
+        final, resolution = immediate, RESOLUTION_CYCLE
         seen = {title}
-        resolution = RESOLUTION_CYCLE
-        final = immediate
+        current = immediate
         for _ in range(MAX_CHAIN_DEPTH):
-            current = redirects[current]
-            if current not in redirects:
+            page = state.get(current)
+            if page is None or page[1] is None:
                 final = current
-                resolution = (
-                    RESOLUTION_RESOLVED if current in pages else RESOLUTION_DANGLING
-                )
+                resolution = RESOLUTION_DANGLING if page is None else RESOLUTION_RESOLVED
                 break
             if current in seen:
-                break  # cycle; fall back to the immediate target
+                break
             seen.add(current)
-        # Falling out of the loop (depth cap) is treated like a cycle.
-        if resolution == RESOLUTION_CYCLE:
-            final = immediate
-        resolved[title] = ResolvedPage(
-            page_id,
-            title,
-            True,
-            immediate,
-            final,
-            resolution,
-            target_fragment=fragments.get(title),
-        )
-    return resolved
-
-
-def resolve_snapshot(state: Mapping[str, PageState]) -> dict[str, ResolvedPage]:
-    """Resolve the redirect chains of one date's state (see :meth:`Selection.states`)."""
-    redirects = {title: page[1] for title, page in state.items() if page[1] is not None}
-    fragments = {title: state[title][2] for title in redirects}
-    pages = {title: page[0] for title, page in state.items()}
-    return resolve_chains(redirects, pages, fragments=fragments)
+            current = page[1]
+        target = f"{immediate}#{fragment}" if fragment else immediate
+        rows.append((str(page_id), title, "1", target, final, resolution))
+    return rows
 
 
 def build_link_snapshot(
@@ -316,45 +274,16 @@ def build_link_snapshot(
             yield index, (*link, "1" if exists >> index & 1 else "0")
 
 
-def _target_with_fragment(page: ResolvedPage) -> str:
-    if page.immediate_target is None:
-        return ""
-    if page.target_fragment:
-        return f"{page.immediate_target}#{page.target_fragment}"
-    return page.immediate_target
-
-
-def write_resolved_redirects(path: str | Path, resolved: Mapping[str, ResolvedPage]) -> int:
-    """Write the resolved pages dataset sorted by page id; returns row count."""
+def write_resolved_redirects(path: str | Path, rows: Iterable[Sequence[str]]) -> int:
+    """Write the rows of :func:`resolve_snapshot`; returns row count."""
     with DatasetWriter(path, RESOLVED_FIELDS) as writer:
-        for page in sorted(resolved.values(), key=lambda p: p.page_id):
-            writer.write_row(
-                (
-                    str(page.page_id),
-                    page.title,
-                    "1" if page.is_redirect else "0",
-                    _target_with_fragment(page),
-                    page.final_target or "",
-                    page.resolution,
-                )
-            )
+        writer.write_rows(rows)
         return writer.rows_written
 
 
-def read_resolved_redirects(path: str | Path) -> dict[str, ResolvedPage]:
-    resolved = {}
-    for row in iter_rows(path, RESOLVED_FIELDS):
-        immediate, _, fragment = row[3].partition("#")
-        resolved[row[1]] = ResolvedPage(
-            page_id=int(row[0]),
-            title=row[1],
-            is_redirect=row[2] == "1",
-            immediate_target=immediate or None,
-            final_target=row[4] or None,
-            resolution=row[5],
-            target_fragment=fragment or None,
-        )
-    return resolved
+def read_resolved_redirects(path: str | Path) -> dict[str, list[str]]:
+    """The rows of one date's ``resolvedredirects`` file, keyed by title."""
+    return {row[1]: row for row in iter_rows(path, RESOLVED_FIELDS)}
 
 
 def write_snapshot_links(

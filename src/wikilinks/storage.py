@@ -247,7 +247,8 @@ def iter_rows(
     """Yield data rows of a dataset file, validating the header if given.
 
     A file whose ``.partial`` marker is still present was left half-written
-    by a failed run and is refused with :class:`DataFormatError`.
+    by a failed run, and a row whose column count differs from the
+    header's is malformed; both are refused with :class:`DataFormatError`.
     """
     if partial_path(path).exists():
         raise DataFormatError(
@@ -261,4 +262,10 @@ def iter_rows(
             raise DataFormatError(
                 f"{path}: expected header {list(expected_header)}, found {header}"
             )
-        yield from reader
+        width = len(header or ())
+        for number, row in enumerate(reader, 2):
+            if len(row) != width:
+                raise DataFormatError(
+                    f"{path}: row {number} has {len(row)} columns, expected {width}"
+                )
+            yield row

@@ -202,18 +202,18 @@ def blank_inert_spans(text: str) -> str:
     return _INERT_SPAN_RE.sub(blank, text)
 
 
-def extract_links(wikitext: str, *, strip_inert_spans: bool = False) -> list[ExtractedLink]:
+def extract_links(wikitext: str) -> list[ExtractedLink]:
     """Extract every wikilink of ``wikitext`` in document order.
 
     Links are reported even when their target page does not exist (red
-    links), and regardless of surrounding markup; with ``strip_inert_spans``
-    links inside HTML comments and <nowiki> spans are suppressed.
+    links), and regardless of surrounding markup; to suppress links inside
+    HTML comments and <nowiki> spans, pass the text through
+    :func:`blank_inert_spans` first.
     """
-    text = blank_inert_spans(wikitext) if strip_inert_spans else wikitext
-    sections = section_scan(text)
+    sections = section_scan(wikitext)
     links: list[ExtractedLink] = []
     si = 0
-    for start, _end, target, anchor in scan_links(text):
+    for start, _end, target, anchor in scan_links(wikitext):
         while si + 1 < len(sections) and sections[si + 1].start <= start:
             si += 1
         sec = sections[si]

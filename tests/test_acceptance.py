@@ -97,8 +97,8 @@ def test_redirect_node_property(tmp_path):
     for date in FIXTURE_DATES:
         resolved = read_resolved_redirects(out / f"enwiki.resolvedredirects.{date}.csv.gz")
         redirects_resolved = {
-            p.page_id for p in resolved.values()
-            if p.is_redirect and p.resolution == RESOLUTION_RESOLVED
+            int(p[0]) for p in resolved.values()
+            if p[2] == "1" and p[5] == RESOLUTION_RESOLVED
         }
         assert redirects_resolved, f"fixture must contain resolved redirects for {date}"
         indegree: Counter = Counter()

@@ -287,6 +287,20 @@ class TestSnapshotAndGraph:
         assert cli.main(["extract", *base_args(out_dir), str(minidump_path)]) == 0
         assert cli.main(["graph", *base_args(out_dir), "--date", "2018-03-01"]) == 2
 
+    @pytest.mark.parametrize("kind", ["resolvedredirects", "wikilinksnapshot"])
+    def test_short_snapshot_row_is_fatal(self, out_dir, capsys, kind):
+        run_pipeline(out_dir, dates=("2018-03-01",))
+        path = out_dir / f"enwiki.{kind}.2018-03-01.csv.gz"
+        lines = gzip.open(path, "rt", encoding="utf-8").read().splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(",", 1)[0] + "\n"  # row 3 loses its last column
+        with gzip.open(path, "wt", encoding="utf-8") as f:
+            f.writelines(lines)
+        capsys.readouterr()
+        assert cli.main(["graph", *base_args(out_dir), "--date", "2018-03-01"]) == 1
+        (event,) = stderr_events(capsys)
+        assert event["event"] == "fatal"
+        assert f"{kind}.2018-03-01.csv.gz: row 3 has" in event["detail"]
+
     def test_full_pipeline_matches_goldens(self, out_dir):
         run_pipeline(out_dir)
         for date in FIXTURE_DATES:
@@ -764,6 +778,7 @@ class TestConsoleScript:
             [sys.executable, "-m", "wikilinks.cli", "extract", *base_args(out_dir), str(minidump_path)],
             capture_output=True,
             text=True,
+            env={"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), "PATH": ""},
         )
         assert result.returncode == 0, result.stderr
         assert '"event": "extract-done"' in result.stderr

@@ -11,17 +11,18 @@ from wikilinks.snapshot import (
     RESOLUTION_CYCLE,
     RESOLUTION_DANGLING,
     RESOLUTION_RESOLVED,
-    ResolvedPage,
 )
 from wikilinks.storage import iter_rows, sha256_of
 
 
 def article(page_id, title):
-    return ResolvedPage(page_id, title, False, None, None, RESOLUTION_ARTICLE)
+    """A resolvedredirects row."""
+    return (str(page_id), title, "0", "", "", RESOLUTION_ARTICLE)
 
 
 def redirect(page_id, title, immediate, final, resolution=RESOLUTION_RESOLVED):
-    return ResolvedPage(page_id, title, True, immediate, final, resolution)
+    """A resolvedredirects row."""
+    return (str(page_id), title, "1", immediate, final, resolution)
 
 
 def link(page_id, title, target, active=True):
@@ -132,6 +133,14 @@ class TestBuildGraph:
         with pytest.raises(DataFormatError, match="inconsistent"):
             edges_of([link(1, "P", "Ghost")], resolved)
 
+    def test_missing_final_target_is_fatal(self):
+        resolved = {"P": article(1, "P"), "R": redirect(2, "R", "Ghost", "Ghost")}
+        # a link into the redirect, then the redirect's own edge
+        with pytest.raises(DataFormatError, match="'R' resolves to 'Ghost'"):
+            edges_of([link(1, "P", "R")], resolved)
+        with pytest.raises(DataFormatError, match="'R' resolves to 'Ghost'"):
+            edges_of([], resolved)
+
     def test_unknown_source_title_is_fatal(self):
         resolved = {"A": article(2, "A")}
         with pytest.raises(DataFormatError, match="inconsistent"):
@@ -187,9 +196,9 @@ class TestOrphanRedirectProperty:
         indeg = Counter(int(e[2]) for e in edges)
         outdeg = Counter(int(e[0]) for e in edges)
         for page in resolved.values():
-            if page.is_redirect and page.resolution == RESOLUTION_RESOLVED:
-                assert indeg[page.page_id] == 0
-                assert outdeg[page.page_id] == 1
+            if page[2] == "1" and page[5] == RESOLUTION_RESOLVED:
+                assert indeg[int(page[0])] == 0
+                assert outdeg[int(page[0])] == 1
 
 
 class TestEmit:

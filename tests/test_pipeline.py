@@ -101,8 +101,9 @@ class TestExtractAll:
         pages = pages_from(page_xml("P", 1, [dict(BASIC_REV, text="[[A]] [[B]]")]))
         raw = tmp_path / "raw.csv.gz"
         sink = FailingWriter(raw, RAW_LINK_FIELDS)
+        redirect_sink = DatasetWriter(tmp_path / "redirects.csv.gz", REDIRECT_FIELDS)
         with pytest.raises(OSError):
-            extract_all(iter(pages), EN, sink)
+            extract_all(iter(pages), EN, sink, redirect_sink=redirect_sink)
         assert (tmp_path / "raw.csv.gz.partial").exists()
 
     def test_strip_inert_spans_flag(self, tmp_path):

@@ -9,12 +9,12 @@ from wikilinks.snapshot import (
     RESOLUTION_CYCLE,
     RESOLUTION_DANGLING,
     RESOLUTION_RESOLVED,
+    RESOLVED_FIELDS,
     SNAPSHOT_LINK_FIELDS,
     SnapshotDate,
     build_link_snapshot,
     read_resolved_redirects,
     read_snapshot_links,
-    resolve_chains,
     resolve_snapshot,
     select_snapshot_revisions,
     write_resolved_redirects,
@@ -24,6 +24,12 @@ from wikilinks.snapshot import (
 from wikilinks.storage import DatasetWriter
 
 MARCH_2018 = SnapshotDate.of("2018-03-01")
+
+# Columns of a resolvedredirects row.
+IS_REDIRECT, IMMEDIATE, FINAL, RESOLUTION = (
+    RESOLVED_FIELDS.index(name)
+    for name in ("is_redirect", "immediate_target", "final_target", "resolution")
+)
 
 
 def ts(value: str) -> str:
@@ -59,8 +65,15 @@ def selected_at(events, date=MARCH_2018):
 
 def redirects_at(events, date=MARCH_2018):
     """title -> immediate target of the redirect pages at one date."""
-    resolved = resolve_snapshot(next(select_at(events, date).states()))
-    return {title: page.immediate_target for title, page in resolved.items() if page.is_redirect}
+    rows = resolve_snapshot(next(select_at(events, date).states()))
+    return {row[1]: row[IMMEDIATE].partition("#")[0] for row in rows if row[IS_REDIRECT] == "1"}
+
+
+def resolve(redirects, pages):
+    """title -> resolvedredirects row, for a date where ``pages`` maps every
+    title to its page id and ``redirects`` maps redirect titles to targets."""
+    state = {title: (page_id, redirects.get(title), None) for title, page_id in pages.items()}
+    return {row[1]: row for row in resolve_snapshot(state)}
 
 
 class TestSnapshotDate:
@@ -199,75 +212,83 @@ class TestResolveChains:
     PAGES = {"A": 1, "B": 2, "C": 3, "D": 4, "E": 5}
 
     def test_single_step(self):
-        resolved = resolve_chains({"A": "B"}, self.PAGES)
-        assert resolved["A"].final_target == "B"
-        assert resolved["A"].resolution == RESOLUTION_RESOLVED
+        resolved = resolve({"A": "B"}, self.PAGES)
+        assert resolved["A"][FINAL] == "B"
+        assert resolved["A"][RESOLUTION] == RESOLUTION_RESOLVED
 
     def test_chain_of_two(self):
-        resolved = resolve_chains({"A": "B", "B": "C"}, self.PAGES)
-        assert resolved["A"].final_target == "C"
-        assert resolved["B"].final_target == "C"
-        assert resolved["A"].resolution == RESOLUTION_RESOLVED
+        resolved = resolve({"A": "B", "B": "C"}, self.PAGES)
+        assert resolved["A"][FINAL] == "C"
+        assert resolved["B"][FINAL] == "C"
+        assert resolved["A"][RESOLUTION] == RESOLUTION_RESOLVED
 
     def test_two_node_cycle(self):
-        resolved = resolve_chains({"A": "B", "B": "A"}, self.PAGES)
-        assert resolved["A"].resolution == RESOLUTION_CYCLE
-        assert resolved["B"].resolution == RESOLUTION_CYCLE
+        resolved = resolve({"A": "B", "B": "A"}, self.PAGES)
+        assert resolved["A"][RESOLUTION] == RESOLUTION_CYCLE
+        assert resolved["B"][RESOLUTION] == RESOLUTION_CYCLE
         # fallback keeps the single outgoing edge
-        assert resolved["A"].final_target == "B"
-        assert resolved["B"].final_target == "A"
+        assert resolved["A"][FINAL] == "B"
+        assert resolved["B"][FINAL] == "A"
 
     def test_self_redirect_is_a_cycle(self):
-        resolved = resolve_chains({"A": "A"}, self.PAGES)
-        assert resolved["A"].resolution == RESOLUTION_CYCLE
-        assert resolved["A"].final_target == "A"
+        resolved = resolve({"A": "A"}, self.PAGES)
+        assert resolved["A"][RESOLUTION] == RESOLUTION_CYCLE
+        assert resolved["A"][FINAL] == "A"
 
     def test_chain_into_cycle(self):
-        resolved = resolve_chains({"C": "A", "A": "B", "B": "A"}, self.PAGES)
-        assert resolved["C"].resolution == RESOLUTION_CYCLE
-        assert resolved["C"].final_target == "A"
+        resolved = resolve({"C": "A", "A": "B", "B": "A"}, self.PAGES)
+        assert resolved["C"][RESOLUTION] == RESOLUTION_CYCLE
+        assert resolved["C"][FINAL] == "A"
 
     def test_dangling_target(self):
-        resolved = resolve_chains({"A": "Nowhere"}, self.PAGES)
-        assert resolved["A"].resolution == RESOLUTION_DANGLING
-        assert resolved["A"].final_target == "Nowhere"
+        resolved = resolve({"A": "Nowhere"}, self.PAGES)
+        assert resolved["A"][RESOLUTION] == RESOLUTION_DANGLING
+        assert resolved["A"][FINAL] == "Nowhere"
 
     def test_articles_resolved_as_articles(self):
-        resolved = resolve_chains({}, {"A": 1})
-        assert resolved["A"].resolution == RESOLUTION_ARTICLE
-        assert not resolved["A"].is_redirect
-        assert resolved["A"].immediate_target is None
-        assert resolved["A"].final_target is None
+        resolved = resolve({}, {"A": 1})
+        assert resolved["A"][RESOLUTION] == RESOLUTION_ARTICLE
+        assert resolved["A"][IS_REDIRECT] == "0"
+        assert resolved["A"][IMMEDIATE] == ""
+        assert resolved["A"][FINAL] == ""
 
     def test_depth_cap_falls_back_like_cycle(self):
         titles = [f"N{i}" for i in range(40)]
         pages = {t: i + 1 for i, t in enumerate(titles)} | {"End": 99}
         chain = {titles[i]: titles[i + 1] for i in range(39)} | {titles[39]: "End"}
-        resolved = resolve_chains(chain, pages)
-        assert resolved[titles[0]].resolution == RESOLUTION_CYCLE
-        assert resolved[titles[0]].final_target == titles[1]
+        resolved = resolve(chain, pages)
+        assert resolved[titles[0]][RESOLUTION] == RESOLUTION_CYCLE
+        assert resolved[titles[0]][FINAL] == titles[1]
         # near the end of the chain the cap is not hit
-        assert resolved[titles[38]].resolution == RESOLUTION_RESOLVED
+        assert resolved[titles[38]][RESOLUTION] == RESOLUTION_RESOLVED
 
     def test_final_target_never_a_redirect_for_acyclic_chains(self):
         redirects = {"A": "B", "B": "C", "D": "E"}
-        resolved = resolve_chains(redirects, self.PAGES)
+        resolved = resolve(redirects, self.PAGES)
         for page in resolved.values():
-            if page.resolution == RESOLUTION_RESOLVED:
-                assert page.final_target not in redirects
+            if page[RESOLUTION] == RESOLUTION_RESOLVED:
+                assert page[FINAL] not in redirects
 
     def test_idempotent(self):
         redirects = {"A": "B", "B": "C", "D": "A"}
-        resolved = resolve_chains(redirects, self.PAGES)
+        resolved = resolve(redirects, self.PAGES)
         final_map = {
-            title: page.final_target
+            title: page[FINAL]
             for title, page in resolved.items()
-            if page.resolution == RESOLUTION_RESOLVED
+            if page[RESOLUTION] == RESOLUTION_RESOLVED
         }
-        again = resolve_chains(final_map, self.PAGES)
+        again = resolve(final_map, self.PAGES)
         for title, target in final_map.items():
-            assert again[title].final_target == target
-            assert again[title].resolution == RESOLUTION_RESOLVED
+            assert again[title][FINAL] == target
+            assert again[title][RESOLUTION] == RESOLUTION_RESOLVED
+
+    def test_rows_sorted_by_page_id(self):
+        # Page 1 joins the state after page 2, at the second date.
+        dates = [SnapshotDate.of("2016-03-01"), MARCH_2018]
+        events = [event(1, "P", 10, "2017-01-01"), event(2, "Q", 20, "2016-01-01")]
+        states = list(select_snapshot_revisions(events, dates).states())
+        assert list(states[1]) == ["Q", "P"]
+        assert [row[0] for row in resolve_snapshot(states[1])] == ["1", "2"]
 
 
 class TestBuildLinkSnapshot:
@@ -310,15 +331,15 @@ class TestRoundTrip:
             event(1, "A", 10, "2016-01-01", target="B", tosection="Sec"),
             event(2, "B", 20, "2016-01-01"),
         ]
-        resolved = resolve_snapshot(next(select_at(events).states()))
+        rows = resolve_snapshot(next(select_at(events).states()))
         path = tmp_path / "resolved.csv.gz"
-        assert write_resolved_redirects(path, resolved) == 2
+        assert write_resolved_redirects(path, rows) == 2
         loaded = read_resolved_redirects(path)
-        assert loaded["A"].immediate_target == "B"
-        assert loaded["A"].target_fragment == "Sec"
-        assert loaded["A"].final_target == "B"
-        assert loaded["A"].resolution == RESOLUTION_RESOLVED
-        assert loaded["B"].resolution == RESOLUTION_ARTICLE
+        assert loaded == {row[1]: list(row) for row in rows}
+        assert loaded["A"][IMMEDIATE] == "B#Sec"  # the immediate target keeps its fragment
+        assert loaded["A"][FINAL] == "B"
+        assert loaded["A"][RESOLUTION] == RESOLUTION_RESOLVED
+        assert loaded["B"][RESOLUTION] == RESOLUTION_ARTICLE
 
     def test_snapshot_links_file(self, tmp_path):
         events = [event(1, "P", 10, "2016-01-01"), event(2, "Q", 20, "2016-01-01")]

@@ -172,8 +172,7 @@ def test_chains_at_the_depth_cap_match_bruteforce(tmp_path):
     assert_matches_bruteforce(out, whole)
     for date in DATES:
         resolved = read_resolved_redirects(out / f"enwiki.resolvedredirects.{date}.csv.gz")
-        assert (resolved["Short 0"].resolution, resolved["Short 0"].final_target) == (
-            RESOLUTION_RESOLVED, "End")
-        assert (resolved["Long 0"].resolution, resolved["Long 0"].final_target) == (
-            RESOLUTION_CYCLE, "Long 1")
-        assert resolved["Long 1"].resolution == RESOLUTION_RESOLVED
+        # Columns 4 and 5 are final_target and resolution.
+        assert (resolved["Short 0"][5], resolved["Short 0"][4]) == (RESOLUTION_RESOLVED, "End")
+        assert (resolved["Long 0"][5], resolved["Long 0"][4]) == (RESOLUTION_CYCLE, "Long 1")
+        assert resolved["Long 1"][5] == RESOLUTION_RESOLVED

@@ -181,7 +181,7 @@ class TestExtractLinks:
     def test_strip_inert_spans(self):
         text = "[[keep]] <!-- [[gone]] --> <nowiki>[[gone2]]</nowiki> [[kept2]]"
         assert [l.link for l in extract_links(text)] == ["keep", "gone", "gone2", "kept2"]
-        stripped = [l.link for l in extract_links(text, strip_inert_spans=True)]
+        stripped = [l.link for l in extract_links(blank_inert_spans(text))]
         assert stripped == ["keep", "kept2"]
 
     def test_blanking_preserves_offsets_and_headers(self):
