@@ -36,7 +36,6 @@ from .storage import (
     iter_rows,
     partial_path,
     verify_checksum,
-    write_checksum,
 )
 from .wikitext import LanguageProfile, get_profile, load_profiles
 
@@ -73,10 +72,6 @@ class RunConfig:
         if len(set(labels)) != len(labels):
             raise ConfigurationError(f"duplicate snapshot dates: {labels}")
         self.dates = sorted(self.dates, key=lambda d: d.instant)
-        if self.codec is not None and self.codec not in CODECS:
-            raise ConfigurationError(
-                f"unknown codec {self.codec!r}; expected one of {CODECS}"
-            )
 
     def profile(self) -> LanguageProfile:
         if self.profiles_path is not None:
@@ -100,16 +95,11 @@ class RunConfig:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    dates = (
-        [SnapshotDate.of(d) for d in args.date]
-        if getattr(args, "date", None)
-        else yearly_snapshot_dates()
-    )
     return RunConfig(
         language=args.lang,
         output_dir=Path(args.output_dir),
         inputs=[Path(p) for p in getattr(args, "inputs", [])],
-        dates=dates,
+        dates=getattr(args, "date", None) or yearly_snapshot_dates(),
         jobs=getattr(args, "jobs", 1),
         codec=getattr(args, "codec", None),
         strip_inert_spans=getattr(args, "strip_inert_spans", False),
@@ -141,13 +131,10 @@ def extract_shard(config: RunConfig, profile: LanguageProfile, shard: int,
         sevenzip_command=config.sevenzip_command,
         on_issue=lambda issue: issues.update([issue.kind]),
     )
-    # Mark the final outputs incomplete for the whole shard build. Rows go
-    # straight to the final files, already sorted while page ids ascend; a
-    # shard whose pages break that order is sorted afterwards.
-    for target in (raw_path, redirect_path):
-        partial_path(target).touch()
-    with DatasetWriter(raw_path, pipeline.RAW_LINK_FIELDS, sidecar=False) as sink, \
-            DatasetWriter(redirect_path, pipeline.REDIRECT_FIELDS, sidecar=False) as redirect_sink:
+    # Rows are written already sorted while page ids ascend; a shard whose
+    # pages break that order is sorted from its .partial file instead.
+    with DatasetWriter(raw_path, pipeline.RAW_LINK_FIELDS) as sink, \
+            DatasetWriter(redirect_path, pipeline.REDIRECT_FIELDS) as redirect_sink:
         summary = pipeline.extract_all(
             filter_namespace(pages, ARTICLE_NAMESPACE),
             profile,
@@ -155,21 +142,21 @@ def extract_shard(config: RunConfig, profile: LanguageProfile, shard: int,
             redirect_sink=redirect_sink,
             strip_inert_spans=config.strip_inert_spans,
         )
-    for writer, fields, key in (
-        (sink, pipeline.RAW_LINK_FIELDS, pipeline.raw_sort_key),
-        (redirect_sink, pipeline.REDIRECT_FIELDS, pipeline.redirect_sort_key),
-    ):
-        if summary.ascending:
-            write_checksum(writer.path, writer.sha256)
-            partial_path(writer.path).unlink()
-        else:
-            # A prefix keeps the .gz suffix, so the file reads back decompressed.
-            unsorted = writer.path.with_name("unsorted." + writer.path.name)
-            writer.path.replace(unsorted)
-            try:
-                _sort_into(unsorted, writer.path, fields, key)
-            finally:
-                unsorted.unlink(missing_ok=True)
+        if not summary.ascending:
+            for writer, fields, key in (
+                (sink, pipeline.RAW_LINK_FIELDS, pipeline.raw_sort_key),
+                (redirect_sink, pipeline.REDIRECT_FIELDS, pipeline.redirect_sort_key),
+            ):
+                writer.abort()
+                # No earlier run's shard may be read while this one is sorted.
+                writer.path.unlink(missing_ok=True)
+                # A prefix keeps the .gz suffix, so the file reads back decompressed.
+                unsorted = writer.path.with_name("unsorted." + writer.path.name)
+                partial_path(writer.path).replace(unsorted)
+                try:
+                    _sort_into(unsorted, writer.path, fields, key)
+                finally:
+                    unsorted.unlink(missing_ok=True)
     summary.errors = issues["page-skipped"]
     summary.diagnostics.update(issues)
     return summary
@@ -179,9 +166,6 @@ def cmd_extract(config: RunConfig) -> int:
     missing = [str(p) for p in config.inputs if not p.is_file()]
     if missing:
         _event("missing-input", paths=missing)
-        return EXIT_USAGE
-    if not config.inputs:
-        _event("missing-input", detail="no dump files given")
         return EXIT_USAGE
     profile = config.profile()
     config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -293,7 +277,7 @@ def cmd_snapshot(config: RunConfig) -> int:
         ) as writer:
             writer.write_rows(cycles)
         done.append((label, pages, len(cycles)))
-    # A failure mid-pass aborts every writer, so each date keeps its marker.
+    # A failure mid-pass aborts every writer, so each date keeps its .partial file.
     with ExitStack() as stack:
         writers = [
             stack.enter_context(
@@ -313,36 +297,37 @@ def cmd_snapshot(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _missing_input(detail: str, *paths: Path) -> bool:
+    """Whether a path is not a file; emits ``missing-input`` for the first such."""
+    missing = next((path for path in paths if not path.is_file()), None)
+    if missing is not None:
+        _event("missing-input", path=str(missing), detail=detail)
+    return missing is not None
+
+
+def _graph_paths(config: RunConfig, label: str) -> tuple[Path, Path]:
+    """The edge and node files of one date."""
+    return (config.path("wikilinkgraph", date=label),
+            config.path("wikilinkgraph.nodes", date=label))
+
+
 def cmd_graph(config: RunConfig) -> int:
     for date in config.dates:
         label = date.label
         resolved_path = config.path("resolvedredirects", date=label)
         links_path = config.path("wikilinksnapshot", date=label)
-        for needed in (resolved_path, links_path):
-            if not needed.is_file():
-                _event("missing-input", path=str(needed), detail="run snapshot first")
-                return EXIT_USAGE
+        if _missing_input("run snapshot first", resolved_path, links_path):
+            return EXIT_USAGE
         resolved = snapshot.read_resolved_redirects(resolved_path)
         links = snapshot.read_snapshot_links(links_path)
         edges, nodes = graph.build_graph(
             links, resolved, drop_self_loops=config.drop_self_loops
         )
-        edge_count = graph.emit_edges(edges, config.path("wikilinkgraph", date=label))
-        node_count = graph.emit_nodes(nodes, config.path("wikilinkgraph.nodes", date=label))
+        edge_path, node_path = _graph_paths(config, label)
+        edge_count = graph.emit_edges(edges, edge_path)
+        node_count = graph.emit_nodes(nodes, node_path)
         _event("graph-done", date=label, nodes=node_count, edges=edge_count)
     return EXIT_OK
-
-
-def _graph_paths(config: RunConfig, label: str) -> tuple[Path, Path] | None:
-    """The edge and node files of one date, or ``None`` after a
-    ``missing-input`` event when either is absent."""
-    edge_path = config.path("wikilinkgraph", date=label)
-    node_path = config.path("wikilinkgraph.nodes", date=label)
-    for needed in (edge_path, node_path):
-        if not needed.is_file():
-            _event("missing-input", path=str(needed), detail="run graph first")
-            return None
-    return edge_path, node_path
 
 
 def cmd_pagerank(config: RunConfig, args: argparse.Namespace) -> int:
@@ -352,7 +337,7 @@ def cmd_pagerank(config: RunConfig, args: argparse.Namespace) -> int:
     for date in config.dates:
         label = date.label
         paths = _graph_paths(config, label)
-        if paths is None:
+        if _missing_input("run graph first", *paths):
             return EXIT_USAGE
         edges, nodes = analytics.load_graph_file(*paths)
         result = analytics.pagerank(
@@ -381,7 +366,7 @@ def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
     for date in config.dates:
         label = date.label
         paths = _graph_paths(config, label)
-        if paths is None:
+        if _missing_input("run graph first", *paths):
             return EXIT_USAGE
         stats = analytics.compute_stats(*paths, language=config.language, date=label)
         collected.append(stats)
@@ -394,9 +379,8 @@ def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_verify(config: RunConfig) -> int:
     failures = 0
     checked = 0
-    markers = sorted(config.output_dir.glob(f"*{PARTIAL_SUFFIX}"))
-    for marker in markers:
-        _event("verify-partial-output", path=str(marker))
+    for partial in sorted(config.output_dir.glob(f"*{PARTIAL_SUFFIX}")):
+        _event("verify-partial-output", path=str(partial))
         failures += 1
     for sidecar in sorted(config.output_dir.glob(f"*{CHECKSUM_SUFFIX}")):
         target = Path(str(sidecar)[: -len(CHECKSUM_SUFFIX)])
@@ -428,6 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--date",
                 action="append",
+                type=SnapshotDate.of,
                 metavar="YYYY-MM-DD",
                 help="snapshot date, repeatable (default: every March 1st 2001-2018)",
             )
@@ -508,8 +493,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         _event("fatal", detail=str(err))
         return EXIT_FATAL
-    except (EOFError, zlib.error, csv.Error) as err:
-        # A truncated or corrupt dataset file.
+    except (EOFError, zlib.error, csv.Error, ValueError) as err:
+        # A truncated or corrupt dataset file, or a value in it that does not parse.
         _event("fatal", detail=f"{type(err).__name__}: {err}")
         return EXIT_FATAL
     return EXIT_OK

@@ -144,8 +144,8 @@ def extract_all(
     per-revision redirect history goes to ``redirect_sink`` in the same
     pass. Pages are written in input order, each page's rows in
     sort-key order; ``summary.ascending`` tells whether that made the whole
-    output sorted. If a sink write fails, the writer's .partial marker is
-    left in place and the error propagates.
+    output sorted. If a sink write fails, both writers are aborted, their
+    rows left in ``.partial`` files, and the error propagates.
     """
     summary = RunSummary()
     last_page_id = None

@@ -1,5 +1,10 @@
-"""File plumbing shared by every stage: compressed input streams, gzip CSV
-dataset files with SHA-256 sidecars, and crash markers for partial output.
+"""File plumbing shared by every stage: compressed input streams and gzip
+CSV dataset files with SHA-256 sidecars.
+
+Every dataset file is built under ``<name>.partial`` and renamed to
+``<name>`` only once it is complete, so a final name never holds a
+half-written file; a ``.partial`` file that outlives a run marks the final
+name as stale.
 
 All dataset files are UTF-8 CSV (RFC 4180 quoting, LF line endings), gzipped
 when the path ends in ``.gz``. Gzip members are written at the fixed
@@ -14,6 +19,7 @@ import csv
 import gzip
 import hashlib
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -156,29 +162,25 @@ class _HashingWriter(io.RawIOBase):
 class DatasetWriter:
     """CSV writer for one dataset file.
 
-    Creates a ``<path>.partial`` marker at open and removes it only after a
-    clean close, so interrupted runs are detectable. On close a ``.sha256``
-    sidecar is written from the bytes that actually hit the disk, and their
-    digest is kept in :attr:`sha256` either way. Passing ``"-"`` as the path
+    Rows go to ``<path>.partial``. :meth:`close` finishes the file, keeps the
+    digest of the bytes that hit the disk in :attr:`sha256`, writes the
+    ``.sha256`` sidecar and only then renames the file to ``<path>``, so the
+    final name only ever holds a complete file. Passing ``"-"`` as the path
     writes plain CSV to standard output instead.
     """
 
-    def __init__(self, path: str | Path, header: Sequence[str], *, sidecar: bool = True):
+    def __init__(self, path: str | Path, header: Sequence[str]):
         self.rows_written = 0
         self.sha256: str | None = None
         self._header = list(header)
-        self._sidecar = sidecar
         self._stdout = str(path) == "-"
         if self._stdout:
             self._csv = csv.writer(sys.stdout, lineterminator="\n")
             self._csv.writerow(self._header)
             return
         self.path = Path(path)
-        self._marker = partial_path(path)
-        if sidecar:
-            self._marker.touch()
         self._digest = hashlib.sha256()
-        self._raw = open(self.path, "wb")
+        self._raw = open(partial_path(path), "wb")
         sink = _HashingWriter(self._raw, self._digest)
         self._zip = None
         if self.path.suffix == ".gz":
@@ -201,28 +203,27 @@ class DatasetWriter:
             self.write_row(row)
 
     def close(self) -> None:
+        """Publish the file under its final name; does nothing after :meth:`abort`."""
         if self._stdout:
             sys.stdout.flush()
             return
-        # Detach before closing the gzip member: closing the wrapper would
-        # close the member before the trailer had a chance to be written.
-        self._text.flush()
-        self._text.detach()
-        if self._zip is not None:
-            self._zip.close()
-        self._raw.close()
+        if self._raw.closed:
+            return
+        self.abort()  # finishes the gzip member and closes the file
         self.sha256 = self._digest.hexdigest()
-        if self._sidecar:
-            write_checksum(self.path, self.sha256)
-            self._marker.unlink(missing_ok=True)
+        write_checksum(self.path, self.sha256)
+        os.replace(partial_path(self.path), self.path)
 
     def abort(self) -> None:
-        """Close file handles but keep the .partial marker; no checksum.
+        """Close the file handles and leave the rows in ``.partial``, with no
+        sidecar.
 
         Safe to call again, or after close.
         """
         if self._stdout or self._raw.closed:
             return
+        # Detach before closing the gzip member: closing the wrapper would
+        # close the member before the trailer had a chance to be written.
         try:
             self._text.flush()
             self._text.detach()
@@ -246,13 +247,14 @@ def iter_rows(
 ) -> Iterator[list[str]]:
     """Yield data rows of a dataset file, validating the header if given.
 
-    A file whose ``.partial`` marker is still present was left half-written
-    by a failed run, and a row whose column count differs from the
-    header's is malformed; both are refused with :class:`DataFormatError`.
+    A file whose ``.partial`` file is still present is stale, because the
+    last run that rebuilt it failed, and a row whose column count differs
+    from the header's is malformed; both are refused with
+    :class:`DataFormatError`.
     """
     if partial_path(path).exists():
         raise DataFormatError(
-            f"{path}: left incomplete by a failed run ({PARTIAL_SUFFIX} marker present)"
+            f"{path}: stale, the run that rebuilt it failed and left {partial_path(path).name}"
         )
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rt", encoding="utf-8", newline="") as f:

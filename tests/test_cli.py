@@ -238,15 +238,45 @@ class TestSnapshotAndGraph:
         self, out_dir, minidump_path, tmp_path, capsys
     ):
         assert cli.main(["extract", *base_args(out_dir), str(minidump_path)]) == 0
+        first = {name: (out_dir / name).read_bytes() for name in SHARDS}
         bad = tmp_path / "bad.xml"
         bad.write_bytes(minidump_path.read_bytes()[:2000])
         assert cli.main(["extract", *base_args(out_dir), str(bad)]) == 1
-        # The earlier manifest still names the now half-written shards.
+        # The final names keep the first run's complete shards; the failed
+        # run's rows are only in the .partial files.
+        for name, data in first.items():
+            assert (out_dir / name).read_bytes() == data, name
+            assert verify_checksum(out_dir / name), name
+            assert (out_dir / f"{name}.partial").exists(), name
+        # The earlier manifest still names the shards, now stale.
         capsys.readouterr()
         assert cli.main(["snapshot", *base_args(out_dir), *date_args()]) == 1
         events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert [e["event"] for e in events] == ["fatal"]
         assert ".partial" in events[0]["detail"]
+        assert cli.main(["verify", *base_args(out_dir)]) == 1
+
+    def test_failed_resort_leaves_no_shard_under_the_final_name(
+        self, out_dir, tmp_path, capsys, monkeypatch
+    ):
+        (good,) = _write_dumps(tmp_path, IN_ORDER_PAGES)
+        assert cli.main(["extract", *base_args(out_dir), good]) == 0
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_sort_into", fail)
+        shuffled = tmp_path / "shuffled.xml"
+        shuffled.write_bytes(dump_bytes(*SHUFFLED_PAGES))
+        assert cli.main(["extract", *base_args(out_dir), str(shuffled)]) == 1
+        raw = out_dir / SHARDS[0]
+        assert not raw.exists()
+        assert not [p.name for p in out_dir.iterdir() if "unsorted" in p.name]
+        capsys.readouterr()
+        assert cli.main(["snapshot", *base_args(out_dir), *date_args()]) == 2
+        (event,) = stderr_events(capsys)
+        assert event["event"] == "missing-input"
+        assert event["paths"] == [str(raw)]
 
     def _refuse_snapshot(self, tmp_path, capsys, *shards) -> str:
         """Extract ``shards`` as dump files, then expect snapshot to refuse them
@@ -282,6 +312,25 @@ class TestSnapshotAndGraph:
         again = page_xml("Alpha", 2, [_rev(21, "2016-06-01T00:00:00Z", "x")])
         detail = self._refuse_snapshot(tmp_path, capsys, [alpha], [again])
         assert "title 'Alpha' is held by more than one page id" in detail
+
+    @pytest.mark.parametrize("stage, name, row, corrupt, error", [
+        ("graph", "resolvedredirects.2018-03-01", 3, lambda line: b"x" + line, "ValueError"),
+        ("snapshot", "redirecthistory.0000", 2, lambda line: b"x" + line, "ValueError"),
+        ("graph", "wikilinksnapshot.2018-03-01", 3,
+         lambda line: line.replace(b",", b"\xff,", 1), "UnicodeDecodeError"),
+    ], ids=["resolvedredirects-id", "redirecthistory-id", "wikilinksnapshot-byte"])
+    def test_corrupt_value_is_fatal(self, out_dir, capsys, stage, name, row, corrupt, error):
+        run_pipeline(out_dir, dates=("2018-03-01",))
+        path = out_dir / f"enwiki.{name}.csv.gz"
+        lines = gzip.open(path, "rb").read().splitlines(keepends=True)
+        lines[row - 1] = corrupt(lines[row - 1])
+        with gzip.open(path, "wb") as f:
+            f.writelines(lines)
+        capsys.readouterr()
+        assert cli.main([stage, *base_args(out_dir), "--date", "2018-03-01"]) == 1
+        (event,) = stderr_events(capsys)
+        assert event["event"] == "fatal"
+        assert event["detail"].startswith(error + ":")
 
     def test_graph_requires_snapshot(self, out_dir, minidump_path):
         assert cli.main(["extract", *base_args(out_dir), str(minidump_path)]) == 0
@@ -815,6 +864,12 @@ class TestVerify:
 class TestUsage:
     def test_no_arguments_is_usage_error(self):
         assert cli.main([]) == 2
+
+    @pytest.mark.parametrize("stage", ["snapshot", "graph"])
+    def test_bad_date_is_usage_error(self, out_dir, capsys, stage):
+        assert cli.main([stage, *base_args(out_dir), "--date", "2018-13-01"]) == 2
+        assert "--date" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
 
     def test_unknown_codec_rejected_by_parser(self, out_dir, minidump_path):
         rc = cli.main(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gzip
 import random
 
 import pytest
@@ -76,6 +77,30 @@ class TestDatasetWriter:
         writer.write_row(("1",))
         writer.close()
         assert not marker.exists()
+        assert writer.sha256 == sha256_of(path)
+
+    def test_final_name_is_empty_until_close(self, tmp_path):
+        path = tmp_path / "data.csv.gz"
+        writer = DatasetWriter(path, ("a",))
+        writer.write_rows([("1",), ("2",)])
+        assert not path.exists() and not checksum_path(path).exists()
+        writer.close()
+        assert list(iter_rows(path, ("a",))) == [["1"], ["2"]]
+        assert verify_checksum(path)
+
+    def test_failed_rebuild_keeps_the_complete_file(self, tmp_path):
+        path = tmp_path / "data.csv.gz"
+        with DatasetWriter(path, ("a",)) as writer:
+            writer.write_row(("old",))
+        published = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            with DatasetWriter(path, ("a",)) as writer:
+                writer.write_row(("new",))
+                raise RuntimeError("simulated crash")
+        writer.close()  # does nothing after the abort
+        assert path.read_bytes() == published and verify_checksum(path)
+        with pytest.raises(DataFormatError, match="partial"):
+            list(iter_rows(path, ("a",)))
 
     def test_abort_leaves_marker_and_no_checksum(self, tmp_path):
         path = tmp_path / "data.csv.gz"
@@ -96,30 +121,18 @@ class TestDatasetWriter:
         closed.abort()
         assert verify_checksum(tmp_path / "done.csv.gz")
 
-    def test_sha256_kept_without_sidecar(self, tmp_path):
-        path = tmp_path / "data.csv.gz"
-        with DatasetWriter(path, ("a",), sidecar=False) as writer:
-            writer.write_row(("1",))
-        assert writer.sha256 == sha256_of(path)
-
     def test_half_written_file_is_refused(self, tmp_path):
         path = tmp_path / "data.csv.gz"
         with pytest.raises(RuntimeError):
             with DatasetWriter(path, ("a",)) as writer:
                 writer.write_row(("1",))
                 raise RuntimeError("simulated crash")
-        # The aborted file is a valid gzip; only its marker tells it apart.
         with pytest.raises(DataFormatError, match="partial"):
             list(iter_rows(path, ("a",)))
-        (tmp_path / "data.csv.gz.partial").unlink()
-        assert list(iter_rows(path, ("a",))) == [["1"]]
-
-    def test_no_sidecar_mode(self, tmp_path):
-        path = tmp_path / "tmp.csv"
-        with DatasetWriter(path, ("a",), sidecar=False) as writer:
-            writer.write_row(("1",))
-        assert not checksum_path(path).exists()
-        assert not (tmp_path / "tmp.csv.partial").exists()
+        # The aborted rows stay in the .partial file; the final name holds nothing.
+        assert not path.exists()
+        with gzip.open(tmp_path / "data.csv.gz.partial", "rt", encoding="utf-8") as f:
+            assert f.read() == "a\n1\n"
 
     def test_stdout_mode(self, capsys):
         writer = DatasetWriter("-", ("a", "b"))
