@@ -13,19 +13,21 @@ Pipeline stages (each also available as a CLI subcommand):
               and per title;
 3. graph    - resolve and deduplicate the active links of each date's
               snapshot rows into an edge list;
-4. analytics - node/edge counts, growth series, PageRank rankings.
+4. analytics - node/edge counts, growth series, PageRank rankings; import
+              ``wikilinks.analytics`` for these, since only the ``stats``
+              and ``pagerank`` stages load it.
+
+Links and redirects leave the wikitext scanner as the string columns that
+extract writes (see :func:`extract_links` and :func:`detect_redirect`).
 """
 
-from .analytics import GraphStats, PageRankResult, RankedArticle, pagerank
-from .dump import PageHistory, PageMeta, Revision, filter_namespace, open_dump
+from .dump import PageHistory, Revision, filter_namespace, open_dump
 from .errors import ConfigurationError, DataFormatError, DumpFormatError
 from .graph import build_graph, emit_edges
 from .pipeline import RunSummary, extract_all
 from .snapshot import SnapshotDate, build_link_snapshot, select_snapshot_revisions
 from .wikitext import (
-    ExtractedLink,
     LanguageProfile,
-    RedirectDecl,
     detect_redirect,
     extract_links,
     get_profile,
@@ -39,14 +41,8 @@ __all__ = [
     "ConfigurationError",
     "DataFormatError",
     "DumpFormatError",
-    "ExtractedLink",
-    "GraphStats",
     "LanguageProfile",
     "PageHistory",
-    "PageMeta",
-    "PageRankResult",
-    "RankedArticle",
-    "RedirectDecl",
     "Revision",
     "RunSummary",
     "SnapshotDate",
@@ -60,7 +56,6 @@ __all__ = [
     "get_profile",
     "normalize_title",
     "open_dump",
-    "pagerank",
     "section_scan",
     "select_snapshot_revisions",
 ]

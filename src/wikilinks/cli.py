@@ -22,7 +22,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import analytics, graph, pipeline, snapshot
+from . import graph, pipeline, snapshot
 from .dump import filter_namespace, open_dump
 from .errors import ConfigurationError, DataFormatError, DumpFormatError
 from .extsort import external_sort
@@ -331,6 +331,7 @@ def cmd_graph(config: RunConfig) -> int:
 
 
 def cmd_pagerank(config: RunConfig, args: argparse.Namespace) -> int:
+    from . import analytics  # only stats and pagerank load it
     if args.output and len(config.dates) > 1:
         raise ConfigurationError("--output needs exactly one --date")
     analytics.check_pagerank_options(args.damping, args.tolerance, args.max_iter)
@@ -362,6 +363,7 @@ def cmd_pagerank(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
+    from . import analytics  # only stats and pagerank load it
     collected = []
     for date in config.dates:
         label = date.label
@@ -405,6 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def date(value: str) -> SnapshotDate:
+        # argparse names a bad value by its type's __name__: "invalid date value".
+        return SnapshotDate.of(value)
+
     def common(p: argparse.ArgumentParser, dates: bool = True) -> None:
         p.add_argument("--lang", required=True, help="language code, e.g. en")
         p.add_argument("--output-dir", required=True, help="directory for datasets")
@@ -412,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--date",
                 action="append",
-                type=SnapshotDate.of,
+                type=date,
                 metavar="YYYY-MM-DD",
                 help="snapshot date, repeatable (default: every March 1st 2001-2018)",
             )

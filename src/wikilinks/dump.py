@@ -27,13 +27,6 @@ USER_ANONYMOUS = "anonymous"
 
 
 @dataclass(frozen=True, slots=True)
-class PageMeta:
-    page_id: int
-    title: str
-    namespace: int
-
-
-@dataclass(frozen=True, slots=True)
 class Revision:
     revision_id: int
     parent_id: int | None
@@ -47,7 +40,9 @@ class Revision:
 
 @dataclass(frozen=True, slots=True)
 class PageHistory:
-    meta: PageMeta
+    page_id: int
+    title: str
+    namespace: int
     revisions: tuple[Revision, ...]
 
 
@@ -180,9 +175,10 @@ def _parse_page(elem: ET.Element, issue) -> PageHistory:
     if page_id is None:
         raise _PageSkip(f"page {title!r} without id")
     ns = _text(_find(elem, "ns"))
-    meta = PageMeta(int(page_id), title.strip(), int(ns) if ns is not None else 0)
+    page_id, title = int(page_id), title.strip()
+    namespace = int(ns) if ns is not None else 0
     revisions = [
-        _parse_revision(child, issue, meta.page_id, meta.title)
+        _parse_revision(child, issue, page_id, title)
         for child in elem
         if _local(child.tag) == "revision"
     ]
@@ -190,7 +186,7 @@ def _parse_page(elem: ET.Element, issue) -> PageHistory:
     # the oldest histories, so parent ids are ignored; a total temporal
     # order is what snapshot selection needs.
     revisions.sort(key=lambda r: (r.timestamp, r.revision_id))
-    return PageHistory(meta, tuple(revisions))
+    return PageHistory(page_id, title, namespace, tuple(revisions))
 
 
 def read_pages(
@@ -255,4 +251,4 @@ def open_dump(
 
 def filter_namespace(pages: Iterable[PageHistory], namespace: int) -> Iterator[PageHistory]:
     """Keep only pages in the given namespace (0 = encyclopedia articles)."""
-    return (page for page in pages if page.meta.namespace == namespace)
+    return (page for page in pages if page.namespace == namespace)

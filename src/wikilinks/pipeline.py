@@ -86,8 +86,8 @@ def _page_rows(
     """
     raw_rows: list[tuple[str, ...]] = []
     redirect_rows: list[tuple[str, ...]] = []
-    page_id = str(page.meta.page_id)
-    title = page.meta.title
+    page_id = str(page.page_id)
+    title = page.title
     for rev in page.revisions:
         # Blank once so link extraction and redirect detection see the same text.
         text = blank_inert_spans(rev.wikitext) if strip_inert_spans else rev.wikitext
@@ -104,29 +104,10 @@ def _page_rows(
             "" if rev.user_id is None else str(rev.user_id),
             "1" if rev.minor else "0",
         )
-        raw_rows.extend(
-            prefix
-            + (
-                link.link,
-                link.tosection or "",
-                link.anchor or "",
-                link.section_name,
-                str(link.section_level),
-                str(link.section_number),
-            )
-            for link in extract_links(text)
-        )
-        decl = detect_redirect(text, profile, diagnostics)
-        redirect_rows.append(
-            (
-                page_id,
-                title,
-                revision_id,
-                rev.timestamp,
-                (decl.target or "") if decl else "",
-                (decl.tosection or "") if decl else "",
-            )
-        )
+        # Each link's six columns complete its row.
+        raw_rows.extend(prefix + link for link in extract_links(text))
+        redirect = detect_redirect(text, profile, diagnostics) or ("", "")
+        redirect_rows.append((page_id, title, revision_id, rev.timestamp, *redirect))
     return raw_rows, redirect_rows
 
 
@@ -153,7 +134,7 @@ def extract_all(
         raw_rows, redirect_rows = _page_rows(
             page, profile, strip_inert_spans, summary.diagnostics
         )
-        page_id = page.meta.page_id
+        page_id = page.page_id
         if last_page_id is not None and page_id <= last_page_id:
             summary.ascending = False
         last_page_id = page_id

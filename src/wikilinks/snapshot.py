@@ -132,6 +132,10 @@ class Selection:
         last one, so each date only replaces the pages whose selected
         revision starts there. A title names one page id (selection refuses
         anything else), so keying by title loses nothing.
+
+        Every date gets the same live dict, updated in place: it holds a
+        date's state only until the next date is drawn, so a caller that
+        keeps a state copies it.
         """
         starting: list[list[tuple[str, PageState]]] = [[] for _ in range(self.date_count)]
         for (page_id, _), (start, _, title, target, fragment) in self.revisions.items():
@@ -139,7 +143,7 @@ class Selection:
         state: dict[str, PageState] = {}
         for pages in starting:
             state.update(pages)
-            yield dict(state)
+            yield state
 
 
 def select_snapshot_revisions(

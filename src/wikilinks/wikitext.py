@@ -13,6 +13,11 @@ byte for byte but runs in time linear in the input, including on adversarial
 inputs such as megabyte-long bracket runs. :data:`LINK_RE` is kept as the
 executable statement of the grammar and as a cross-check for tests.
 
+Links and redirects come back as the string columns extract writes: a link
+is a 6-tuple ``(link, tosection, anchor, section_name, section_level,
+section_number)`` and a redirect a ``(target, tosection)`` pair, with ``""``
+for an absent fragment or anchor.
+
 All functions here are pure and safe to call concurrently.
 """
 
@@ -48,25 +53,8 @@ _TARGET_EXCLUDED = "\n|][<>{}"
 _TARGET_RUN = re.compile(r"[^\n\|\]\[\<\>\{\}]{0,256}")
 _BRACKET_RUN = re.compile(r"\[+")
 
-
-@dataclass(frozen=True, slots=True)
-class ExtractedLink:
-    """One wikilink occurrence with the coordinates of its enclosing section."""
-
-    link: str
-    tosection: str | None
-    anchor: str | None
-    section_name: str
-    section_level: int
-    section_number: int
-
-
-@dataclass(frozen=True, slots=True)
-class RedirectDecl:
-    """Redirect directive found at the very top of a page's wikitext."""
-
-    target: str
-    tosection: str | None
+# The link columns of a raw link row, as extract_links returns them.
+LinkRow = tuple[str, str, str, str, str, str]
 
 
 @dataclass(slots=True)
@@ -202,26 +190,30 @@ def blank_inert_spans(text: str) -> str:
     return _INERT_SPAN_RE.sub(blank, text)
 
 
-def extract_links(wikitext: str) -> list[ExtractedLink]:
-    """Extract every wikilink of ``wikitext`` in document order.
+def extract_links(wikitext: str) -> list[LinkRow]:
+    """Every wikilink of ``wikitext`` in document order, as link columns.
 
-    Links are reported even when their target page does not exist (red
-    links), and regardless of surrounding markup; to suppress links inside
-    HTML comments and <nowiki> spans, pass the text through
-    :func:`blank_inert_spans` first.
+    Each link is ``(link, tosection, anchor, section_name, section_level,
+    section_number)``: the target split at its first ``#``, the anchor, and
+    the enclosing section's name, level and number, all strings, with
+    ``""`` for an absent fragment or anchor. Links are reported even when
+    their target page does not exist (red links), and regardless of
+    surrounding markup; to suppress links inside HTML comments and <nowiki>
+    spans, pass the text through :func:`blank_inert_spans` first.
     """
     sections = section_scan(wikitext)
-    links: list[ExtractedLink] = []
+    # Each section's three columns are built once, shared by its links.
+    columns = [(s.name, str(s.level), str(s.number)) for s in sections]
+    starts = [s.start for s in sections]
+    last = len(sections) - 1
+    rows: list[LinkRow] = []
     si = 0
     for start, _end, target, anchor in scan_links(wikitext):
-        while si + 1 < len(sections) and sections[si + 1].start <= start:
+        while si < last and starts[si + 1] <= start:
             si += 1
-        sec = sections[si]
-        link, tosection = split_fragment(target)
-        links.append(
-            ExtractedLink(link, tosection, anchor, sec.name, sec.level, sec.number)
-        )
-    return links
+        link, _, tosection = target.partition("#")
+        rows.append((link, tosection, anchor or "") + columns[si])
+    return rows
 
 
 # Redirect keywords per language edition. #REDIRECT works everywhere, so the
@@ -291,13 +283,14 @@ def detect_redirect(
     wikitext: str,
     profile: LanguageProfile,
     diagnostics: Counter | None = None,
-) -> RedirectDecl | None:
-    """Return the redirect declaration if ``wikitext`` is a redirect page.
+) -> tuple[str, str] | None:
+    """``(target, tosection)`` if ``wikitext`` is a redirect page, else None.
 
-    A page is a redirect iff its first non-whitespace token is one of the
-    profile's keywords (case-insensitive), followed by an optional colon and
-    a ``[[target]]`` link. A keyword without a parsable target is not a
-    redirect; it is tallied in ``diagnostics`` if given.
+    The target is split at its first ``#``; ``tosection`` is ``""`` without
+    a fragment. A page is a redirect iff its first non-whitespace token is
+    one of the profile's keywords (case-insensitive), followed by an
+    optional colon and a ``[[target]]`` link. A keyword without a parsable
+    target is not a redirect; it is tallied in ``diagnostics`` if given.
     """
     start = len(wikitext) - len(wikitext.lstrip(_LEADING_WHITESPACE))
     keyword_seen = False
@@ -313,8 +306,8 @@ def detect_redirect(
         if hit is None:
             continue
         target, _anchor, _end = hit
-        link, tosection = split_fragment(target)
-        return RedirectDecl(link, tosection)
+        link, _, tosection = target.partition("#")
+        return link, tosection
     if keyword_seen and diagnostics is not None:
         diagnostics["redirect-keyword-without-target"] += 1
     return None

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from wikilinks import cli, graph, snapshot
+from wikilinks import cli, dump, graph, pipeline, snapshot
 from wikilinks.storage import iter_rows, sha256_of, verify_checksum
 
 from conftest import FIXTURE_DATES, GOLDEN_DIR, run_pipeline
@@ -410,9 +410,59 @@ def traced_names(module: str) -> set[str]:
     }
 
 
+def rebound_names(module: str) -> set[str]:
+    """The names the tracer rebinds in ``module`` with ``rebind([...], name, ...)``."""
+    tree = ast.parse(TRACED_STAGE.read_text(encoding="utf-8"))
+    return {
+        node.args[1].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "rebind"
+        and isinstance(node.args[0], ast.List)
+        and any(isinstance(m, ast.Name) and m.id == module for m in node.args[0].elts)
+    }
+
+
 class TestTracedNames:
-    """Every snapshot and graph function the benchmark tracer wraps must be
-    one the stages call, or its spans and counts read 0."""
+    """Every extract, snapshot and graph function the benchmark tracer wraps
+    must be one the stages call, or its spans and counts read 0."""
+
+    def test_every_traced_extract_name_is_called(self, out_dir, minidump_path, monkeypatch):
+        assert "read_pages" in traced_names("dump")
+        assert {"extract_links", "detect_redirect"} <= rebound_names("pipeline")
+        calls = {"extract_links": [], "detect_redirect": [], "read_pages": []}
+
+        def record(module, name):
+            fn = getattr(module, name)
+
+            @functools.wraps(fn)
+            def recorded(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                calls[name].append(result)
+                return result
+
+            monkeypatch.setattr(module, name, recorded)
+
+        record(pipeline, "extract_links")
+        record(pipeline, "detect_redirect")
+        read_pages = dump.read_pages
+
+        def pages(*args, **kwargs):
+            # The tracer counts dump.revisions by the len() of each page's revisions.
+            for page in read_pages(*args, **kwargs):
+                calls["read_pages"].append((page.namespace, len(page.revisions)))
+                yield page
+
+        monkeypatch.setattr(dump, "read_pages", pages)
+
+        assert cli.main(["extract", *base_args(out_dir), str(minidump_path)]) == 0
+        manifest = json.loads((out_dir / "enwiki.extract.manifest.json").read_text())
+        assert all(calls.values())
+        # The tracer counts wikitext.links by the len() of each extract_links result.
+        assert sum(len(links) for links in calls["extract_links"]) == manifest["links"] > 0
+        assert len(calls["detect_redirect"]) == manifest["revisions"]
+        assert sum(n for ns, n in calls["read_pages"] if ns == 0) == manifest["revisions"]
 
     def test_every_traced_name_is_called(self, out_dir, minidump_path, monkeypatch, capsys):
         results: dict[str, list] = {}
@@ -790,7 +840,7 @@ class TestConsoleScript:
         code = (
             "import sys, wikilinks.cli, wikilinks\n"
             "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
-            "print(wikilinks.pagerank.__module__)\n"
+            "print('wikilinks.analytics' in sys.modules)\n"
         )
         src = str(Path(cli.__file__).resolve().parents[1])
         result = subprocess.run(
@@ -798,7 +848,7 @@ class TestConsoleScript:
             env={"PYTHONPATH": src, "PATH": ""},
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == ["[]", "wikilinks.analytics"]
+        assert result.stdout.splitlines() == ["[]", "False"]
 
     def test_stats_leaves_numpy_and_scipy_unloaded(self, out_dir):
         import subprocess
@@ -868,7 +918,9 @@ class TestUsage:
     @pytest.mark.parametrize("stage", ["snapshot", "graph"])
     def test_bad_date_is_usage_error(self, out_dir, capsys, stage):
         assert cli.main([stage, *base_args(out_dir), "--date", "2018-13-01"]) == 2
-        assert "--date" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--date" in err
+        assert "invalid date value" in err
         assert list(out_dir.iterdir()) == []
 
     def test_unknown_codec_rejected_by_parser(self, out_dir, minidump_path):

@@ -60,9 +60,9 @@ BASIC_REV = {"id": 11, "timestamp": "2016-01-01T00:00:00Z", "text": "hello [[Wor
 class TestReadPages:
     def test_single_page_single_revision(self):
         (page,) = read_all(dump_bytes(page_xml("A", 1, [BASIC_REV])))
-        assert page.meta.page_id == 1
-        assert page.meta.title == "A"
-        assert page.meta.namespace == 0
+        assert page.page_id == 1
+        assert page.title == "A"
+        assert page.namespace == 0
         (rev,) = page.revisions
         assert rev.revision_id == 11
         assert rev.parent_id is None
@@ -106,13 +106,13 @@ class TestReadPages:
         issues: list[PageIssue] = []
         bad = page_xml("A", 1, [dict(BASIC_REV, timestamp=stamp)])
         pages = read_all(dump_bytes(bad, page_xml("B", 2, [BASIC_REV])), on_issue=issues.append)
-        assert [p.meta.title for p in pages] == ["B"]
+        assert [p.title for p in pages] == ["B"]
         assert [i.kind for i in issues] == ["page-skipped"]
         assert "unparsable timestamp" in issues[0].detail
 
     def test_non_article_namespace_passes_through(self):
         (page,) = read_all(dump_bytes(page_xml("Talk:A", 2, [BASIC_REV], ns=1)))
-        assert page.meta.namespace == 1  # filtering is the caller's job
+        assert page.namespace == 1  # filtering is the caller's job
 
     def test_anonymous_contributor(self):
         rev = dict(BASIC_REV, ip="192.0.2.1")
@@ -145,7 +145,7 @@ class TestReadPages:
         bad = "<page><ns>0</ns><id>7</id><revision><id>1</id><timestamp>2016-01-01T00:00:00Z</timestamp><text>x</text></revision></page>"
         issues: list[PageIssue] = []
         pages = read_all(dump_bytes(bad, page_xml("B", 2, [BASIC_REV])), on_issue=issues.append)
-        assert [p.meta.title for p in pages] == ["B"]
+        assert [p.title for p in pages] == ["B"]
         assert [i.kind for i in issues] == ["page-skipped"]
 
     def test_revision_without_timestamp_skips_page(self):
@@ -173,7 +173,7 @@ class TestReadPages:
     def test_no_namespace_prefix_tolerated(self):
         plain = "<mediawiki>" + page_xml("A", 1, [BASIC_REV]) + "</mediawiki>"
         (page,) = read_all(plain.encode())
-        assert page.meta.title == "A"
+        assert page.title == "A"
 
 
 class TestOpenDump:
@@ -187,7 +187,7 @@ class TestOpenDump:
         return path
 
     def test_plain(self, xml_path):
-        assert [p.meta.title for p in open_dump(xml_path)] == ["A", "B"]
+        assert [p.title for p in open_dump(xml_path)] == ["A", "B"]
 
     def test_compressed_variants_equivalent(self, xml_path, tmp_path):
         data = xml_path.read_bytes()
@@ -205,7 +205,7 @@ class TestOpenDump:
         disguised = tmp_path / "dump.bin"
         with gzip.open(disguised, "wb") as f:
             f.write(xml_path.read_bytes())
-        assert [p.meta.title for p in open_dump(disguised, "gzip")] == ["A", "B"]
+        assert [p.title for p in open_dump(disguised, "gzip")] == ["A", "B"]
 
     def test_unknown_codec_is_configuration_error(self, xml_path):
         with pytest.raises(ConfigurationError, match="codec"):
@@ -213,7 +213,7 @@ class TestOpenDump:
 
     def test_7z_external_via_cat(self, xml_path):
         pages = open_dump(xml_path, "7z-external", sevenzip_command=("cat",))
-        assert [p.meta.title for p in pages] == ["A", "B"]
+        assert [p.title for p in pages] == ["A", "B"]
 
     def test_7z_external_failure_raises(self, xml_path):
         with pytest.raises(DumpFormatError, match="exited"):
@@ -260,7 +260,7 @@ class TestFilterNamespace:
             page_xml("Talk:A", 3, [dict(BASIC_REV, id=31)], ns=1),
             page_xml("Category:C", 4, [dict(BASIC_REV, id=41)], ns=14),
         ))
-        assert [p.meta.title for p in filter_namespace(pages, 0)] == ["A", "B"]
+        assert [p.title for p in filter_namespace(pages, 0)] == ["A", "B"]
 
     def test_empty_stream(self):
         assert list(filter_namespace([], 0)) == []

@@ -174,7 +174,7 @@ class TestSelectRevisions:
             event(2, "Q", 20, "2016-01-01"),
         ]
         selection = select_snapshot_revisions(sorted(events, key=redirect_sort_key), self.DATES)
-        states = list(selection.states())
+        states = [dict(state) for state in selection.states()]
         assert [len(state) for state in states] == [2, 2, 2]
         assert states[1] == {"P": (1, "Q", None), "Q": (2, None, None)}
         for state, date in zip(states, self.DATES):
@@ -182,7 +182,15 @@ class TestSelectRevisions:
 
     def test_a_state_for_every_date_when_nothing_is_selected(self):
         selection = select_snapshot_revisions([event(1, "P", 10, "2019-01-01")], self.DATES)
-        assert list(selection.states()) == [{}, {}, {}]
+        assert [dict(state) for state in selection.states()] == [{}, {}, {}]
+
+    def test_states_share_one_live_dict(self):
+        events = [event(1, "P", 10, "2015-01-01"), event(2, "Q", 20, "2016-06-01")]
+        states = select_snapshot_revisions(events, self.DATES).states()
+        first = next(states)
+        assert first == {"P": (1, None, None)}
+        assert next(states) is first
+        assert first == {"P": (1, None, None), "Q": (2, None, None)}
 
     def test_out_of_order_history_is_refused(self):
         events = [event(1, "P", 11, "2016-01-01"), event(1, "P", 10, "2015-01-01")]
@@ -286,7 +294,8 @@ class TestResolveChains:
         # Page 1 joins the state after page 2, at the second date.
         dates = [SnapshotDate.of("2016-03-01"), MARCH_2018]
         events = [event(1, "P", 10, "2017-01-01"), event(2, "Q", 20, "2016-01-01")]
-        states = list(select_snapshot_revisions(events, dates).states())
+        selection = select_snapshot_revisions(events, dates)
+        states = [dict(state) for state in selection.states()]
         assert list(states[1]) == ["Q", "P"]
         assert [row[0] for row in resolve_snapshot(states[1])] == ["1", "2"]
 

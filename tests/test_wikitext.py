@@ -18,6 +18,7 @@ from wikilinks.wikitext import (
     normalize_title,
     scan_links,
     section_scan,
+    split_fragment,
 )
 
 # Inputs that stress every branch of the link grammar.
@@ -87,6 +88,22 @@ def reference_matches(text: str):
     ]
 
 
+def reference_rows(text: str):
+    """Link rows of ``text`` built from LINK_RE and section_scan alone.
+
+    The target is split at its first ``#``, an absent fragment or anchor is
+    ``""``, and each link takes the section whose span holds its start.
+    """
+    sections = section_scan(text)
+    rows = []
+    for m in LINK_RE.finditer(text):
+        sec = next(s for s in sections if s.start <= m.start() < s.end)
+        link, tosection = split_fragment(m.group("link"))
+        rows.append((link, tosection or "", m.group("anchor") or "",
+                     sec.name, str(sec.level), str(sec.number)))
+    return rows
+
+
 def random_wikitext(rng: random.Random, max_len: int = 200) -> str:
     alphabet = "[]|#=<>{}\n abXYZ領é"
     weights = [14, 14, 8, 4, 4, 2, 2, 2, 2, 5, 8, 10, 6, 2, 2, 2, 1, 1]
@@ -95,16 +112,51 @@ def random_wikitext(rng: random.Random, max_len: int = 200) -> str:
     )
 
 
+def random_sectioned_wikitext(rng: random.Random, lines: int = 8) -> str:
+    """Random lines dense in link markup, about a third of them headers."""
+    out = []
+    for _ in range(rng.randrange(1, lines)):
+        body = "".join(
+            rng.choice(("[[", "]]", "|", "#", " ")) + random_wikitext(rng, 12)
+            for _ in range(rng.randrange(8))
+        ).replace("\n", " ")
+        if rng.random() < 0.35:
+            marks = "=" * rng.randrange(2, 8)
+            body = marks + body + marks
+        out.append(body)
+    return "\n".join(out)
+
+
 class TestScanLinks:
     @pytest.mark.parametrize("text", ADVERSARIAL, ids=range(len(ADVERSARIAL)))
     def test_matches_reference_engine_on_adversarial(self, text):
         assert scan_links(text) == reference_matches(text)
+        assert extract_links(text) == reference_rows(text)
 
     def test_matches_reference_engine_on_random_inputs(self):
         rng = random.Random(20180301)
         for _ in range(2000):
             text = random_wikitext(rng)
             assert scan_links(text) == reference_matches(text), repr(text)
+            assert extract_links(text) == reference_rows(text), repr(text)
+        for _ in range(2000):
+            text = random_sectioned_wikitext(rng)
+            assert scan_links(text) == reference_matches(text), repr(text)
+            assert extract_links(text) == reference_rows(text), repr(text)
+
+    @pytest.mark.parametrize(
+        "text,row",
+        [
+            ("[[A#]]", ("A", "", "", "", "0", "0")),
+            ("[[A|]]", ("A", "", "", "", "0", "0")),
+            ("[[#top]]", ("", "top", "", "", "0", "0")),
+            ("[[a#b#c]]", ("a", "b#c", "", "", "0", "0")),
+            ("x\n=== [[h|i]] ===\ny", ("h", "", "i", "[[h|i]]", "3", "1")),
+        ],
+    )
+    def test_rows_of_hand_cases(self, text, row):
+        assert reference_rows(text) == [row]
+        assert extract_links(text) == [row]
 
     def test_linear_time_on_bracket_flood(self):
         # Runtime on adversarial input must stay within 10x uniform text.
@@ -127,61 +179,54 @@ class TestScanLinks:
 
 class TestExtractLinks:
     def test_anchor(self):
-        (link,) = extract_links("[[New York City|The Big Apple]]")
-        assert link.link == "New York City"
-        assert link.anchor == "The Big Apple"
+        assert extract_links("[[New York City|The Big Apple]]") == [
+            ("New York City", "", "The Big Apple", "", "0", "0")
+        ]
 
     def test_plain_link(self):
-        (link,) = extract_links("[[NYC]]")
-        assert link.link == "NYC"
-        assert link.anchor is None
+        assert extract_links("[[NYC]]") == [("NYC", "", "", "", "0", "0")]
 
     def test_fragment_split_at_first_pound(self):
-        (link,) = extract_links("[[A#History|see]]")
-        assert (link.link, link.tosection, link.anchor) == ("A", "History", "see")
-        (link,) = extract_links("[[a#b#c]]")
-        assert (link.link, link.tosection) == ("a", "b#c")
+        assert extract_links("[[A#History|see]]") == [("A", "History", "see", "", "0", "0")]
+        assert extract_links("[[a#b#c]]") == [("a", "b#c", "", "", "0", "0")]
 
     def test_empty_target_is_still_a_match(self):
         # Oracle: the reference engine admits a zero-length target.
         assert reference_matches("[[]]") == [(0, 4, "", None)]
-        (link,) = extract_links("[[]]")
-        assert link.link == ""
+        assert extract_links("[[]]") == [("", "", "", "", "0", "0")]
 
     def test_anchor_admits_pipes(self):
         # Oracle: the reference engine puts everything after the first | in the anchor.
         assert reference_matches("[[a|b|c]]") == [(0, 9, "a", "b|c")]
-        (link,) = extract_links("[[a|b|c]]")
-        assert (link.link, link.anchor) == ("a", "b|c")
+        assert extract_links("[[a|b|c]]") == [("a", "", "b|c", "", "0", "0")]
 
     def test_red_links_are_reported(self):
-        assert [l.link for l in extract_links("[[No Such Page]]")] == ["No Such Page"]
+        assert [row[0] for row in extract_links("[[No Such Page]]")] == ["No Such Page"]
 
     def test_section_coordinates(self):
         text = "intro [[a]]\n== One ==\n[[b]]\n=== Two ===\n[[c]] [[d]]"
-        links = extract_links(text)
-        assert [(l.link, l.section_name, l.section_level, l.section_number) for l in links] == [
-            ("a", "", 0, 0),
-            ("b", "One", 2, 1),
-            ("c", "Two", 3, 2),
-            ("d", "Two", 3, 2),
+        assert [(row[0], *row[3:]) for row in extract_links(text)] == [
+            ("a", "", "0", "0"),
+            ("b", "One", "2", "1"),
+            ("c", "Two", "3", "2"),
+            ("d", "Two", "3", "2"),
         ]
 
     def test_section_numbers_non_decreasing(self):
         rng = random.Random(7)
         for _ in range(300):
             text = random_wikitext(rng, max_len=400)
-            numbers = [l.section_number for l in extract_links(text)]
+            numbers = [int(row[5]) for row in extract_links(text)]
             assert numbers == sorted(numbers)
 
     def test_link_in_header_line_belongs_to_that_section(self):
         links = extract_links("before\n== [[h]] ==\nafter")
-        assert [(l.link, l.section_number) for l in links] == [("h", 1)]
+        assert links == [("h", "", "", "[[h]]", "2", "1")]
 
     def test_strip_inert_spans(self):
         text = "[[keep]] <!-- [[gone]] --> <nowiki>[[gone2]]</nowiki> [[kept2]]"
-        assert [l.link for l in extract_links(text)] == ["keep", "gone", "gone2", "kept2"]
-        stripped = [l.link for l in extract_links(blank_inert_spans(text))]
+        assert [row[0] for row in extract_links(text)] == ["keep", "gone", "gone2", "kept2"]
+        stripped = [row[0] for row in extract_links(blank_inert_spans(text))]
         assert stripped == ["keep", "kept2"]
 
     def test_blanking_preserves_offsets_and_headers(self):
@@ -229,13 +274,11 @@ class TestSectionScan:
 
 class TestDetectRedirect:
     def test_english(self):
-        decl = detect_redirect("#REDIRECT [[New York City]]", get_profile("en"))
-        assert decl.target == "New York City"
-        assert decl.tosection is None
+        redirect = detect_redirect("#REDIRECT [[New York City]]", get_profile("en"))
+        assert redirect == ("New York City", "")
 
     def test_german(self):
-        decl = detect_redirect("#WEITERLEITUNG [[Berlin]]", get_profile("de"))
-        assert decl.target == "Berlin"
+        assert detect_redirect("#WEITERLEITUNG [[Berlin]]", get_profile("de")) == ("Berlin", "")
 
     @pytest.mark.parametrize(
         "language,keyword",
@@ -256,7 +299,7 @@ class TestDetectRedirect:
         ],
     )
     def test_language_keywords(self, language, keyword):
-        assert detect_redirect(f"{keyword} [[X]]", get_profile(language)).target == "X"
+        assert detect_redirect(f"{keyword} [[X]]", get_profile(language)) == ("X", "")
 
     @pytest.mark.parametrize("language", ["de", "en", "es", "fr", "it", "nl", "pl", "ru", "sv"])
     def test_redirect_keyword_valid_everywhere(self, language):
@@ -268,14 +311,14 @@ class TestDetectRedirect:
         assert detect_redirect("Some text #REDIRECT [[X]]", get_profile("en")) is None
 
     def test_case_insensitive_and_leading_whitespace(self):
-        assert detect_redirect("  \n#redirect [[x]]", get_profile("en")).target == "x"
+        assert detect_redirect("  \n#redirect [[x]]", get_profile("en")) == ("x", "")
 
     def test_optional_colon(self):
-        assert detect_redirect("#REDIRECT: [[X]]", get_profile("en")).target == "X"
+        assert detect_redirect("#REDIRECT: [[X]]", get_profile("en")) == ("X", "")
 
     def test_target_fragment(self):
-        decl = detect_redirect("#REDIRECT [[X#Sec]]", get_profile("en"))
-        assert (decl.target, decl.tosection) == ("X", "Sec")
+        assert detect_redirect("#REDIRECT [[X#Sec]]", get_profile("en")) == ("X", "Sec")
+        assert detect_redirect("#REDIRECT [[X#]]", get_profile("en")) == ("X", "")
 
     def test_keyword_without_target_counts_diagnostic(self):
         diagnostics = Counter()
@@ -288,18 +331,18 @@ class TestDetectRedirect:
 
     def test_russian_prefix_keyword_resolution(self):
         profile = get_profile("ru")
-        assert detect_redirect("#ПЕРЕНАПРАВЛЕНИЕ [[Москва]]", profile).target == "Москва"
-        assert detect_redirect("#ПЕРЕНАПР [[Москва]]", profile).target == "Москва"
+        assert detect_redirect("#ПЕРЕНАПРАВЛЕНИЕ [[Москва]]", profile) == ("Москва", "")
+        assert detect_redirect("#ПЕРЕНАПР [[Москва]]", profile) == ("Москва", "")
 
     def test_redirect_target_is_first_extracted_link(self):
         rng = random.Random(99)
         profile = get_profile("en")
         for _ in range(200):
             text = "#REDIRECT [[Target here]] " + random_wikitext(rng)
-            decl = detect_redirect(text, profile)
+            redirect = detect_redirect(text, profile)
             links = extract_links(text)
-            assert decl is not None
-            assert links[0].link == decl.target
+            assert redirect is not None
+            assert links[0][:2] == redirect
 
     def test_unknown_language_raises(self):
         with pytest.raises(ConfigurationError):
@@ -311,7 +354,7 @@ class TestProfiles:
         path = tmp_path / "profiles.json"
         path.write_text('{"eo": ["#ALIDIREKTU"]}', encoding="utf-8")
         profiles = load_profiles(path)
-        assert detect_redirect("#ALIDIREKTU [[X]]", profiles["eo"]).target == "X"
+        assert detect_redirect("#ALIDIREKTU [[X]]", profiles["eo"]) == ("X", "")
         # REDIRECT is valid on all languages, so it is always included.
         assert "#REDIRECT" in profiles["eo"].redirect_keywords
 
