@@ -1,8 +1,8 @@
 """Measurements over emitted graphs: counts, growth series, PageRank.
 
 Counting (:func:`compute_stats`, :func:`write_growth_series`) needs only the
-standard library; numpy and scipy are imported inside the functions that
-rank, so ``stats`` never loads them.
+standard library; numpy is imported inside the functions that rank, so
+``stats`` never loads it.
 
 :func:`load_graph_file` reads an edge file and its node file into arrays:
 the edges as an ``(m, 2)`` int64 array and the nodes as int64 ids plus a
@@ -13,10 +13,14 @@ PageRank is a matrix-free power iteration over the directed graph: each
 step spreads a node's mass uniformly over its out-links, redistributes the
 mass held by dangling nodes (out-degree 0) uniformly over all nodes, and
 mixes in a uniform teleport with weight ``1 - damping``. Scores therefore
-sum to 1 at every iteration. Node ids are mapped to matrix rows with a
-binary search over the sorted ids, and the sparse matrix is built from the
-edges in file order: ties in the ranking depend on the last bit of each
-score, so the order of the sums and the update expression stay fixed.
+sum to 1 at every iteration. Node ids are mapped to rows with a binary
+search over the sorted ids. The link matrix is held as numpy arrays, one
+entry per distinct (source, target) pair in that order, and each step
+gathers the scores of the sources and sums them into the targets with
+``np.bincount``. Ties in the ranking depend on the last bit of each score,
+so the order of the sums and the update expression stay fixed: each
+target's sum starts from 0.0 and adds its sources in ascending order, as a
+CSR matrix-vector product does.
 
 Articles are ranked by descending score, and articles with exactly equal
 scores by title.
@@ -39,6 +43,7 @@ if TYPE_CHECKING:
 RANKING_FIELDS = ("rank", "title", "score")
 GROWTH_FIELDS = ("language", "date", "nodes", "edges")
 _CHECK_ROWS = 1 << 16
+_MAX_NODES = 3_037_000_499  # the largest n with n * n - 1 <= 2**63 - 1, for the pair key
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,40 +190,61 @@ def pagerank(
     """Power-iteration PageRank over a directed graph.
 
     ``edges`` is anything ``np.asarray`` turns into (source, target) id
-    pairs. ``nodes`` extends the universe beyond the edges' endpoints
-    (isolated nodes still receive teleport and dangling mass). Iteration
-    stops when the L1 change drops below ``tolerance``; if ``max_iter`` is
-    reached first the result carries ``converged=False``.
+    pairs, such as the ``(m, 2)`` int64 array of :func:`load_graph_file`.
+    It is never modified, and once the edges are indexed pagerank drops
+    its reference, so an array the caller keeps no reference to is freed
+    before the iteration starts. ``nodes`` extends the universe beyond the
+    edges' endpoints (isolated nodes still receive teleport and dangling
+    mass). Iteration stops when the L1 change drops below ``tolerance``;
+    if ``max_iter`` is reached first the result carries
+    ``converged=False``.
     """
     import numpy as np
-    from scipy import sparse
 
     check_pagerank_options(damping, tolerance, max_iter)
     pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    del edges
     # One column at a time: the sort copies of np.unique stay one column long.
     universe = [np.unique(pairs[:, 0]), np.unique(pairs[:, 1])]
     if nodes is not None:
         universe.append(np.asarray(nodes, dtype=np.int64))
     ids = np.unique(np.concatenate(universe))
+    del universe
     n = len(ids)
     if n == 0:
         raise ConfigurationError("pagerank needs a non-empty graph")
-    index_type = np.int32 if n < 2**31 else np.int64
-    src = np.searchsorted(ids, pairs[:, 0]).astype(index_type)
-    dst = np.searchsorted(ids, pairs[:, 1]).astype(index_type)
-    out_degree = np.bincount(src, minlength=n).astype(np.float64)
+    if n > _MAX_NODES:
+        raise ConfigurationError(f"pagerank handles at most {_MAX_NODES:,} nodes, got {n:,}")
+    key = np.searchsorted(ids, pairs[:, 0])  # source rows
+    out_degree = np.bincount(key, minlength=n).astype(np.float64)
     dangling = out_degree == 0.0
 
-    weights = 1.0 / out_degree[src]
-    matrix = sparse.csr_matrix((weights, (dst, src)), shape=(n, n))
-    del src, dst, weights
+    # One entry per distinct pair, sorted by (source, target) through one
+    # int64 key. A repeated pair's weights are summed in order first, so
+    # (w + w) * x never becomes w * x + w * x. np.bincount then adds each
+    # target's sources in ascending order, from 0.0, as a CSR matvec does;
+    # in source order its consecutive adds mostly go to different targets.
+    key *= n
+    key += np.searchsorted(ids, pairs[:, 1])  # target rows
+    del pairs  # frees the edge array when the caller kept no reference
+    key.sort()
+    new_pair = np.ones(len(key), dtype=bool)
+    new_pair[1:] = key[1:] != key[:-1]
+    weights = np.bincount(np.cumsum(new_pair) - 1, weights=1.0 / out_degree[key // n])
+    key = key[new_pair]
+    del new_pair
+    src, dst = np.divmod(key, n)
+    del key
 
     x = np.full(n, 1.0 / n)
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
         dangling_mass = x[dangling].sum()
-        new = (1.0 - damping) / n + damping * (matrix @ x + dangling_mass / n)
+        flow = x[src]
+        flow *= weights  # weights * x[src], with one temporary instead of two
+        product = np.bincount(dst, weights=flow, minlength=n)
+        new = (1.0 - damping) / n + damping * (product + dangling_mass / n)
         delta = np.abs(new - x).sum()
         x = new
         if delta < tolerance:

@@ -340,23 +340,30 @@ def cmd_pagerank(config: RunConfig, args: argparse.Namespace) -> int:
         paths = _graph_paths(config, label)
         if _missing_input("run graph first", *paths):
             return EXIT_USAGE
-        edges, nodes = analytics.load_graph_file(*paths)
-        result = analytics.pagerank(
-            edges,
-            nodes.ids,
-            damping=args.damping,
-            tolerance=args.tolerance,
-            max_iter=args.max_iter,
-        )
-        ranked = analytics.rank_articles(result, nodes)
+        loaded = list(analytics.load_graph_file(*paths))
+        nodes = loaded.pop()
+        if len(nodes.ids) == 0:  # an early date may have no pages yet
+            ranked, converged, iterations = [], True, 0
+        else:
+            # pagerank gets the only reference to the edge array and frees
+            # it once the graph is indexed.
+            result = analytics.pagerank(
+                loaded.pop(),
+                nodes.ids,
+                damping=args.damping,
+                tolerance=args.tolerance,
+                max_iter=args.max_iter,
+            )
+            ranked = analytics.rank_articles(result, nodes)
+            converged, iterations = result.converged, result.iterations
         out = args.output if args.output else config.path("pagerank", date=label)
         analytics.write_rankings(ranked, out)
         _event(
             "pagerank-done",
             date=label,
-            nodes=len(result.node_ids),
-            converged=result.converged,
-            iterations=result.iterations,
+            nodes=len(nodes.ids),
+            converged=converged,
+            iterations=iterations,
             top=[(a.title, float(f"{a.score:.6g}")) for a in ranked[:3]],
         )
     return EXIT_OK

@@ -39,6 +39,48 @@ def dense_pagerank(edges, nodes, damping=0.85):
     return ids, solution
 
 
+def row_by_row_pagerank(edges, nodes, damping, tolerance, max_iter):
+    """Reference: pagerank's update expression, dangling sum and stopping
+    test, with the matrix product as a plain loop over target rows. Each row
+    sums from 0.0 in ascending source order, and a repeated pair's weights
+    are summed, in edge order, before they multiply the score.
+    """
+    ids = sorted(set(nodes) | {s for s, _ in edges} | {t for _, t in edges})
+    row = {node: i for i, node in enumerate(ids)}
+    n = len(ids)
+    out_degree = [0] * n
+    for s, _ in edges:
+        out_degree[row[s]] += 1
+    entries = {}  # (target row, source row) -> summed weight
+    for s, t in edges:
+        key = (row[t], row[s])
+        entries[key] = entries.get(key, 0.0) + 1.0 / out_degree[row[s]]
+    sources = [[] for _ in range(n)]  # per target row: (source row, weight)
+    for (t, s), weight in sorted(entries.items()):
+        sources[t].append((s, weight))
+    dangling = np.array([d == 0 for d in out_degree])
+
+    x = np.full(n, 1.0 / n)
+    iterations = 0
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        dangling_mass = x[dangling].sum()
+        xs = x.tolist()
+        product = []
+        for row_sources in sources:
+            total = 0.0
+            for s, weight in row_sources:
+                total += weight * xs[s]
+            product.append(total)
+        new = (1.0 - damping) / n + damping * (np.array(product) + dangling_mass / n)
+        delta = np.abs(new - x).sum()
+        x = new
+        if delta < tolerance:
+            converged = True
+            break
+    return ids, x, converged, iterations
+
+
 def graph_files(tmp_path, edges, nodes):
     edge_path = tmp_path / "g.csv.gz"
     node_path = tmp_path / "g.nodes.csv.gz"
@@ -146,6 +188,37 @@ class TestPageRank:
             assert list(result.node_ids) == ids
             np.testing.assert_allclose(result.scores, expected, atol=1e-10)
 
+    def test_matches_a_row_by_row_reference_bit_for_bit(self):
+        # Ties in the ranking depend on the last bit of each score, so the
+        # sums must run in the reference's order: repeated pairs (in runs
+        # longer than 8, past numpy's pairwise-summation block), self-loops,
+        # dangling and isolated nodes, and several damping and stopping values.
+        rng = np.random.default_rng(12)
+        for case in range(320):
+            n = int(rng.integers(1, 25))
+            ids = np.sort(rng.choice(10**9, size=n, replace=False))
+            edges = ids[rng.integers(0, n, size=(int(rng.integers(0, 60)), 2))]
+            if case % 2:
+                edges = np.repeat(edges, rng.integers(1, 13, size=len(edges)), axis=0)
+                rng.shuffle(edges)
+            if case % 5 == 0:
+                edges = np.concatenate([edges, np.repeat(ids[:1], 2)[None, :]])  # a self-loop
+            nodes = ids if len(edges) == 0 or case % 3 else ids[: n // 2]
+            damping = float(rng.choice([0.85, 0.5, 0.99, 0.15]))
+            tolerance = float(rng.choice([1e-12, 1e-6, 0.0]))
+            max_iter = int(rng.choice([200, 7, 1]))
+            given = edges.copy()
+            result = pagerank(
+                given, nodes, damping=damping, tolerance=tolerance, max_iter=max_iter
+            )
+            ids_ref, scores, converged, iterations = row_by_row_pagerank(
+                edges.tolist(), nodes.tolist(), damping, tolerance, max_iter
+            )
+            assert result.node_ids.tolist() == ids_ref, case
+            assert np.array_equal(result.scores.view(np.int64), scores.view(np.int64)), case
+            assert (result.converged, result.iterations) == (converged, iterations), case
+            assert np.array_equal(given, edges), case  # the caller's array is left alone
+
     def test_rank_order_invariant_under_relabeling(self):
         edges = [(0, 1), (1, 2), (2, 0), (3, 1), (3, 2), (4, 3)]
         nodes = [0, 1, 2, 3, 4]
@@ -178,6 +251,17 @@ class TestPageRank:
     def test_iteration_options_validated(self, option):
         with pytest.raises(ConfigurationError):
             pagerank([(1, 2)], **option)
+
+    def test_graph_past_the_pair_key_is_refused(self, monkeypatch):
+        from wikilinks import analytics
+
+        # The largest (source, target) key, n * n - 1, must fit in int64.
+        limit = analytics._MAX_NODES
+        assert limit * limit - 1 <= 2**63 - 1 < (limit + 1) * (limit + 1) - 1
+        monkeypatch.setattr(analytics, "_MAX_NODES", 2)
+        assert pagerank([(1, 2)]).iterations > 0
+        with pytest.raises(ConfigurationError, match="at most 2 nodes"):
+            pagerank([(1, 2)], nodes=[3])
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -799,7 +799,7 @@ class TestPagerankCommand:
 
     def test_peak_memory_per_edge(self, out_dir):
         # 25k nodes and 200k edges; the bound is 120 B per edge above a
-        # process that only imports what pagerank imports.
+        # process that only imports what pagerank imports: numpy.
         import numpy as np
 
         rng = np.random.default_rng(5)
@@ -812,7 +812,7 @@ class TestPagerankCommand:
         with gzip.open(out_dir / "enwiki.wikilinkgraph.nodes.2018-03-01.csv.gz", "wt", compresslevel=1) as f:
             f.write("page_id,page_title\n" + "".join(f"{i},Page {i}\n" for i in ids.tolist()))
         env = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), "PATH": ""}
-        base = max_rss_kb(["-c", "import numpy, scipy.sparse, wikilinks.analytics"], env)
+        base = max_rss_kb(["-c", "import numpy, wikilinks.analytics"], env)
         used = max_rss_kb(
             ["-m", "wikilinks.cli", "pagerank", *base_args(out_dir), "--date", "2018-03-01"], env
         )
@@ -822,14 +822,56 @@ class TestPagerankCommand:
     def test_pagerank_requires_graph(self, out_dir):
         assert cli.main(["pagerank", *base_args(out_dir), "--date", "2018-03-01"]) == 2
 
-    def test_empty_graph_is_fatal(self, tmp_path):
-        from wikilinks.graph import emit_edges, emit_nodes
+    def test_empty_graph_gets_a_header_only_ranking(self, out_dir, capsys):
+        write_graph_files(out_dir, [], [], date="2001-03-01")
+        capsys.readouterr()
+        assert cli.main(["pagerank", *base_args(out_dir), "--date", "2001-03-01"]) == 0
+        with gzip.open(out_dir / "enwiki.pagerank.2001-03-01.csv.gz", "rt") as f:
+            assert f.read() == "rank,title,score\n"
+        assert stderr_events(capsys) == [{
+            "event": "pagerank-done", "date": "2001-03-01", "nodes": 0,
+            "converged": True, "iterations": 0, "top": [],
+        }]
 
-        out = tmp_path / "out"
-        out.mkdir()
-        emit_edges([], out / "enwiki.wikilinkgraph.2001-03-01.csv.gz")
-        emit_nodes([], out / "enwiki.wikilinkgraph.nodes.2001-03-01.csv.gz")
-        assert cli.main(["pagerank", *base_args(out), "--date", "2001-03-01"]) == 2
+    def test_default_dates_go_past_an_empty_first_date(self, out_dir, capsys):
+        from wikilinks.snapshot import yearly_snapshot_dates
+
+        labels = [date.label for date in yearly_snapshot_dates()]
+        assert labels[0] == "2001-03-01" and len(labels) > 2
+        write_graph_files(out_dir, [], [], date=labels[0])
+        for label in labels[1:]:
+            write_graph_files(out_dir, [(1, 2), (2, 3), (3, 1)], [(1, "A"), (2, "B"), (3, "C")],
+                              date=label)
+        capsys.readouterr()
+        assert cli.main(["pagerank", *base_args(out_dir)]) == 0
+        events = stderr_events(capsys)
+        assert [e["date"] for e in events] == labels
+        assert [e["nodes"] for e in events] == [0] + [3] * (len(labels) - 1)
+        for label in labels[1:]:
+            rows = list(iter_rows(out_dir / f"enwiki.pagerank.{label}.csv.gz", ("rank", "title", "score")))
+            assert [r[1] for r in rows] == ["A", "B", "C"]
+
+
+def stage_exit_and_heavy_modules(out: Path, stage: str) -> str:
+    """Runs ``stage`` on a three-node graph in a fresh interpreter; returns
+    its exit code and which of numpy and scipy it loaded, as one line."""
+    import subprocess
+    import sys
+
+    write_graph_files(out, [(1, 2), (2, 3)], [(1, "A"), (2, "B"), (3, "C")])
+    code = (
+        "import sys\n"
+        "from wikilinks import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code, stage, *base_args(out), "--date", "2018-03-01"],
+        capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
 
 
 class TestConsoleScript:
@@ -851,23 +893,10 @@ class TestConsoleScript:
         assert result.stdout.splitlines() == ["[]", "False"]
 
     def test_stats_leaves_numpy_and_scipy_unloaded(self, out_dir):
-        import subprocess
-        import sys
+        assert stage_exit_and_heavy_modules(out_dir, "stats") == "0 []"
 
-        write_graph_files(out_dir, [(1, 2), (2, 3)], [(1, "A"), (2, "B"), (3, "C")])
-        code = (
-            "import sys\n"
-            "from wikilinks import cli\n"
-            "code = cli.main(sys.argv[1:])\n"
-            "print(code, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
-        )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        result = subprocess.run(
-            [sys.executable, "-c", code, "stats", *base_args(out_dir), "--date", "2018-03-01"],
-            capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""},
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == ["0 []"]
+    def test_pagerank_leaves_scipy_unloaded(self, out_dir):
+        assert stage_exit_and_heavy_modules(out_dir, "pagerank") == "0 ['numpy']"
 
     def test_installed_entrypoint(self, out_dir, minidump_path):
         import subprocess
