@@ -340,16 +340,12 @@ def cmd_pagerank(config: RunConfig, args: argparse.Namespace) -> int:
         paths = _graph_paths(config, label)
         if _missing_input("run graph first", *paths):
             return EXIT_USAGE
-        loaded = list(analytics.load_graph_file(*paths))
-        nodes = loaded.pop()
+        links, nodes = analytics.load_graph_file(*paths)
         if len(nodes.ids) == 0:  # an early date may have no pages yet
             ranked, converged, iterations = [], True, 0
         else:
-            # pagerank gets the only reference to the edge array and frees
-            # it once the graph is indexed.
             result = analytics.pagerank(
-                loaded.pop(),
-                nodes.ids,
+                links,
                 damping=args.damping,
                 tolerance=args.tolerance,
                 max_iter=args.max_iter,

@@ -89,6 +89,25 @@ def graph_files(tmp_path, edges, nodes):
     return edge_path, node_path
 
 
+def decoded_pairs(links):
+    """The (source id, target id) pairs of a LinkKey, in its order."""
+    sources, targets = np.divmod(links.key, len(links.ids))
+    return list(zip(links.ids[sources].tolist(), links.ids[targets].tolist()))
+
+
+def raw_graph_files(tmp_path, edge_text, node_text):
+    """Graph files holding the given data rows as they are, unchecked."""
+    import gzip
+
+    edge_path = tmp_path / "raw.csv.gz"
+    node_path = tmp_path / "raw.nodes.csv.gz"
+    with gzip.open(edge_path, "wt", encoding="utf-8") as f:
+        f.write("page_id_from,page_title_from,page_id_to,page_title_to\n" + edge_text)
+    with gzip.open(node_path, "wt", encoding="utf-8") as f:
+        f.write("page_id,page_title\n" + node_text)
+    return edge_path, node_path
+
+
 class TestComputeStats:
     def test_triangle(self, tmp_path):
         edge_path, node_path = graph_files(tmp_path, [(1, 2), (2, 3), (3, 1)], [1, 2, 3])
@@ -311,16 +330,35 @@ class TestRankings:
 
     def test_load_graph_file_includes_isolated_nodes(self, tmp_path):
         edge_path, node_path = graph_files(tmp_path, [(1, 2)], [1, 2, 3])
-        edges, nodes = load_graph_file(edge_path, node_path)
-        assert edges.dtype == np.int64 and edges.tolist() == [[1, 2]]
+        links, nodes = load_graph_file(edge_path, node_path)
+        assert links.key.dtype == np.int64 and decoded_pairs(links) == [(1, 2)]
         assert dict(zip(nodes.ids.tolist(), nodes.titles)) == {1: "N1", 2: "N2", 3: "N3"}
 
     def test_load_graph_file_keeps_file_order(self, tmp_path):
         edge_path, node_path = graph_files(tmp_path, [(7, 2), (2, 9), (2, 7)], [9, 2, 7])
-        edges, nodes = load_graph_file(edge_path, node_path)
-        assert edges.tolist() == [[7, 2], [2, 9], [2, 7]]
+        links, nodes = load_graph_file(edge_path, node_path)
+        assert len(links) == 3
+        assert decoded_pairs(links) == [(7, 2), (2, 9), (2, 7)]
         assert nodes.ids.tolist() == [9, 2, 7]
         assert nodes.titles == ["N9", "N2", "N7"]
+
+    def test_loaded_graph_ranks_bit_for_bit_as_the_reference(self, tmp_path):
+        # A pair listed seven times, a dangling and an isolated node, through
+        # the file; seven shares of 1/9 summed in order are not 7 * (1/9).
+        edges = [(2, 3), (3, 1), (1, 3), (3, 5), (5, 2), (1, 4)]
+        edges[1:1] = [(1, 2)] * 4
+        edges[4:4] = [(1, 2)] * 3
+        nodes = [6, 5, 4, 3, 2, 1]
+        links, _ = load_graph_file(*graph_files(tmp_path, edges, nodes))
+        with pytest.raises(ValueError, match="brings its own nodes"):
+            pagerank(links, nodes)
+        result = pagerank(links)
+        ids, scores, converged, iterations = row_by_row_pagerank(edges, nodes, 0.85, 1e-12, 200)
+        assert result.node_ids.tolist() == ids
+        assert np.array_equal(result.scores.view(np.int64), scores.view(np.int64))
+        assert (result.converged, result.iterations) == (converged, iterations)
+        with pytest.raises(ValueError, match="ranked already"):
+            pagerank(links)
 
     def test_load_graph_file_refuses_a_node_id_listed_twice(self, tmp_path):
         edge_path, node_path = graph_files(tmp_path, [(1, 2)], [1, 2, 2])
@@ -335,6 +373,42 @@ class TestRankings:
     def test_load_graph_file_refuses_an_id_past_int64(self, tmp_path):
         edge_path, node_path = graph_files(tmp_path, [(1, 2), (1, 2**63)], [1, 2])
         with pytest.raises(DataFormatError, match="row 3 has an id past"):
+            load_graph_file(edge_path, node_path)
+
+    @pytest.mark.parametrize("edge_error", [
+        ("1,A,2,B\n1,A,3,C\nx,A,2,B\n", "row 4 column page_id_from is not an id"),
+        ("1,A,3,C\n1,A,9223372036854775808,B\n", "row 3 has an id past"),
+    ])
+    @pytest.mark.parametrize("node_text", [
+        "1,A\nx,B\n",  # a bad row
+        "1,A\n2,B\n2,B\n",  # a duplicate id
+        "1,A\n2,B\n",  # no 3, which the edge file links before its bad row
+    ])
+    def test_load_graph_file_reports_edge_row_errors_first(self, tmp_path, edge_error, node_text):
+        edge_text, message = edge_error
+        edge_path, node_path = raw_graph_files(tmp_path, edge_text, node_text)
+        with pytest.raises(DataFormatError, match=message) as raised:
+            load_graph_file(edge_path, node_path)
+        assert str(raised.value).startswith(f"{edge_path}: ")
+
+    @pytest.mark.parametrize("node_text, message", [
+        ("1,A\n1,A\nx,B\n", "row 4 column page_id is not an id"),  # after a duplicate
+        ("1,A\n1,A\n9223372036854775808,B\n", "row 4 has an id past"),
+        ("1,A\n2,B\n2,B\n", "page id 2 is listed twice"),  # before an unlisted endpoint
+    ])
+    def test_load_graph_file_reports_node_errors_before_unlisted_endpoints(
+        self, tmp_path, node_text, message
+    ):
+        edge_path, node_path = raw_graph_files(tmp_path, "1,A,3,C\n1,A,2,B\n", node_text)
+        with pytest.raises(DataFormatError, match=message) as raised:
+            load_graph_file(edge_path, node_path)
+        assert str(raised.value).startswith(f"{node_path}: ")
+
+    def test_load_graph_file_reports_the_first_unlisted_endpoint(self, tmp_path):
+        edge_path, node_path = raw_graph_files(
+            tmp_path, "1,A,2,B\n" * 70_000 + "4,D,1,A\n1,A,3,C\n", "1,A\n2,B\n"
+        )
+        with pytest.raises(DataFormatError, match="row 70002 links a page"):
             load_graph_file(edge_path, node_path)
 
     @pytest.mark.parametrize(
