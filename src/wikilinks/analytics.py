@@ -2,12 +2,15 @@
 
 Counting (:func:`compute_stats`, :func:`write_growth_series`) needs only the
 standard library; numpy is imported inside the functions that rank, so
-``stats`` never loads it.
+``stats`` never loads it. Both read a graph file in one loop per file that
+checks each row where it is read.
 
-:func:`load_graph_file` reads the node file into int64 ids plus a list of
-titles, both in file order, and then streams the edge file into a
+:func:`load_graph_file` reads the node file into int64 ids and
+:class:`Titles`, both in file order, and then streams the edge file into a
 :class:`LinkKey`, one int64 per edge. Titles come only from the node file,
-which must list every edge endpoint exactly once.
+which must list every edge endpoint exactly once. They are held as one
+UTF-8 buffer and the offsets that bound each title, so a title is a
+``str`` only while it is compared or written.
 
 PageRank is a matrix-free power iteration over the directed graph: each
 step spreads a node's mass uniformly over its out-links, redistributes the
@@ -18,34 +21,40 @@ search over the sorted ids, and each edge is packed into the key as
 ``source_row * n + target_row``. Sorted in place, the key gives the
 out-degrees, and then turns into the target rows of the distinct pairs.
 Those rows and one flow array per step are the only arrays as long as the
-edge list that the iteration holds. Each step repeats every source's share of its score once per distinct pair and
-sums the shares into the targets with ``np.bincount``. Ties in the ranking
-depend on the last bit of each score, so the order of the sums and the
-update expression stay fixed: each target's sum starts from 0.0 and adds
-its sources in ascending order, as a CSR matrix-vector product does.
+edge list that the iteration holds. Each step repeats every source's share
+of its score once per distinct pair and sums the shares into the targets
+with ``np.bincount``. Ties in the ranking depend on the last bit of each
+score, so the order of the sums and the update expression stay fixed: each
+target's sum starts from 0.0 and adds its sources in ascending order, as a
+CSR matrix-vector product does.
 
 Articles are ranked by descending score, and articles with exactly equal
-scores by title.
+scores by title. A :class:`Ranking` is the node rows in rank order, an
+int64 array, and their scores; titles are decoded only inside runs of
+equal scores, where UTF-8 byte order is code-point order, and while the
+rankings are written.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigurationError, DataFormatError
 from .graph import EDGE_FIELDS, NODE_FIELDS
-from .storage import DatasetWriter, iter_rows
+from .storage import DatasetWriter, open_rows
 
 if TYPE_CHECKING:
     import numpy as np
 
 RANKING_FIELDS = ("rank", "title", "score")
 GROWTH_FIELDS = ("language", "date", "nodes", "edges")
-_CHECK_ROWS = 1 << 16
+_BATCH_ROWS = 1 << 16
 _MAX_NODES = 3_037_000_499  # the largest n with n * n - 1 <= 2**63 - 1, for the pair key
 
 
@@ -55,12 +64,6 @@ class GraphStats:
     date: str
     node_count: int
     edge_count: int
-
-
-@dataclass(frozen=True, slots=True)
-class RankedArticle:
-    title: str
-    score: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,35 +77,87 @@ class PageRankResult:
         return dict(zip(self.node_ids.tolist(), self.scores.tolist()))
 
 
+class Titles(Sequence[str]):
+    """Titles held as one UTF-8 buffer and the offsets that bound each one,
+    ``bounds[i]:bounds[i + 1]``; indexing decodes one title."""
+
+    __slots__ = ("_data", "_bounds")
+
+    def __init__(self, data: bytearray, bounds: array):
+        self._data = data
+        self._bounds = bounds
+
+    def __len__(self) -> int:
+        return len(self._bounds) - 1
+
+    def __getitem__(self, i: int) -> str:
+        n = len(self._bounds) - 1
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("title index out of range")
+        return self._data[self._bounds[i]:self._bounds[i + 1]].decode()
+
+
 class GraphNodes(NamedTuple):
     """The nodes of a graph: int64 ids and their titles, in the same order."""
 
     ids: np.ndarray
-    titles: list[str]
+    titles: Sequence[str]
 
 
-def _checked_rows(
-    path: str | Path, fields: Sequence[str], int_columns: Sequence[int]
-) -> Iterator[list[str]]:
-    """Rows of a graph file, each with every column and ASCII-digit ids.
+class Ranking(NamedTuple):
+    """Articles in rank order: ``rows`` index ``titles``, and ``scores``
+    holds each ranked article's score."""
 
-    A short or long row, a bad id or a file that cannot be read to its end
-    raises :class:`DataFormatError` naming the row.
+    rows: np.ndarray  # int64
+    scores: np.ndarray
+    titles: Sequence[str]
+
+    @classmethod
+    def empty(cls) -> Ranking:
+        import numpy as np
+
+        return cls(np.empty(0, dtype=np.int64), np.empty(0), ())
+
+    def head(self, count: int) -> list[tuple[str, float]]:
+        """The first ``count`` articles as (title, score) pairs."""
+        rows = self.rows[:count].tolist()
+        return list(zip(map(self.titles.__getitem__, rows), self.scores[:count].tolist()))
+
+
+def _bad_row(path: str | Path, fields: Sequence[str], id_columns: Sequence[int],
+             number: int, row: list[str]) -> DataFormatError:
+    """The fault of a graph file's row that has the wrong width or an id
+    column that is not ASCII digits, the width reported first."""
+    if len(row) != len(fields):
+        return DataFormatError(
+            f"{path}: row {number} has {len(row)} columns, expected {len(fields)}"
+        )
+    col = next(c for c in id_columns if not (row[c].isascii() and row[c].isdigit()))
+    return DataFormatError(f"{path}: row {number} column {fields[col]} is not an id: {row[col]!r}")
+
+
+@contextmanager
+def _graph_rows(
+    path: str | Path, fields: Sequence[str], rows_read: Callable[[], int]
+) -> Iterator[Iterator[list[str]]]:
+    """The csv reader of a graph file, past its checked header.
+
+    The caller checks each row with :func:`_bad_row` and counts the rows it
+    has taken in ``rows_read()``. An id past ``2**63 - 1`` (an
+    ``OverflowError`` inside the block) and a file that cannot be read to
+    its end raise :class:`DataFormatError` naming the row.
     """
-    count = 0
     try:
-        for row in iter_rows(path, fields):
-            for col in int_columns:
-                if not (row[col].isascii() and row[col].isdigit()):
-                    raise DataFormatError(
-                        f"{path}: row {count + 2} column {fields[col]} is not an id: {row[col]!r}"
-                    )
-            count += 1
-            yield row
-    except DataFormatError:
+        with open_rows(path, fields) as (_, rows):
+            yield rows
+    except OverflowError:
+        raise DataFormatError(f"{path}: row {rows_read() + 2} has an id past 2**63 - 1")
+    except (DataFormatError, MemoryError):
         raise
     except Exception as err:
-        raise DataFormatError(f"{path}: unreadable row after {count} data rows: {err}")
+        raise DataFormatError(f"{path}: unreadable row after {rows_read()} data rows: {err}")
 
 
 def compute_stats(
@@ -112,9 +167,22 @@ def compute_stats(
     language: str = "",
     date: str = "",
 ) -> GraphStats:
-    """Exact node and edge counts of one emitted snapshot graph."""
-    edges = sum(1 for _ in _checked_rows(edge_path, EDGE_FIELDS, (0, 2)))
-    nodes = sum(1 for _ in _checked_rows(node_path, NODE_FIELDS, (0,)))
+    """Exact node and edge counts of one emitted snapshot graph, its rows
+    checked as :func:`load_graph_file` checks them."""
+    edges = 0
+    with _graph_rows(edge_path, EDGE_FIELDS, lambda: edges) as rows:
+        for row in rows:
+            if len(row) != 4 or not (
+                row[0].isascii() and row[0].isdigit() and row[2].isascii() and row[2].isdigit()
+            ):
+                raise _bad_row(edge_path, EDGE_FIELDS, (0, 2), edges + 2, row)
+            edges += 1
+    nodes = 0
+    with _graph_rows(node_path, NODE_FIELDS, lambda: nodes) as rows:
+        for row in rows:
+            if len(row) != 2 or not (row[0].isascii() and row[0].isdigit()):
+                raise _bad_row(node_path, NODE_FIELDS, (0,), nodes + 2, row)
+            nodes += 1
     return GraphStats(language, date, nodes, edges)
 
 
@@ -171,7 +239,7 @@ def _pack(ids: np.ndarray, sources: np.ndarray, targets: np.ndarray) -> tuple[np
 
 
 def _edge_batches(edge_path: str | Path) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The rows of an edge file, up to ``_CHECK_ROWS`` at a time, in file
+    """The rows of an edge file, up to ``_BATCH_ROWS`` at a time, in file
     order: the row number of each batch's first row, and its source and
     target id columns.
 
@@ -180,35 +248,38 @@ def _edge_batches(edge_path: str | Path) -> Iterator[tuple[int, np.ndarray, np.n
     """
     import numpy as np
 
-    rows = _checked_rows(edge_path, EDGE_FIELDS, (0, 2))
-    first = 2
-    while True:
-        sources, targets = array("q"), array("q")
-        try:
-            for row in islice(rows, _CHECK_ROWS):
+    first, targets = 2, ()  # () until the first batch, for rows_read
+    with _graph_rows(edge_path, EDGE_FIELDS, lambda: first - 2 + len(targets)) as rows:
+        while True:
+            sources, targets = array("q"), array("q")
+            for row in islice(rows, _BATCH_ROWS):
+                if len(row) != 4 or not (
+                    row[0].isascii() and row[0].isdigit() and row[2].isascii() and row[2].isdigit()
+                ):
+                    raise _bad_row(edge_path, EDGE_FIELDS, (0, 2), first + len(targets), row)
                 sources.append(int(row[0]))
                 targets.append(int(row[2]))
-        except OverflowError:
-            raise DataFormatError(f"{edge_path}: row {first + len(targets)} has an id past 2**63 - 1")
-        if not targets:
-            return
-        yield first, np.frombuffer(sources, dtype=np.int64), np.frombuffer(targets, dtype=np.int64)
-        first += len(targets)
+            if not targets:
+                return
+            yield first, np.frombuffer(sources, np.int64), np.frombuffer(targets, np.int64)
+            first += len(targets)
 
 
 def _read_nodes(node_path: str | Path) -> GraphNodes:
-    """The node file's ids and titles."""
+    """The node file's ids and titles, each title UTF-8 encoded into one
+    buffer."""
     import numpy as np
 
     ids = array("q")
-    titles: list[str] = []
-    try:
-        for row in _checked_rows(node_path, NODE_FIELDS, (0,)):
+    data, bounds = bytearray(), array("q", [0])
+    with _graph_rows(node_path, NODE_FIELDS, lambda: len(ids)) as rows:
+        for row in rows:
+            if len(row) != 2 or not (row[0].isascii() and row[0].isdigit()):
+                raise _bad_row(node_path, NODE_FIELDS, (0,), len(ids) + 2, row)
             ids.append(int(row[0]))
-            titles.append(row[1])
-    except OverflowError:
-        raise DataFormatError(f"{node_path}: row {len(ids) + 2} has an id past 2**63 - 1")
-    return GraphNodes(np.frombuffer(ids, dtype=np.int64), titles)
+            data += row[1].encode()
+            bounds.append(len(data))
+    return GraphNodes(np.frombuffer(ids, dtype=np.int64), Titles(data, bounds))
 
 
 def load_graph_file(edge_path: str | Path, node_path: str | Path) -> tuple[LinkKey, GraphNodes]:
@@ -274,8 +345,8 @@ def _pack_pairs(edges, nodes) -> LinkKey:
     del universe
     _check_node_count(len(ids))
     key = np.empty(len(pairs), dtype=np.int64)
-    for start in range(0, len(pairs), _CHECK_ROWS):  # in slices, to keep the temporaries small
-        chunk = pairs[start:start + _CHECK_ROWS]
+    for start in range(0, len(pairs), _BATCH_ROWS):  # in slices, to keep the temporaries small
+        chunk = pairs[start:start + _BATCH_ROWS]
         key[start:start + len(chunk)] = _pack(ids, chunk[:, 0], chunk[:, 1])[0]
     return LinkKey(key, ids)
 
@@ -363,14 +434,12 @@ def pagerank(
     return PageRankResult(ids, x, converged, iterations)
 
 
-def rank_articles(
-    result: PageRankResult, nodes: tuple[Sequence[int], Sequence[str]]
-) -> list[RankedArticle]:
+def rank_articles(result: PageRankResult, nodes: tuple[Sequence[int], Sequence[str]]) -> Ranking:
     """Descending by score; equal scores by title, then by id.
 
     ``nodes`` is ``(ids, titles)`` in any order, listing exactly the ranked
-    ids. One stable sort orders the scores; titles are compared only
-    inside runs of equal scores.
+    ids; the ranking's rows index them. One stable sort orders the scores;
+    titles are decoded and compared only inside runs of equal scores.
     """
     import numpy as np
 
@@ -379,22 +448,27 @@ def rank_articles(
     by_id = np.argsort(ids, kind="stable")
     if not np.array_equal(ids[by_id], result.node_ids):
         raise ValueError("the titles must cover exactly the ranked nodes")
-    title_of = [titles[i] for i in by_id.tolist()]  # by row of result.node_ids
 
     scores = result.scores
     order = np.argsort(-scores, kind="stable")
     ordered = scores[order]
-    bounds = np.concatenate(([0], np.flatnonzero(ordered[1:] != ordered[:-1]) + 1, [len(order)]))
+    rows = by_id[order]  # ascending id inside each run of equal scores
+    del by_id, order
+    bounds = np.concatenate(([0], np.flatnonzero(ordered[1:] != ordered[:-1]) + 1, [len(rows)]))
     ties = np.flatnonzero(np.diff(bounds) > 1)
-    order = order.tolist()
     for lo, hi in zip(bounds[ties].tolist(), bounds[ties + 1].tolist()):
-        order[lo:hi] = sorted(order[lo:hi], key=title_of.__getitem__)
-    return [RankedArticle(title_of[i], score) for i, score in zip(order, scores[order].tolist())]
+        rows[lo:hi] = sorted(rows[lo:hi].tolist(), key=titles.__getitem__)
+    return Ranking(rows, ordered, titles)
 
 
-def write_rankings(ranked: Sequence[RankedArticle], path: str | Path) -> int:
-    """Rankings CSV with scores in scientific notation, 6 significant digits."""
+def write_rankings(ranking: Ranking, path: str | Path) -> int:
+    """Rankings CSV with scores in scientific notation, 6 significant digits.
+
+    Rows are formatted one at a time, straight from the ranking's arrays."""
     with DatasetWriter(path, RANKING_FIELDS) as writer:
-        for position, article in enumerate(ranked, start=1):
-            writer.write_row((str(position), article.title, f"{article.score:.5e}"))
+        writer.write_rows(zip(
+            map(str, range(1, len(ranking.rows) + 1)),
+            map(ranking.titles.__getitem__, memoryview(ranking.rows)),
+            map("{:.5e}".format, memoryview(ranking.scores)),
+        ))
         return writer.rows_written

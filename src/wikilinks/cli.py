@@ -342,7 +342,7 @@ def cmd_pagerank(config: RunConfig, args: argparse.Namespace) -> int:
             return EXIT_USAGE
         links, nodes = analytics.load_graph_file(*paths)
         if len(nodes.ids) == 0:  # an early date may have no pages yet
-            ranked, converged, iterations = [], True, 0
+            ranking, converged, iterations = analytics.Ranking.empty(), True, 0
         else:
             result = analytics.pagerank(
                 links,
@@ -350,17 +350,17 @@ def cmd_pagerank(config: RunConfig, args: argparse.Namespace) -> int:
                 tolerance=args.tolerance,
                 max_iter=args.max_iter,
             )
-            ranked = analytics.rank_articles(result, nodes)
+            ranking = analytics.rank_articles(result, nodes)
             converged, iterations = result.converged, result.iterations
         out = args.output if args.output else config.path("pagerank", date=label)
-        analytics.write_rankings(ranked, out)
+        analytics.write_rankings(ranking, out)
         _event(
             "pagerank-done",
             date=label,
             nodes=len(nodes.ids),
             converged=converged,
             iterations=iterations,
-            top=[(a.title, float(f"{a.score:.6g}")) for a in ranked[:3]],
+            top=[(title, float(f"{score:.6g}")) for title, score in ranking.head(3)],
         )
     return EXIT_OK
 

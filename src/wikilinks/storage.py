@@ -22,6 +22,7 @@ import io
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
@@ -242,15 +243,16 @@ class DatasetWriter:
             self.abort()
 
 
-def iter_rows(
+@contextmanager
+def open_rows(
     path: str | Path, expected_header: Sequence[str] | None = None
-) -> Iterator[list[str]]:
-    """Yield data rows of a dataset file, validating the header if given.
+) -> Iterator[tuple[list[str] | None, Iterator[list[str]]]]:
+    """The header of a dataset file and a csv reader over its data rows.
 
     A file whose ``.partial`` file is still present is stale, because the
-    last run that rebuilt it failed, and a row whose column count differs
-    from the header's is malformed; both are refused with
-    :class:`DataFormatError`.
+    last run that rebuilt it failed, and a header other than
+    ``expected_header``, if given, is wrong; both are refused with
+    :class:`DataFormatError`. The rows themselves are not checked.
     """
     if partial_path(path).exists():
         raise DataFormatError(
@@ -264,6 +266,17 @@ def iter_rows(
             raise DataFormatError(
                 f"{path}: expected header {list(expected_header)}, found {header}"
             )
+        yield header, reader
+
+
+def iter_rows(
+    path: str | Path, expected_header: Sequence[str] | None = None
+) -> Iterator[list[str]]:
+    """Yield data rows of a dataset file, checked as :func:`open_rows`
+    checks the file; a row whose column count differs from the header's is
+    malformed and refused with :class:`DataFormatError`.
+    """
+    with open_rows(path, expected_header) as (header, reader):
         width = len(header or ())
         for number, row in enumerate(reader, 2):
             if len(row) != width:

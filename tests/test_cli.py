@@ -852,6 +852,35 @@ class TestPagerankCommand:
         per_edge = (used - base) * 1024 / 200_000
         assert per_edge <= 75, f"{per_edge:.0f} B per edge above the imports"
 
+    def test_peak_memory_per_node(self, out_dir):
+        # 200k nodes with titles of about 50 characters and 200k edges. With
+        # the titles in one UTF-8 buffer and the ranking an array of rows,
+        # this read 180-189 B per node above the imports; with a str per
+        # title and a ranked object per node it read 325. The bound is
+        # between the two.
+        import numpy as np
+
+        rng = np.random.default_rng(5)
+        ids = np.cumsum(rng.integers(1, 4, size=200_000))
+        pairs = rng.integers(0, len(ids), size=(200_000, 2))
+        src, dst = ids[pairs[:, 0]].tolist(), ids[pairs[:, 1]].tolist()
+
+        def title(i):
+            return f"Page {i:07d} of the node-heavy graph and its padding"
+
+        with gzip.open(out_dir / "enwiki.wikilinkgraph.2018-03-01.csv.gz", "wt", compresslevel=1) as f:
+            f.write("page_id_from,page_title_from,page_id_to,page_title_to\n")
+            f.write("".join(f"{s},{title(s)},{d},{title(d)}\n" for s, d in zip(src, dst)))
+        with gzip.open(out_dir / "enwiki.wikilinkgraph.nodes.2018-03-01.csv.gz", "wt", compresslevel=1) as f:
+            f.write("page_id,page_title\n" + "".join(f"{i},{title(i)}\n" for i in ids.tolist()))
+        env = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), "PATH": ""}
+        base = max_rss_kb(["-c", "import numpy, wikilinks.analytics"], env)
+        used = max_rss_kb(
+            ["-m", "wikilinks.cli", "pagerank", *base_args(out_dir), "--date", "2018-03-01"], env
+        )
+        per_node = (used - base) * 1024 / 200_000
+        assert per_node <= 250, f"{per_node:.0f} B per node above the imports"
+
     def test_pagerank_requires_graph(self, out_dir):
         assert cli.main(["pagerank", *base_args(out_dir), "--date", "2018-03-01"]) == 2
 
