@@ -12,21 +12,23 @@ which must list every edge endpoint exactly once. They are held as one
 UTF-8 buffer and the offsets that bound each title, so a title is a
 ``str`` only while it is compared or written.
 
-PageRank is a matrix-free power iteration over the directed graph: each
-step spreads a node's mass uniformly over its out-links, redistributes the
-mass held by dangling nodes (out-degree 0) uniformly over all nodes, and
-mixes in a uniform teleport with weight ``1 - damping``. Scores therefore
-sum to 1 at every iteration. Node ids are mapped to rows with a binary
-search over the sorted ids, and each edge is packed into the key as
-``source_row * n + target_row``. Sorted in place, the key gives the
-out-degrees, and then turns into the target rows of the distinct pairs.
-Those rows and one flow array per step are the only arrays as long as the
-edge list that the iteration holds. Each step repeats every source's share
-of its score once per distinct pair and sums the shares into the targets
-with ``np.bincount``. Ties in the ranking depend on the last bit of each
-score, so the order of the sums and the update expression stay fixed: each
-target's sum starts from 0.0 and adds its sources in ascending order, as a
-CSR matrix-vector product does.
+PageRank is a matrix-free power iteration over the graph
+:func:`load_graph_file` read, its only input: each step spreads a node's
+mass uniformly over its out-links, redistributes the mass held by dangling
+nodes (out-degree 0) uniformly over all nodes, and mixes in a uniform
+teleport with weight ``1 - damping``. Scores therefore sum to 1 at every
+iteration. An empty graph is loaded, ranked and written the same way: its
+result is empty and converged after 0 iterations. Node ids are mapped to
+rows with a binary search over the sorted ids, and each edge is packed into
+the key as ``source_row * n + target_row``. Sorted in place, the key gives
+the out-degrees, and then turns into the target rows of the distinct
+pairs. Those rows and one flow array per step are the only arrays as long
+as the edge list that the iteration holds. Each step repeats every
+source's share of its score once per distinct pair and sums the shares
+into the targets with ``np.bincount``. Ties in the ranking depend on the
+last bit of each score, so the order of the sums and the update expression
+stay fixed: each target's sum starts from 0.0 and adds its sources in
+ascending order, as a CSR matrix-vector product does.
 
 Articles are ranked by descending score, and articles with exactly equal
 scores by title. A :class:`Ranking` is the node rows in rank order, an
@@ -73,9 +75,6 @@ class PageRankResult:
     converged: bool
     iterations: int
 
-    def as_mapping(self) -> dict[int, float]:
-        return dict(zip(self.node_ids.tolist(), self.scores.tolist()))
-
 
 class Titles(Sequence[str]):
     """Titles held as one UTF-8 buffer and the offsets that bound each one,
@@ -113,12 +112,6 @@ class Ranking(NamedTuple):
     rows: np.ndarray  # int64
     scores: np.ndarray
     titles: Sequence[str]
-
-    @classmethod
-    def empty(cls) -> Ranking:
-        import numpy as np
-
-        return cls(np.empty(0, dtype=np.int64), np.empty(0), ())
 
     def head(self, count: int) -> list[tuple[str, float]]:
         """The first ``count`` articles as (title, score) pairs."""
@@ -167,8 +160,12 @@ def compute_stats(
     language: str = "",
     date: str = "",
 ) -> GraphStats:
-    """Exact node and edge counts of one emitted snapshot graph, its rows
-    checked as :func:`load_graph_file` checks them."""
+    """Exact node and edge counts of one emitted snapshot graph.
+
+    Each row's width and id columns (ASCII digits) are checked as
+    :func:`load_graph_file` checks them, but the ids are never parsed: an
+    id past ``2**63 - 1``, which :func:`load_graph_file` refuses, is
+    counted here."""
     edges = 0
     with _graph_rows(edge_path, EDGE_FIELDS, lambda: edges) as rows:
         for row in rows:
@@ -211,11 +208,6 @@ class LinkKey:
 
     def __len__(self) -> int:
         return len(self.key)
-
-
-def _check_node_count(n: int) -> None:
-    if n > _MAX_NODES:
-        raise ConfigurationError(f"pagerank handles at most {_MAX_NODES:,} nodes, got {n:,}")
 
 
 def _rows_of(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,7 +292,10 @@ def load_graph_file(edge_path: str | Path, node_path: str | Path) -> tuple[LinkK
         repeated = ids[1:][ids[1:] == ids[:-1]]
         if len(repeated):
             raise DataFormatError(f"{node_path}: page id {repeated[0]} is listed twice")
-        _check_node_count(len(ids))
+        if len(ids) > _MAX_NODES:
+            raise ConfigurationError(
+                f"pagerank handles at most {_MAX_NODES:,} nodes, got {len(ids):,}"
+            )
     except (DataFormatError, ConfigurationError):
         for _ in _edge_batches(edge_path):  # a fault in the edge rows comes first
             pass
@@ -331,59 +326,32 @@ def check_pagerank_options(damping: float, tolerance: float, max_iter: int) -> N
         raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
 
 
-def _pack_pairs(edges, nodes) -> LinkKey:
-    """The :class:`LinkKey` of (source, target) id pairs; the node ids are
-    the pairs' endpoints and ``nodes``."""
-    import numpy as np
-
-    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    # One column at a time: the sort copies of np.unique stay one column long.
-    universe = [np.unique(pairs[:, 0]), np.unique(pairs[:, 1])]
-    if nodes is not None:
-        universe.append(np.asarray(nodes, dtype=np.int64))
-    ids = np.unique(np.concatenate(universe))
-    del universe
-    _check_node_count(len(ids))
-    key = np.empty(len(pairs), dtype=np.int64)
-    for start in range(0, len(pairs), _BATCH_ROWS):  # in slices, to keep the temporaries small
-        chunk = pairs[start:start + _BATCH_ROWS]
-        key[start:start + len(chunk)] = _pack(ids, chunk[:, 0], chunk[:, 1])[0]
-    return LinkKey(key, ids)
-
-
 def pagerank(
-    edges: LinkKey | Sequence[tuple[int, int]] | np.ndarray,
-    nodes: Sequence[int] | np.ndarray | None = None,
+    links: LinkKey,
     *,
     damping: float = 0.85,
     tolerance: float = 1e-12,
     max_iter: int = 200,
 ) -> PageRankResult:
-    """Power-iteration PageRank over a directed graph.
+    """Power-iteration PageRank over the graph :func:`load_graph_file` read.
 
-    ``edges`` is the :class:`LinkKey` of :func:`load_graph_file`, which
-    pagerank takes out and indexes in place, or anything ``np.asarray``
-    turns into (source, target) id pairs, which is never modified. For
-    pairs, ``nodes`` extends the universe beyond the edges' endpoints
-    (isolated nodes still receive teleport and dangling mass); a
-    ``LinkKey`` brings its own nodes. Iteration stops when the L1 change
-    drops below ``tolerance``; if ``max_iter`` is reached first the result
-    carries ``converged=False``.
+    The key is taken out of ``links`` and indexed in place. Every node of
+    the node file is ranked; isolated nodes still receive teleport and
+    dangling mass. Iteration stops when the L1 change drops below
+    ``tolerance``; if ``max_iter`` is reached first the result carries
+    ``converged=False``. An empty graph has nothing to move: its result is
+    empty and converged after 0 iterations.
     """
     import numpy as np
 
     check_pagerank_options(damping, tolerance, max_iter)
-    if not isinstance(edges, LinkKey):
-        edges = _pack_pairs(edges, nodes)
-    elif nodes is not None:
-        raise ValueError("a LinkKey brings its own nodes")
-    key, edges.key = edges.key, None
+    key, links.key = links.key, None
     if key is None:
         raise ValueError("this LinkKey was ranked already")
-    ids = edges.ids
+    ids = links.ids
     n = len(ids)
     if n == 0:
-        raise ConfigurationError("pagerank needs a non-empty graph")
+        return PageRankResult(ids, np.empty(0), True, 0)
 
     # One entry per distinct pair, sorted by (source, target). Each
     # source's first key is source * n, so its entries start where that
@@ -434,11 +402,12 @@ def pagerank(
     return PageRankResult(ids, x, converged, iterations)
 
 
-def rank_articles(result: PageRankResult, nodes: tuple[Sequence[int], Sequence[str]]) -> Ranking:
+def rank_articles(result: PageRankResult, nodes: GraphNodes) -> Ranking:
     """Descending by score; equal scores by title, then by id.
 
-    ``nodes`` is ``(ids, titles)`` in any order, listing exactly the ranked
-    ids; the ranking's rows index them. One stable sort orders the scores;
+    ``nodes`` are the ranked graph's nodes, as :func:`load_graph_file`
+    returns them, in any order; their ids must be exactly the ranked ids,
+    and the ranking's rows index them. One stable sort orders the scores;
     titles are decoded and compared only inside runs of equal scores.
     """
     import numpy as np

@@ -341,25 +341,21 @@ def cmd_pagerank(config: RunConfig, args: argparse.Namespace) -> int:
         if _missing_input("run graph first", *paths):
             return EXIT_USAGE
         links, nodes = analytics.load_graph_file(*paths)
-        if len(nodes.ids) == 0:  # an early date may have no pages yet
-            ranking, converged, iterations = analytics.Ranking.empty(), True, 0
-        else:
-            result = analytics.pagerank(
-                links,
-                damping=args.damping,
-                tolerance=args.tolerance,
-                max_iter=args.max_iter,
-            )
-            ranking = analytics.rank_articles(result, nodes)
-            converged, iterations = result.converged, result.iterations
+        result = analytics.pagerank(
+            links,
+            damping=args.damping,
+            tolerance=args.tolerance,
+            max_iter=args.max_iter,
+        )
+        ranking = analytics.rank_articles(result, nodes)
         out = args.output if args.output else config.path("pagerank", date=label)
         analytics.write_rankings(ranking, out)
         _event(
             "pagerank-done",
             date=label,
             nodes=len(nodes.ids),
-            converged=converged,
-            iterations=iterations,
+            converged=result.converged,
+            iterations=result.iterations,
             top=[(title, float(f"{score:.6g}")) for title, score in ranking.head(3)],
         )
     return EXIT_OK

@@ -2,7 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
 criterion. Each test enforces its stated tolerance exactly; nothing here is
-calibrated after the fact.
+calibrated after the fact. PageRank is checked the way the ``pagerank``
+stage runs it: every graph is written as graph files and read back with
+``load_graph_file``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from wikilinks.wikitext import LINK_RE, scan_links
 
 import bruteforce
 from conftest import FIXTURE_DATES, GOLDEN_DIR, MINIDUMP, run_pipeline
-from test_analytics import dense_pagerank
+from test_analytics import dense_pagerank, loaded
 from test_wikitext import ADVERSARIAL, random_wikitext
 
 
@@ -116,11 +118,12 @@ def test_redirect_node_property(tmp_path):
     _report("redirect-node-property", f"{checked} redirect nodes verified")
 
 
-def test_pagerank_against_dense_oracle():
+def test_pagerank_against_dense_oracle(tmp_path):
     """Power iteration matches a dense linear solve within 1e-10 per node on
     700+ directed graphs of up to 5 nodes (exhaustive through n=3, including
-    self-loops; seeded random samples for n=4,5). Triangle symmetry is exact
-    to 1e-12. Budget: 60 seconds."""
+    self-loops; seeded random samples for n=4,5), each read from graph files
+    by ``load_graph_file``. Triangle symmetry is exact to 1e-12. Budget: 60
+    seconds."""
     started = time.perf_counter()
 
     graphs = []
@@ -140,12 +143,12 @@ def test_pagerank_against_dense_oracle():
     assert len(graphs) >= 500
 
     for nodes, edges in graphs:
-        result = pagerank(edges, nodes, tolerance=1e-15, max_iter=5000)
+        result = pagerank(loaded(tmp_path, edges, nodes)[0], tolerance=1e-15, max_iter=5000)
         ids, expected = dense_pagerank(edges, nodes)
         assert list(result.node_ids) == ids
         np.testing.assert_allclose(result.scores, expected, rtol=0, atol=1e-10)
 
-    triangle = pagerank([(1, 2), (2, 3), (3, 1)])
+    triangle = pagerank(loaded(tmp_path, [(1, 2), (2, 3), (3, 1)])[0])
     np.testing.assert_allclose(triangle.scores, 1 / 3, rtol=0, atol=1e-12)
 
     elapsed = time.perf_counter() - started

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wikilinks.analytics import (
+    GraphNodes,
     GraphStats,
     compute_stats,
     load_graph_file,
@@ -89,6 +90,13 @@ def graph_files(tmp_path, edges, nodes):
     return edge_path, node_path
 
 
+def loaded(tmp_path, edges, nodes=()):
+    """``load_graph_file`` of the (source, target) id pairs ``edges``,
+    written as graph files whose node file lists ``nodes`` and every
+    endpoint, in ascending id order."""
+    return load_graph_file(*graph_files(tmp_path, edges, sorted(set(nodes).union(*edges))))
+
+
 def decoded_pairs(links):
     """The (source id, target id) pairs of a LinkKey, in its order."""
     sources, targets = np.divmod(links.key, len(links.ids))
@@ -159,38 +167,38 @@ class TestGrowthSeries:
 
 
 class TestPageRank:
-    def test_triangle_symmetry_exact(self):
-        result = pagerank([(1, 2), (2, 3), (3, 1)])
+    def test_triangle_symmetry_exact(self, tmp_path):
+        result = pagerank(loaded(tmp_path, [(1, 2), (2, 3), (3, 1)])[0])
         assert result.converged
         np.testing.assert_allclose(result.scores, 1 / 3, atol=1e-12)
 
-    def test_two_node_graph_matches_dense_solve(self):
+    def test_two_node_graph_matches_dense_solve(self, tmp_path):
         edges = [(1, 2)]
-        result = pagerank(edges, tolerance=1e-14, max_iter=1000)
+        result = pagerank(loaded(tmp_path, edges)[0], tolerance=1e-14, max_iter=1000)
         ids, expected = dense_pagerank(edges, [1, 2])
         assert list(result.node_ids) == ids
         np.testing.assert_allclose(result.scores, expected, atol=1e-10)
 
-    def test_scores_sum_to_one_at_every_iteration(self):
+    def test_scores_sum_to_one_at_every_iteration(self, tmp_path):
         edges = [(1, 2), (2, 3), (3, 1), (1, 3), (4, 1)]
         for iterations in (1, 2, 3, 5, 10, 50):
-            result = pagerank(edges, max_iter=iterations, tolerance=0.0)
+            result = pagerank(loaded(tmp_path, edges)[0], max_iter=iterations, tolerance=0.0)
             assert abs(result.scores.sum() - 1.0) < 1e-9
             assert (result.scores >= 0).all()
 
-    def test_dangling_node_mass_redistributed(self):
+    def test_dangling_node_mass_redistributed(self, tmp_path):
         # 2 -> dangling; its mass must come back uniformly
         edges = [(1, 2)]
-        result = pagerank(edges, tolerance=1e-14, max_iter=1000)
+        result = pagerank(loaded(tmp_path, edges)[0], tolerance=1e-14, max_iter=1000)
         ids, expected = dense_pagerank(edges, [1, 2])
         np.testing.assert_allclose(result.scores, expected, atol=1e-12)
 
-    def test_isolated_nodes_share_teleport(self):
-        result = pagerank([(1, 2)], nodes=[1, 2, 3])
+    def test_isolated_nodes_share_teleport(self, tmp_path):
+        result = pagerank(loaded(tmp_path, [(1, 2)], [1, 2, 3])[0])
         assert len(result.node_ids) == 3
         assert abs(result.scores.sum() - 1.0) < 1e-9
 
-    def test_random_graphs_match_dense_solve(self):
+    def test_random_graphs_match_dense_solve(self, tmp_path):
         # module invariant: dense agreement within 1e-10 up to 8 nodes
         rng = random.Random(42)
         for _ in range(60):
@@ -202,12 +210,12 @@ class TestPageRank:
                 for d in nodes
                 if rng.random() < 0.4
             ]
-            result = pagerank(edges, nodes, tolerance=1e-14, max_iter=2000)
+            result = pagerank(loaded(tmp_path, edges, nodes)[0], tolerance=1e-14, max_iter=2000)
             ids, expected = dense_pagerank(edges, nodes)
             assert list(result.node_ids) == ids
             np.testing.assert_allclose(result.scores, expected, atol=1e-10)
 
-    def test_matches_a_row_by_row_reference_bit_for_bit(self):
+    def test_matches_a_row_by_row_reference_bit_for_bit(self, tmp_path):
         # Ties in the ranking depend on the last bit of each score, so the
         # sums must run in the reference's order: repeated pairs (in runs
         # longer than 8, past numpy's pairwise-summation block), self-loops,
@@ -226,74 +234,82 @@ class TestPageRank:
             damping = float(rng.choice([0.85, 0.5, 0.99, 0.15]))
             tolerance = float(rng.choice([1e-12, 1e-6, 0.0]))
             max_iter = int(rng.choice([200, 7, 1]))
-            given = edges.copy()
-            result = pagerank(
-                given, nodes, damping=damping, tolerance=tolerance, max_iter=max_iter
-            )
+            links, _ = loaded(tmp_path, edges.tolist(), nodes.tolist())
+            result = pagerank(links, damping=damping, tolerance=tolerance, max_iter=max_iter)
             ids_ref, scores, converged, iterations = row_by_row_pagerank(
                 edges.tolist(), nodes.tolist(), damping, tolerance, max_iter
             )
             assert result.node_ids.tolist() == ids_ref, case
             assert np.array_equal(result.scores.view(np.int64), scores.view(np.int64)), case
             assert (result.converged, result.iterations) == (converged, iterations), case
-            assert np.array_equal(given, edges), case  # the caller's array is left alone
 
-    def test_rank_order_invariant_under_relabeling(self):
+    def test_rank_order_invariant_under_relabeling(self, tmp_path):
         edges = [(0, 1), (1, 2), (2, 0), (3, 1), (3, 2), (4, 3)]
         nodes = [0, 1, 2, 3, 4]
         mapping = {0: 40, 1: 17, 2: 99, 3: 3, 4: 58}
-        base = pagerank(edges, nodes, tolerance=1e-14, max_iter=2000)
+        base = pagerank(loaded(tmp_path, edges, nodes)[0], tolerance=1e-14, max_iter=2000)
         permuted = pagerank(
-            [(mapping[s], mapping[d]) for s, d in edges],
-            [mapping[n] for n in nodes],
+            loaded(tmp_path, [(mapping[s], mapping[d]) for s, d in edges],
+                   [mapping[n] for n in nodes])[0],
             tolerance=1e-14,
             max_iter=2000,
         )
-        base_scores = base.as_mapping()
-        permuted_scores = permuted.as_mapping()
+        base_scores = dict(zip(base.node_ids.tolist(), base.scores.tolist()))
+        permuted_scores = dict(zip(permuted.node_ids.tolist(), permuted.scores.tolist()))
         for node in nodes:
             assert abs(base_scores[node] - permuted_scores[mapping[node]]) < 1e-12
 
-    def test_non_convergence_flagged(self):
+    def test_non_convergence_flagged(self, tmp_path):
         # asymmetric graph: the uniform start is not the fixed point
-        result = pagerank([(1, 2)], max_iter=2, tolerance=1e-30)
+        result = pagerank(loaded(tmp_path, [(1, 2)])[0], max_iter=2, tolerance=1e-30)
         assert not result.converged
         assert result.iterations == 2
 
-    def test_damping_validated(self):
+    def test_damping_validated(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            pagerank([(1, 2)], damping=1.0)
+            pagerank(loaded(tmp_path, [(1, 2)])[0], damping=1.0)
 
     @pytest.mark.parametrize(
         "option", [{"max_iter": 0}, {"tolerance": -1.0}, {"tolerance": float("nan")}]
     )
-    def test_iteration_options_validated(self, option):
+    def test_iteration_options_validated(self, tmp_path, option):
         with pytest.raises(ConfigurationError):
-            pagerank([(1, 2)], **option)
+            pagerank(loaded(tmp_path, [(1, 2)])[0], **option)
 
-    def test_graph_past_the_pair_key_is_refused(self, monkeypatch):
+    def test_graph_past_the_pair_key_is_refused(self, tmp_path, monkeypatch):
         from wikilinks import analytics
 
         # The largest (source, target) key, n * n - 1, must fit in int64.
         limit = analytics._MAX_NODES
         assert limit * limit - 1 <= 2**63 - 1 < (limit + 1) * (limit + 1) - 1
         monkeypatch.setattr(analytics, "_MAX_NODES", 2)
-        assert pagerank([(1, 2)]).iterations > 0
+        assert pagerank(loaded(tmp_path, [(1, 2)])[0]).iterations > 0
         with pytest.raises(ConfigurationError, match="at most 2 nodes"):
-            pagerank([(1, 2)], nodes=[3])
+            loaded(tmp_path, [(1, 2)], [3])
 
-    def test_empty_graph_rejected(self):
-        with pytest.raises(ConfigurationError):
-            pagerank([])
+    def test_empty_graph_ranks_to_a_header_only_file(self, tmp_path):
+        import gzip
+
+        links, nodes = load_graph_file(*graph_files(tmp_path, [], []))
+        assert len(links) == 0 and len(nodes.ids) == 0
+        result = pagerank(links)
+        assert (result.converged, result.iterations) == (True, 0)
+        assert len(result.node_ids) == len(result.scores) == 0
+        ranking = rank_articles(result, nodes)
+        assert ranking.head(3) == []
+        path = tmp_path / "rank.csv.gz"
+        assert write_rankings(ranking, path) == 0
+        with gzip.open(path, "rb") as f:
+            assert f.read() == b"rank,title,score\n"
 
 
 class TestRankings:
-    def test_ranking_sorted_with_title_tiebreak(self):
-        result = pagerank([(1, 3), (2, 3)], nodes=[1, 2, 3])
-        ranked = rank_articles(result, ([1, 2, 3], ["B", "A", "C"]))
+    def test_ranking_sorted_with_title_tiebreak(self, tmp_path):
+        result = pagerank(loaded(tmp_path, [(1, 3), (2, 3)])[0])
+        ranked = rank_articles(result, GraphNodes(np.array([1, 2, 3]), ["B", "A", "C"]))
         assert [title for title, _ in ranked.head(3)] == ["C", "A", "B"]  # 1 and 2 tie
 
-    def test_ranking_equals_a_sort_on_score_then_title(self):
+    def test_ranking_equals_a_sort_on_score_then_title(self, tmp_path):
         # Rings, stars and isolated nodes give long runs of equal scores.
         rng = random.Random(7)
         edges = [(i, i + 1 - 4 * (i % 4 == 3)) for i in range(40)]  # ten 4-rings
@@ -301,8 +317,8 @@ class TestRankings:
         edges += [(rng.randrange(300, 340), rng.randrange(300, 340)) for _ in range(60)]
         ids = sorted({n for edge in edges for n in edge} | set(range(400, 420)))
         titles = [f"T{rng.randrange(1000):03d}" for _ in ids]  # out of id order, some repeated
-        result = pagerank(edges, ids)
-        ranked = rank_articles(result, (ids[::-1], titles[::-1]))
+        result = pagerank(loaded(tmp_path, edges, ids)[0])
+        ranked = rank_articles(result, GraphNodes(np.array(ids[::-1]), titles[::-1]))
         by_id = dict(zip(ids, titles))
         expected = sorted(
             zip(result.scores.tolist(), (by_id[i] for i in result.node_ids.tolist())),
@@ -353,14 +369,14 @@ class TestRankings:
             assert f.read() == text.getvalue().encode("utf-8")
         assert len(set(result.scores.tolist())) < len(ids) // 10  # the runs are there
 
-    def test_ranking_needs_a_title_for_every_node(self):
-        result = pagerank([(1, 2)])
+    def test_ranking_needs_a_title_for_every_node(self, tmp_path):
+        result = pagerank(loaded(tmp_path, [(1, 2)])[0])
         with pytest.raises(ValueError):
-            rank_articles(result, ([1], ["One"]))
+            rank_articles(result, GraphNodes(np.array([1]), ["One"]))
 
     def test_rankings_csv_format(self, tmp_path):
-        result = pagerank([(1, 2)], tolerance=1e-14, max_iter=500)
-        ranked = rank_articles(result, ([1, 2], ["One", "Two"]))
+        result = pagerank(loaded(tmp_path, [(1, 2)])[0], tolerance=1e-14, max_iter=500)
+        ranked = rank_articles(result, GraphNodes(np.array([1, 2]), ["One", "Two"]))
         path = tmp_path / "rank.csv.gz"
         assert write_rankings(ranked, path) == 2
         rows = list(iter_rows(path, ("rank", "title", "score")))
@@ -392,8 +408,6 @@ class TestRankings:
         edges[4:4] = [(1, 2)] * 3
         nodes = [6, 5, 4, 3, 2, 1]
         links, _ = load_graph_file(*graph_files(tmp_path, edges, nodes))
-        with pytest.raises(ValueError, match="brings its own nodes"):
-            pagerank(links, nodes)
         result = pagerank(links)
         ids, scores, converged, iterations = row_by_row_pagerank(edges, nodes, 0.85, 1e-12, 200)
         assert result.node_ids.tolist() == ids

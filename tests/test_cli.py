@@ -425,8 +425,8 @@ def rebound_names(module: str) -> set[str]:
 
 
 class TestTracedNames:
-    """Every extract, snapshot and graph function the benchmark tracer wraps
-    must be one the stages call, or its spans and counts read 0."""
+    """Every extract, snapshot, graph and analytics function the benchmark
+    tracer wraps must be one the stages call, or its spans and counts read 0."""
 
     def test_every_traced_extract_name_is_called(self, out_dir, minidump_path, monkeypatch):
         assert "read_pages" in traced_names("dump")
@@ -501,6 +501,43 @@ class TestTracedNames:
         written = results["wikilinks.snapshot.write_snapshot_links"]
         assert all(type(rows) is int for rows in written)
         assert sum(written) == sum(links) > 0
+
+    def test_every_traced_analytics_name_is_called(self, out_dir, monkeypatch):
+        from wikilinks import analytics
+
+        names = traced_names("analytics")
+        assert {"load_graph_file", "pagerank"} <= names
+        # What the tracer reads of a result as the call returns: the loaded
+        # key's len() (a ranked key has none) and the iteration count.
+        read = {"load_graph_file": lambda result: len(result[0]),
+                "pagerank": lambda result: result.iterations}
+        results: dict[str, list] = {name: [] for name in names}
+
+        def record(name):
+            fn, take = getattr(analytics, name), read.get(name, lambda result: result)
+
+            @functools.wraps(fn)
+            def recorded(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                results[name].append(take(result))
+                return result
+
+            monkeypatch.setattr(analytics, name, recorded)
+
+        for name in names:
+            record(name)
+        run_pipeline(out_dir)
+        assert cli.main(["stats", *base_args(out_dir), *date_args()]) == 0
+        assert cli.main(["pagerank", *base_args(out_dir), *date_args()]) == 0
+
+        assert all(results.values()), results
+        edge_rows = [
+            sum(1 for _ in iter_rows(out_dir / f"enwiki.wikilinkgraph.{date}.csv.gz",
+                                     graph.EDGE_FIELDS))
+            for date in FIXTURE_DATES
+        ]
+        assert results["load_graph_file"] == edge_rows and sum(edge_rows) > 0
+        assert all(type(iterations) is int for iterations in results["pagerank"])
 
 
 class TestShardPool:
