@@ -2,10 +2,24 @@
 
 Counting (:func:`compute_stats`, :func:`write_growth_series`) needs only the
 standard library; numpy is imported inside the functions that rank, so
-``stats`` never loads it. Both read a graph file in one loop per file that
-checks each row where it is read.
+``stats`` never loads it.
 
-:func:`load_graph_file` reads the node file into int64 ids and
+Graph files are read in decompressed blocks of whole lines, about 1 MB
+each (:func:`storage.read_blocks`). A block takes the block path when the
+file's header is exactly the one :class:`DatasetWriter` writes and one
+match of ``_EDGE_ROWS`` or ``_NODE_ROWS`` accepts all of it: rows of the
+right width as csv.writer writes them, id columns of ASCII digits, titles
+bare or quoted with no carriage return, line feed or NUL, no field past
+csv's field size limit, and valid UTF-8. Every line feed of such a block
+ends a row, so :func:`compute_stats` counts them, and
+:func:`load_graph_file` parses the edge ids of a block with numpy. From
+the first block that does not take the block path, the rest of the file
+goes through csv, in the row loops that check each row where it is read,
+past the rows already taken. The counts, the ids and every error, with its
+row number, are then those of csv alone. The patterns need Python 3.11;
+on 3.10 csv reads every file.
+
+:func:`load_graph_file` reads the node file through csv into int64 ids and
 :class:`Titles`, both in file order, and then streams the edge file into a
 :class:`LinkKey`, one int64 per edge. Titles come only from the node file,
 which must list every edge endpoint exactly once. They are held as one
@@ -39,6 +53,9 @@ rankings are written.
 
 from __future__ import annotations
 
+import csv
+import re
+import sys
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
@@ -49,14 +66,21 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigurationError, DataFormatError
 from .graph import EDGE_FIELDS, NODE_FIELDS
-from .storage import DatasetWriter, open_rows
+from .storage import DatasetWriter, open_rows, read_blocks, rows_pattern
 
 if TYPE_CHECKING:
     import numpy as np
 
 RANKING_FIELDS = ("rank", "title", "score")
 GROWTH_FIELDS = ("language", "date", "nodes", "edges")
-_BATCH_ROWS = 1 << 16
+_BATCH_ROWS = 1 << 16  # rows per edge batch read through csv
+_BLOCK_BYTES = 1 << 20
+_FIELD_LIMIT = csv.field_size_limit()  # at import: the longest field the patterns take
+if sys.version_info >= (3, 11):  # possessive repeats, so a match keeps no state per row
+    _EDGE_ROWS = re.compile(rows_pattern(len(EDGE_FIELDS), (0, 2), _FIELD_LIMIT))
+    _NODE_ROWS = re.compile(rows_pattern(len(NODE_FIELDS), (0,), _FIELD_LIMIT))
+else:  # csv reads every graph file
+    _EDGE_ROWS = _NODE_ROWS = re.compile(rb"(?!)")
 _MAX_NODES = 3_037_000_499  # the largest n with n * n - 1 <= 2**63 - 1, for the pair key
 
 
@@ -153,6 +177,47 @@ def _graph_rows(
         raise DataFormatError(f"{path}: unreadable row after {rows_read()} data rows: {err}")
 
 
+def _blocks(
+    path: str | Path, fields: Sequence[str], rows: re.Pattern[bytes]
+) -> Iterator[bytes | None]:
+    """:func:`read_blocks` of a graph file. If csv's field size limit has
+    been lowered below the one ``rows`` takes, the file is read through csv
+    alone."""
+    if csv.field_size_limit() < _FIELD_LIMIT:
+        return iter((None,))
+    return read_blocks(path, fields, rows, _BLOCK_BYTES)
+
+
+def _csv_row_count(path: str | Path, fields: Sequence[str], id_columns: Sequence[int],
+                   taken: int) -> int:
+    """The number of data rows of a graph file, read through csv; each row
+    past the first ``taken`` is checked."""
+    rows = 0
+    with _graph_rows(path, fields, lambda: rows) as reader:
+        for _ in islice(reader, taken):
+            rows += 1
+        for row in reader:
+            if len(row) != len(fields) or not all(
+                row[c].isascii() and row[c].isdigit() for c in id_columns
+            ):
+                raise _bad_row(path, fields, id_columns, rows + 2, row)
+            rows += 1
+    return rows
+
+
+def _count_rows(path: str | Path, fields: Sequence[str], id_columns: Sequence[int],
+                rows: re.Pattern[bytes]) -> int:
+    """The number of data rows of a graph file, each checked."""
+    taken = 0
+    for block in _blocks(path, fields, rows):
+        if block is None:
+            break
+        taken += block.count(b"\n")
+    else:
+        return taken
+    return _csv_row_count(path, fields, id_columns, taken)
+
+
 def compute_stats(
     edge_path: str | Path,
     node_path: str | Path,
@@ -165,21 +230,14 @@ def compute_stats(
     Each row's width and id columns (ASCII digits) are checked as
     :func:`load_graph_file` checks them, but the ids are never parsed: an
     id past ``2**63 - 1``, which :func:`load_graph_file` refuses, is
-    counted here."""
-    edges = 0
-    with _graph_rows(edge_path, EDGE_FIELDS, lambda: edges) as rows:
-        for row in rows:
-            if len(row) != 4 or not (
-                row[0].isascii() and row[0].isdigit() and row[2].isascii() and row[2].isdigit()
-            ):
-                raise _bad_row(edge_path, EDGE_FIELDS, (0, 2), edges + 2, row)
-            edges += 1
-    nodes = 0
-    with _graph_rows(node_path, NODE_FIELDS, lambda: nodes) as rows:
-        for row in rows:
-            if len(row) != 2 or not (row[0].isascii() and row[0].isdigit()):
-                raise _bad_row(node_path, NODE_FIELDS, (0,), nodes + 2, row)
-            nodes += 1
+    counted here. A file is read in blocks of whole lines, each checked by
+    one match of a pattern of the rows :class:`DatasetWriter` writes, and
+    its rows are counted by their line ends. From the first block the
+    pattern refuses, the rest of the file is read through csv, with the
+    same counts and errors.
+    """
+    edges = _count_rows(edge_path, EDGE_FIELDS, (0, 2), _EDGE_ROWS)
+    nodes = _count_rows(node_path, NODE_FIELDS, (0,), _NODE_ROWS)
     return GraphStats(language, date, nodes, edges)
 
 
@@ -230,18 +288,48 @@ def _pack(ids: np.ndarray, sources: np.ndarray, targets: np.ndarray) -> tuple[np
     return packed, listed & found
 
 
-def _edge_batches(edge_path: str | Path) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The rows of an edge file, up to ``_BATCH_ROWS`` at a time, in file
-    order: the row number of each batch's first row, and its source and
-    target id columns.
+def _block_ids(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The source and target ids of a block of edge rows that
+    ``_EDGE_ROWS`` matched, or None if an id has more than 19 digits or is
+    past ``2**63 - 1``."""
+    import numpy as np
 
-    Rows are checked as :func:`compute_stats` checks them, and an id past
-    ``2**63 - 1`` raises :class:`DataFormatError`.
-    """
+    text = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(text == ord("\n"))
+    commas = np.flatnonzero(text == ord(","))
+    if b'"' in block:  # a comma inside a quoted title follows an odd number of quotes
+        commas = commas[np.searchsorted(np.flatnonzero(text == ord('"')), commas) % 2 == 0]
+    commas = commas.reshape(-1, 3)  # the three delimiters of each row
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    ids = []
+    for lo, hi in ((starts, commas[:, 0]), (commas[:, 1] + 1, commas[:, 2])):
+        digits = int((hi - lo).max())
+        if digits > 19:
+            return None
+        value = np.zeros(len(lo), np.uint64)
+        for k in range(digits, 0, -1):  # right-aligned: the digit k places before hi
+            at = hi - k
+            digit = text[np.maximum(at, 0)] - np.uint8(ord("0"))
+            digit[at < lo] = 0
+            value *= 10
+            value += digit
+        if value.max() > 2**63 - 1:
+            return None
+        ids.append(value.view(np.int64))
+    return ids[0], ids[1]
+
+
+def _csv_edge_batches(
+    edge_path: str | Path, taken: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The edge batches of the rows past the first ``taken``, read through
+    csv, up to ``_BATCH_ROWS`` rows at a time."""
     import numpy as np
 
     first, targets = 2, ()  # () until the first batch, for rows_read
     with _graph_rows(edge_path, EDGE_FIELDS, lambda: first - 2 + len(targets)) as rows:
+        for _ in islice(rows, taken):
+            first += 1
         while True:
             sources, targets = array("q"), array("q")
             for row in islice(rows, _BATCH_ROWS):
@@ -255,6 +343,28 @@ def _edge_batches(edge_path: str | Path) -> Iterator[tuple[int, np.ndarray, np.n
                 return
             yield first, np.frombuffer(sources, np.int64), np.frombuffer(targets, np.int64)
             first += len(targets)
+
+
+def _edge_batches(edge_path: str | Path) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The rows of an edge file in batches, in file order: the row number
+    of each batch's first row, and its source and target id columns.
+
+    Rows are checked as :func:`compute_stats` checks them, and an id past
+    ``2**63 - 1`` raises :class:`DataFormatError`. A block that
+    :func:`compute_stats` would take is one batch, its ids parsed by
+    :func:`_block_ids`. From the first block that it would not take, or
+    whose ids :func:`_block_ids` leaves alone, the rest is read through csv.
+    """
+    taken = 0
+    for block in _blocks(edge_path, EDGE_FIELDS, _EDGE_ROWS):
+        ids = None if block is None else _block_ids(block)
+        if ids is None:
+            break
+        yield taken + 2, *ids
+        taken += len(ids[0])
+    else:
+        return
+    yield from _csv_edge_batches(edge_path, taken)
 
 
 def _read_nodes(node_path: str | Path) -> GraphNodes:
@@ -283,6 +393,12 @@ def load_graph_file(edge_path: str | Path, node_path: str | Path) -> tuple[LinkK
     the node file raises :class:`DataFormatError`. A fault in the edge
     file's rows is reported before any fault of the node file, and a fault
     of the node file before an unlisted endpoint.
+
+    The node file is read through csv. The edge file is read in blocks, as
+    :func:`compute_stats` reads it, and numpy parses the ids of each block
+    the pattern accepts. From the first block it refuses, or one with an id
+    of more than 19 digits or past ``2**63 - 1``, the rest is read through
+    csv.
     """
     import numpy as np
 

@@ -20,8 +20,10 @@ import gzip
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator, Sequence
@@ -243,6 +245,13 @@ class DatasetWriter:
             self.abort()
 
 
+def _refuse_stale(path: str | Path) -> None:
+    if partial_path(path).exists():
+        raise DataFormatError(
+            f"{path}: stale, the run that rebuilt it failed and left {partial_path(path).name}"
+        )
+
+
 @contextmanager
 def open_rows(
     path: str | Path, expected_header: Sequence[str] | None = None
@@ -254,10 +263,7 @@ def open_rows(
     ``expected_header``, if given, is wrong; both are refused with
     :class:`DataFormatError`. The rows themselves are not checked.
     """
-    if partial_path(path).exists():
-        raise DataFormatError(
-            f"{path}: stale, the run that rebuilt it failed and left {partial_path(path).name}"
-        )
+    _refuse_stale(path)
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rt", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -284,3 +290,55 @@ def iter_rows(
                     f"{path}: row {number} has {len(row)} columns, expected {width}"
                 )
             yield row
+
+
+def rows_pattern(width: int, id_columns: Sequence[int], limit: int) -> bytes:
+    """The source of a bytes regular expression that matches blocks of whole
+    rows as :class:`DatasetWriter` writes them: ``width`` fields and a "\\n"
+    per row. The fields in ``id_columns`` are ASCII digits; the others are
+    text, bare or quoted, with no "\\r", "\\n" or NUL. No field is longer
+    than ``limit`` bytes once unquoted.
+
+    No field holds a "\\n", so every "\\n" of a matched block ends a row,
+    and csv reads each matched row as the fields the pattern sees. The
+    repeats are possessive, which needs Python 3.11.
+    """
+    digits = rb"[0-9]{1,%d}+" % limit
+    text = rb'(?:[^,"\r\n\x00]{0,%d}+|"(?:[^"\r\n\x00]|""){0,%d}")' % (limit, limit)
+    fields = (digits if column in id_columns else text for column in range(width))
+    return rb"(?:%s\n)*+" % b",".join(fields)
+
+
+def read_blocks(
+    path: str | Path, fields: Sequence[str], rows: re.Pattern[bytes], size: int
+) -> Iterator[bytes | None]:
+    """The data rows of a dataset file, decompressed, in blocks of whole
+    lines of about ``size`` bytes, while each block is valid UTF-8 and
+    ``rows`` matches all of it.
+
+    A stale file is refused as :func:`open_rows` refuses it. Otherwise one
+    None ends the blocks early, to say that the rest of the file must be read
+    through :func:`open_rows`. It comes in place of the first block that is
+    refused, and at once when the header is not ``fields`` as
+    :class:`DatasetWriter` writes it. It also comes when the file does not
+    end in "\\n" or cannot be read to its end.
+    """
+    _refuse_stale(path)
+    header = (",".join(fields) + "\n").encode()
+    opener = gzip.open if str(path).endswith(".gz") else open
+    try:
+        with opener(path, "rb") as f:
+            if f.readline(len(header)) == header:
+                while block := f.read(size):
+                    if not block.endswith(b"\n"):
+                        block += f.readline()
+                    # decode() raises UnicodeDecodeError, a ValueError, on invalid UTF-8
+                    if not (block.endswith(b"\n") and rows.fullmatch(block)
+                            and (block.isascii() or block.decode())):
+                        break
+                    yield block
+                else:
+                    return
+    except (OSError, EOFError, ValueError, zlib.error):
+        pass  # csv reads the file again and raises what it raises
+    yield None

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import csv
+import gzip
 import random
+import re
+import sys
 
 import numpy as np
 import pytest
 
+from wikilinks import analytics
 from wikilinks.analytics import (
     GraphNodes,
     GraphStats,
@@ -17,7 +22,7 @@ from wikilinks.analytics import (
 )
 from wikilinks.errors import ConfigurationError, DataFormatError
 from wikilinks.graph import emit_edges, emit_nodes
-from wikilinks.storage import iter_rows
+from wikilinks.storage import iter_rows, partial_path
 
 
 def dense_pagerank(edges, nodes, damping=0.85):
@@ -484,3 +489,236 @@ class TestRankings:
             load_graph_file(edge_path, node_path)
         with pytest.raises(DataFormatError, match="row 3"):
             compute_stats(edge_path, node_path)
+
+
+EDGE_HEADER = b"page_id_from,page_title_from,page_id_to,page_title_to\n"
+NODE_HEADER = b"page_id,page_title\n"
+# Titles with a comma, quotes, two- and three-byte UTF-8 and an empty one,
+# as DatasetWriter quotes them.
+GOOD_EDGES = (
+    '1,Plain,2,"Comma, title"\n'
+    '2,"Comma, title",3,"Say ""hi"""\n'
+    '3,"Say ""hi""",4,Café €\n'
+    "4,Café €,5,\n"
+    "5,,1,Plain\n"
+).encode()
+GOOD_NODES = '1,Plain\n2,"Comma, title"\n3,"Say ""hi"""\n4,Café €\n5,\n'.encode()
+LIMIT = csv.field_size_limit()
+# Block sizes that cut GOOD_EDGES' rows inside "é" (6) and "€" (9, 10, 23).
+BLOCK_SIZES = (1, 2, 3, 6, 9, 10, 17, 23, 1 << 20)
+
+
+def write_file(path, data: bytes):
+    if path.suffix == ".gz":
+        with gzip.GzipFile(path, "wb", mtime=0) as f:
+            f.write(data)
+    else:
+        path.write_bytes(data)
+    return path
+
+
+def read_summary(edge_path, node_path):
+    """compute_stats and load_graph_file of the files, each as its result
+    or its error's type and message."""
+    outcomes = []
+    for read in (compute_stats, load_graph_file):
+        try:
+            result = read(edge_path, node_path)
+        except Exception as err:
+            outcomes.append((type(err), str(err)))
+            continue
+        if read is load_graph_file:
+            links, nodes = result
+            result = (links.key.tolist(), links.ids.tolist(), nodes.ids.tolist(),
+                      list(nodes.titles))
+        outcomes.append(result)
+    return outcomes
+
+
+def assert_blocks_read_as_csv(monkeypatch, edge_path, node_path, sizes=BLOCK_SIZES):
+    """At each block size, the files read as they do with the block path
+    forced off, results and errors alike; returns what they read as."""
+    with monkeypatch.context() as m:
+        never = re.compile(rb"(?!)")
+        m.setattr(analytics, "_EDGE_ROWS", never)
+        m.setattr(analytics, "_NODE_ROWS", never)
+        by_csv = read_summary(edge_path, node_path)
+    for size in sizes:
+        monkeypatch.setattr(analytics, "_BLOCK_BYTES", size)
+        assert read_summary(edge_path, node_path) == by_csv, size
+    return by_csv
+
+
+class TestBlockReading:
+    """Graph files are read in blocks; from the first block the block path
+    does not take, csv reads the rest. Both give the same counts, ids,
+    titles and errors as csv alone."""
+
+    @pytest.mark.parametrize("edge_data, node_data", [
+        pytest.param(EDGE_HEADER + GOOD_EDGES * 9, NODE_HEADER + GOOD_NODES, id="valid"),
+        pytest.param(EDGE_HEADER, NODE_HEADER, id="header-only"),
+        pytest.param(b"", NODE_HEADER, id="empty-file"),
+        pytest.param(EDGE_HEADER[:-1], NODE_HEADER, id="header-without-newline"),
+        pytest.param(b'"page_id_from",page_title_from,page_id_to,page_title_to\n' + GOOD_EDGES,
+                     NODE_HEADER + GOOD_NODES, id="quoted-header"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES, b"\xef\xbb\xbf" + NODE_HEADER + GOOD_NODES,
+                     id="bom"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES * 4 + b"1,\xff,2,B\n", NODE_HEADER + GOOD_NODES,
+                     id="invalid-utf8"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES, NODE_HEADER + GOOD_NODES + b"6,\xed\xa0\x80\n",
+                     id="encoded-surrogate"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES * 3 + b"1,A\x00,2,B\n", NODE_HEADER + GOOD_NODES,
+                     id="nul"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES * 3 + b'1,"A,\x00",2,B\n', NODE_HEADER + GOOD_NODES,
+                     id="nul-in-quoted-title"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES + b"1,A,2,B", NODE_HEADER + GOOD_NODES,
+                     id="no-final-newline"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES.replace(b"\n", b"\r\n"),
+                     NODE_HEADER + GOOD_NODES, id="crlf"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES + b'"1",A,2,B\n', NODE_HEADER + GOOD_NODES,
+                     id="quoted-id"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES * 2 + b'1,"two\nlines",2,B\n',
+                     NODE_HEADER + GOOD_NODES, id="newline-in-title"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES * 3 + b"\n" + GOOD_EDGES, NODE_HEADER + GOOD_NODES,
+                     id="blank-line"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES + b"9223372036854775807,A,1,B\n",
+                     NODE_HEADER + GOOD_NODES + b"9223372036854775807,A\n", id="int64-max"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES + b"9223372036854775808,A,1,B\n",
+                     NODE_HEADER + GOOD_NODES, id="past-int64"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES + b"1,A,0000000000000000000000005,B\n",
+                     NODE_HEADER + GOOD_NODES, id="25-character-id"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES + b"1,A,18446744073709551621,B\n",
+                     NODE_HEADER + GOOD_NODES, id="2**64-plus-5"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES + b"1,A,%s,B\n" % (b"1" * (LIMIT + 1)),
+                     NODE_HEADER + GOOD_NODES, id="id-past-limit"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES * 40 + b"1,A,2\n", NODE_HEADER + GOOD_NODES,
+                     id="width-fault-late"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES * 40 + b"1,A,x,B\n", NODE_HEADER + GOOD_NODES,
+                     id="digit-fault-late"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES * 40 + b"1,A,-2,B\n", NODE_HEADER + GOOD_NODES,
+                     id="negative-id-late"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES * 20 + b"1,A,2\n",
+                     NODE_HEADER + GOOD_NODES * 3 + b"x,B\n", id="edge-fault-before-node-fault"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES * 20, NODE_HEADER + GOOD_NODES * 3 + b"7\n",
+                     id="node-fault"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES, NODE_HEADER + GOOD_NODES * 2, id="duplicate-node"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES * 8 + b"5,,6,\n" + GOOD_EDGES,
+                     NODE_HEADER + GOOD_NODES, id="unlisted-endpoint"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES + b"1,%s,2,B\n" % (b"x" * LIMIT),
+                     NODE_HEADER + GOOD_NODES, id="field-at-limit"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES + b"1,%s,2,B\n" % (b"x" * (LIMIT + 1)),
+                     NODE_HEADER + GOOD_NODES, id="field-past-limit"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES + b'1,"%s",2,B\n' % (b'""' * (LIMIT + 1)),
+                     NODE_HEADER + GOOD_NODES, id="quoted-field-past-limit"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES + "1,{},2,B\n".format("é" * LIMIT).encode(),
+                     NODE_HEADER + GOOD_NODES, id="field-at-limit-past-it-in-bytes"),
+    ])
+    def test_blocks_read_as_csv(self, tmp_path, monkeypatch, edge_data, node_data):
+        edge_path = write_file(tmp_path / "g.csv.gz", edge_data)
+        node_path = write_file(tmp_path / "g.nodes.csv.gz", node_data)
+        assert_blocks_read_as_csv(monkeypatch, edge_path, node_path)
+
+    @pytest.mark.parametrize("suffix", [".csv.gz", ".csv"])
+    def test_cuts_at_every_offset(self, tmp_path, monkeypatch, suffix):
+        edge_path = write_file(tmp_path / f"g{suffix}", EDGE_HEADER + GOOD_EDGES * 3)
+        node_path = write_file(tmp_path / f"g.nodes{suffix}", NODE_HEADER + GOOD_NODES)
+        assert_blocks_read_as_csv(monkeypatch, edge_path, node_path, range(1, 34))
+
+    @pytest.mark.parametrize("tail", [b"1,A,2,B", b"1,\xff,2,B\n", b"1,A,x,B\n"])
+    def test_plain_files(self, tmp_path, monkeypatch, tail):
+        edge_path = write_file(tmp_path / "g.csv", EDGE_HEADER + GOOD_EDGES * 4 + tail)
+        node_path = write_file(tmp_path / "g.nodes.csv", NODE_HEADER + GOOD_NODES)
+        assert_blocks_read_as_csv(monkeypatch, edge_path, node_path)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_files_read_as_csv(self, tmp_path, monkeypatch, seed):
+        rng = random.Random(seed)
+        titles = ["Plain", "Comma, title", 'Say "hi"', "Café €", "", "𝄞", ",", '"']
+        ids = rng.sample(range(1, 10**6), 6)
+        nodes = [(i, rng.choice(titles)) for i in ids]
+        edges = [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 60))]
+        edge_path, node_path = tmp_path / "g.csv.gz", tmp_path / "g.nodes.csv.gz"
+        emit_edges([(str(s), f"T{s}", str(t), dict(nodes)[t]) for s, t in edges], edge_path)
+        emit_nodes(nodes, node_path)
+        faults = [b"1,A,2\n", b"1,A,x,B\n", b'"1",A,2,B\n', b"1,A,2,B\r\n", b"\n",
+                  b"1,\xc3,2,B\n", b"1,A\x00,2,B\n", b"1,A,%d,B\n" % 2**63, None]
+        for path in (edge_path, node_path):
+            data = gzip.decompress(path.read_bytes()).splitlines(keepends=True)
+            fault = rng.choice(faults)
+            if fault is not None:
+                if path == node_path:
+                    fault = fault.replace(b",2,B", b"")
+                data.insert(rng.randint(1, len(data)), fault)
+            write_file(path, b"".join(data))
+        assert_blocks_read_as_csv(monkeypatch, edge_path, node_path)
+
+    def test_a_late_fault_names_its_row(self, tmp_path, monkeypatch):
+        edge_path = write_file(tmp_path / "g.csv.gz", EDGE_HEADER + GOOD_EDGES * 40 + b"1,A,x,B\n")
+        node_path = write_file(tmp_path / "g.nodes.csv.gz", NODE_HEADER + GOOD_NODES)
+        message = f"{edge_path}: row 202 column page_id_to is not an id: 'x'"
+        assert assert_blocks_read_as_csv(monkeypatch, edge_path, node_path) == [
+            (DataFormatError, message)
+        ] * 2
+
+    @pytest.mark.parametrize("damage", ["truncated", "bit-flipped"])
+    def test_damaged_gzip_member(self, tmp_path, monkeypatch, damage):
+        edge_path = write_file(tmp_path / "g.csv.gz", EDGE_HEADER + GOOD_EDGES * 300)
+        node_path = write_file(tmp_path / "g.nodes.csv.gz", NODE_HEADER + GOOD_NODES)
+        data = bytearray(edge_path.read_bytes())
+        if damage == "truncated":
+            del data[len(data) // 2:]
+        else:
+            data[len(data) // 2] ^= 0x10
+        edge_path.write_bytes(bytes(data))
+        outcomes = assert_blocks_read_as_csv(monkeypatch, edge_path, node_path)
+        assert all(type_ is DataFormatError for type_, _ in outcomes)
+
+    def test_stale_file(self, tmp_path, monkeypatch):
+        edge_path = write_file(tmp_path / "g.csv.gz", EDGE_HEADER + GOOD_EDGES)
+        node_path = write_file(tmp_path / "g.nodes.csv.gz", NODE_HEADER + GOOD_NODES)
+        partial_path(edge_path).write_bytes(b"")
+        assert [message for _, message in assert_blocks_read_as_csv(
+            monkeypatch, edge_path, node_path)] == [
+            f"{edge_path}: stale, the run that rebuilt it failed and left g.csv.gz.partial"
+        ] * 2
+
+    def test_missing_file(self, tmp_path, monkeypatch):
+        node_path = write_file(tmp_path / "g.nodes.csv.gz", NODE_HEADER + GOOD_NODES)
+        assert_blocks_read_as_csv(monkeypatch, tmp_path / "g.csv.gz", node_path)
+
+    def test_lowered_field_size_limit(self, tmp_path, monkeypatch):
+        edge_path = write_file(tmp_path / "g.csv.gz", EDGE_HEADER + GOOD_EDGES)
+        node_path = write_file(tmp_path / "g.nodes.csv.gz", NODE_HEADER + GOOD_NODES)
+        old = csv.field_size_limit(8)
+        try:
+            outcomes = assert_blocks_read_as_csv(monkeypatch, edge_path, node_path)
+        finally:
+            csv.field_size_limit(old)
+        assert "field larger than field limit (8)" in outcomes[0][1]
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="the block path needs Python 3.11")
+    def test_dataset_writer_files_take_the_block_path_for_every_block(
+        self, tmp_path, monkeypatch
+    ):
+        def no_csv(*args):
+            raise AssertionError(f"read through csv: {args}")
+
+        monkeypatch.setattr(analytics, "_csv_row_count", no_csv)
+        monkeypatch.setattr(analytics, "_csv_edge_batches", no_csv)
+        titles = {
+            1: "Plain", 2: "Comma, title", 3: 'Say "hi"', 4: "Café €", 5: "", 6: '"', 7: ",",
+            8: "𝄞 astral", 1_000_000_000_000_000_000: "19 digits",
+            9_223_372_036_854_775_807: "2**63 - 1",
+        }
+        ids = list(titles)
+        rng = random.Random(16)
+        edges = [(rng.choice(ids), rng.choice(ids)) for _ in range(400)]
+        edge_path, node_path = tmp_path / "g.csv.gz", tmp_path / "g.nodes.csv.gz"
+        emit_edges([(str(s), titles[s], str(t), titles[t]) for s, t in edges], edge_path)
+        emit_nodes(titles.items(), node_path)
+        for size in (1, 5, 29, 1 << 20):
+            monkeypatch.setattr(analytics, "_BLOCK_BYTES", size)
+            assert compute_stats(edge_path, node_path) == GraphStats("", "", len(ids), len(edges))
+            links, nodes = load_graph_file(edge_path, node_path)
+            assert decoded_pairs(links) == edges
+            assert (nodes.ids.tolist(), list(nodes.titles)) == (ids, list(titles.values()))
