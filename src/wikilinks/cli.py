@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import shlex
 import sys
 import time
@@ -35,6 +36,7 @@ from .storage import (
     DatasetWriter,
     iter_rows,
     partial_path,
+    refuse_stale,
     verify_checksum,
 )
 from .wikitext import LanguageProfile, get_profile, load_profiles
@@ -212,9 +214,10 @@ def cmd_extract(config: RunConfig) -> int:
         "flags": {"strip_inert_spans": config.strip_inert_spans},
         "shards": shards,
     }
-    config.manifest_path().write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    # Published as every dataset file is, so a failed write leaves only .partial.
+    partial = partial_path(config.manifest_path())
+    partial.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    os.replace(partial, config.manifest_path())
     _event(
         "extract-done",
         seconds=round(time.perf_counter() - started, 3),
@@ -238,6 +241,7 @@ def _extract_shards(config: RunConfig) -> tuple[list[Path], list[Path]] | None:
     path = config.manifest_path()
     if not path.is_file():
         return None
+    refuse_stale(path)
     try:
         shards = json.loads(path.read_text(encoding="utf-8"))["shards"]
         raw = [config.output_dir / shard["files"][0] for shard in shards]

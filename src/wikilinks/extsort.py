@@ -1,10 +1,10 @@
 """Disk-backed sorting for CSV row streams too large for memory.
 
-Rows are spilled to temporary CSV chunk files of bounded size and k-way
-merged with :func:`heapq.merge`. Both the chunk sort and the merge are
-stable (ties keep the order of arrival), which the pipeline relies on to
-preserve the within-revision document order of links without carrying an
-explicit position column.
+:func:`external_sort` re-sorts an extract shard that came out of order
+(``cli._sort_into``): rows spill to temporary CSV chunk files of bounded
+size, k-way merged with :func:`heapq.merge`. The sort and the merge are
+stable, which keeps each revision's links in document order without a
+position column. ``graph`` deduplicates edges with :func:`unique_justseen`.
 """
 
 from __future__ import annotations

@@ -14,16 +14,20 @@ Rules applied to the snapshot's active links:
 
 The node list is every page of the snapshot, redirects included, so pages
 without a single active link still appear in the graph. Pages come in as
-``resolvedredirects`` rows keyed by title, links as ``wikilinksnapshot`` rows.
+``resolvedredirects`` rows keyed by title, links as ``wikilinksnapshot`` rows,
+both in the ascending page-id order ``snapshot`` writes and no other. So edges
+are sorted and deduplicated one source page at a time, with no temporary files.
 """
 
 from __future__ import annotations
 
+from itertools import chain, groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataFormatError
-from .extsort import external_sort, unique_justseen
+from .extsort import unique_justseen
 from .snapshot import RESOLUTION_DANGLING
 from .storage import DatasetWriter
 
@@ -67,20 +71,45 @@ def _edge_target(link_target: str, resolved: Resolved) -> Sequence[str] | None:
     return _final_page(page, resolved)
 
 
+def _redirect_edges(resolved: Resolved, drop_self_loops: bool) -> Iterator[tuple[int, EdgeRow]]:
+    """``(source page id, edge)`` of each redirect with a target, in ``resolved`` order."""
+    for page in resolved.values():
+        if page[2] != "1" or page[5] == RESOLUTION_DANGLING:
+            continue
+        final = _final_page(page, resolved)
+        if drop_self_loops and final[0] == page[0]:
+            continue
+        yield int(page[0]), (page[0], page[1], final[0], final[1])
+
+
 def iter_candidate_edges(
     links: Iterable[Sequence[str]],
     resolved: Resolved,
     *,
     drop_self_loops: bool = False,
 ) -> Iterator[EdgeRow]:
-    """Pre-dedup edge rows: resolved article links plus redirect edges.
+    """Pre-dedup edge rows: resolved article links plus redirect edges, by source page id.
 
     ``links`` are ``wikilinksnapshot`` rows (``snapshot.SNAPSHOT_LINK_FIELDS``).
+    Both inputs are in ascending page id; a link row below the one before it
+    is refused. No page has edges of both kinds, so the two merge by page id.
     """
+    redirects = _redirect_edges(resolved, drop_self_loops)
+    redirect = next(redirects, None)
+    last_id, last_number = None, 0
     for row in links:
+        page_id, title, link = row[0], row[1], row[2]
+        if page_id != last_id:
+            number = int(page_id)
+            if last_id is not None and number <= last_number:
+                raise DataFormatError("snapshot link rows are out of page-id order: "
+                                      f"page id {page_id} comes after page id {last_id}")
+            while redirect is not None and redirect[0] < number:
+                yield redirect[1]
+                redirect = next(redirects, None)
+            last_id, last_number = page_id, number
         if row[8] != "1":
             continue  # not active: the target did not exist at the date
-        page_id, title, link = row[0], row[1], row[2]
         source = resolved.get(title)
         if source is None:
             raise DataFormatError(
@@ -98,13 +127,9 @@ def iter_candidate_edges(
             if direct_self_link or drop_self_loops:
                 continue
         yield page_id, title, target_id, target[1]
-    for page in resolved.values():
-        if page[2] != "1" or page[5] == RESOLUTION_DANGLING:
-            continue
-        final = _final_page(page, resolved)
-        if drop_self_loops and final[0] == page[0]:
-            continue
-        yield page[0], page[1], final[0], final[1]
+    if redirect is not None:
+        yield redirect[1]
+    yield from (edge for _, edge in redirects)
 
 
 def build_graph(
@@ -113,15 +138,16 @@ def build_graph(
     *,
     drop_self_loops: bool = False,
 ) -> tuple[Iterator[EdgeRow], list[tuple[int, str]]]:
-    """Return (deduplicated edge rows sorted by id pair, node list) for one snapshot."""
-    nodes = sorted((int(page[0]), page[1]) for page in resolved.values())
+    """Return (deduplicated edge rows sorted by id pair, node list) for one snapshot.
 
-    def pair_key(row):
-        return int(row[0]), int(row[2])
-
+    The inputs are in page-id order, so each source's edges are sorted alone.
+    """
+    nodes = [(int(page[0]), page[1]) for page in resolved.values()]
     candidates = iter_candidate_edges(links, resolved, drop_self_loops=drop_self_loops)
-    edges = unique_justseen(external_sort(candidates, pair_key), pair_key)
-    return edges, nodes
+    by_source = groupby(candidates, itemgetter(0))
+    ordered = chain.from_iterable(
+        sorted(edges, key=lambda edge: int(edge[2])) for _, edges in by_source)
+    return unique_justseen(ordered, itemgetter(0, 2)), nodes
 
 
 def emit_edges(edges: Iterable[EdgeRow], path: str | Path) -> int:

@@ -286,8 +286,25 @@ def write_resolved_redirects(path: str | Path, rows: Iterable[Sequence[str]]) ->
 
 
 def read_resolved_redirects(path: str | Path) -> dict[str, list[str]]:
-    """The rows of one date's ``resolvedredirects`` file, keyed by title."""
-    return {row[1]: row for row in iter_rows(path, RESOLVED_FIELDS)}
+    """The rows of one date's ``resolvedredirects`` file, keyed by title, in
+    file order.
+
+    The file lists pages in strictly ascending page id, as
+    :func:`resolve_snapshot` sorts them; a page id at or below the one
+    before it raises :class:`DataFormatError`.
+    """
+    pages = {}
+    last = None
+    for row in iter_rows(path, RESOLVED_FIELDS):
+        page_id = int(row[0])
+        if last is not None and page_id <= last:
+            raise DataFormatError(
+                f"{path}: page id {row[0]} comes after page id {last}; pages must "
+                "be in strictly ascending page-id order"
+            )
+        pages[row[1]] = row
+        last = page_id
+    return pages
 
 
 def write_snapshot_links(

@@ -245,7 +245,8 @@ class DatasetWriter:
             self.abort()
 
 
-def _refuse_stale(path: str | Path) -> None:
+def refuse_stale(path: str | Path) -> None:
+    """Raise :class:`DataFormatError` while a ``.partial`` file marks ``path`` stale."""
     if partial_path(path).exists():
         raise DataFormatError(
             f"{path}: stale, the run that rebuilt it failed and left {partial_path(path).name}"
@@ -263,7 +264,7 @@ def open_rows(
     ``expected_header``, if given, is wrong; both are refused with
     :class:`DataFormatError`. The rows themselves are not checked.
     """
-    _refuse_stale(path)
+    refuse_stale(path)
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rt", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -323,7 +324,7 @@ def read_blocks(
     :class:`DatasetWriter` writes it. It also comes when the file does not
     end in "\\n" or cannot be read to its end.
     """
-    _refuse_stale(path)
+    refuse_stale(path)
     header = (",".join(fields) + "\n").encode()
     opener = gzip.open if str(path).endswith(".gz") else open
     try:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import concurrent.futures
+import errno
 import functools
 import gzip
 import json
@@ -76,6 +77,38 @@ class TestExtract:
             "enwiki.redirecthistory.0000.csv.gz.partial",
         }
         assert cli.main(["verify", *base_args(out_dir)]) == 1
+
+    def test_failed_manifest_write_leaves_only_a_partial_file(
+        self, out_dir, minidump_path, monkeypatch, capsys
+    ):
+        manifest = out_dir / "enwiki.extract.manifest.json"
+        write_text = Path.write_text
+
+        def disk_full(self, data, *args, **kwargs):
+            if self.name != manifest.name + ".partial":
+                return write_text(self, data, *args, **kwargs)
+            write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        assert cli.main(["extract", *base_args(out_dir), str(minidump_path)]) == 1
+        monkeypatch.undo()
+        assert not manifest.exists()
+        capsys.readouterr()
+        assert cli.main(["verify", *base_args(out_dir)]) == 1
+        events = stderr_events(capsys)
+        assert {"event": "verify-partial-output", "path": str(manifest) + ".partial"} in events
+
+    def test_a_manifest_left_stale_by_a_failed_extract_is_refused(
+        self, out_dir, minidump_path, capsys
+    ):
+        assert cli.main(["extract", *base_args(out_dir), str(minidump_path)]) == 0
+        (out_dir / "enwiki.extract.manifest.json.partial").write_text("{")
+        capsys.readouterr()
+        assert cli.main(["snapshot", *base_args(out_dir), "--date", "2018-03-01"]) == 1
+        (event,) = stderr_events(capsys)
+        assert event["event"] == "fatal"
+        assert "enwiki.extract.manifest.json: stale" in event["detail"]
 
     def test_multiple_input_files_become_shards(self, out_dir, minidump_path, tmp_path):
         second = tmp_path / "second.xml"
@@ -349,6 +382,41 @@ class TestSnapshotAndGraph:
         (event,) = stderr_events(capsys)
         assert event["event"] == "fatal"
         assert f"{kind}.2018-03-01.csv.gz: row 3 has" in event["detail"]
+
+    @staticmethod
+    def _swap_first_page_change(lines):
+        """Swap the first two adjacent data rows of different page ids; returns
+        the page id that now comes after a higher one."""
+        for i in range(1, len(lines) - 1):
+            first, second = lines[i].split(b",", 1)[0], lines[i + 1].split(b",", 1)[0]
+            if first != second:
+                lines[i], lines[i + 1] = lines[i + 1], lines[i]
+                return first.decode()
+        raise AssertionError("every row has the same page id")
+
+    @pytest.mark.parametrize("kind, change", [
+        ("wikilinksnapshot", "swap"),
+        ("resolvedredirects", "swap"),
+        ("resolvedredirects", "repeat"),
+    ])
+    def test_rows_out_of_page_id_order_are_fatal(self, out_dir, capsys, kind, change):
+        run_pipeline(out_dir, dates=("2018-03-01",))
+        path = out_dir / f"enwiki.{kind}.2018-03-01.csv.gz"
+        lines = gzip.open(path, "rb").read().splitlines(keepends=True)
+        if change == "swap":
+            page_id = self._swap_first_page_change(lines)
+        else:
+            lines.insert(3, lines[3])
+            page_id = lines[3].split(b",", 1)[0].decode()
+        with gzip.open(path, "wb") as f:
+            f.writelines(lines)
+        capsys.readouterr()
+        assert cli.main(["graph", *base_args(out_dir), "--date", "2018-03-01"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (event,) = [json.loads(line) for line in err.splitlines()]
+        assert event["event"] == "fatal"
+        assert f"page id {page_id} comes after page id" in event["detail"]
 
     def test_full_pipeline_matches_goldens(self, out_dir):
         run_pipeline(out_dir)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -11,6 +12,8 @@ from wikilinks.snapshot import (
     RESOLUTION_CYCLE,
     RESOLUTION_DANGLING,
     RESOLUTION_RESOLVED,
+    read_resolved_redirects,
+    write_resolved_redirects,
 )
 from wikilinks.storage import iter_rows, sha256_of
 
@@ -147,15 +150,57 @@ class TestBuildGraph:
             edges_of([link(1, "Ghost", "A")], resolved)
 
     def test_nodes_include_redirects_and_are_sorted(self):
+        # Redirect page ids lie between article ids, so each redirect edge
+        # must be merged in among the article links by page id.
         resolved = {
-            "B": article(2, "B"),
-            "R": redirect(3, "R", "B", "B"),
             "A": article(1, "A"),
+            "R": redirect(2, "R", "B", "B"),
+            "B": article(3, "B"),
+            "S": redirect(4, "S", "A", "A"),
+            "C": article(5, "C"),
         }
-        _edges, nodes = build_graph(iter([]), resolved)
-        assert nodes == [(1, "A"), (2, "B"), (3, "R")]
+        links = [link(1, "A", "C"), link(3, "B", "A"), link(5, "C", "S")]
+        edge_iter, nodes = build_graph(iter(links), resolved)
+        assert nodes == [(1, "A"), (2, "R"), (3, "B"), (4, "S"), (5, "C")]
+        assert [(int(e[0]), int(e[2])) for e in edge_iter] == [
+            (1, 5), (2, 3), (3, 1), (4, 1), (5, 1),
+        ]
+
+    def test_pages_out_of_id_order_are_refused(self, tmp_path):
+        path = tmp_path / "resolved.csv.gz"
+        write_resolved_redirects(path, [
+            article(2, "B"),
+            redirect(3, "R", "B", "B"),
+            article(1, "A"),
+        ])
+        with pytest.raises(DataFormatError, match="page id 1 comes after page id 3"):
+            read_resolved_redirects(path)
+
+    def test_a_page_listed_twice_is_refused(self, tmp_path):
+        path = tmp_path / "resolved.csv.gz"
+        write_resolved_redirects(path, [article(1, "A"), article(2, "B"), article(2, "B")])
+        with pytest.raises(DataFormatError, match="page id 2 comes after page id 2"):
+            read_resolved_redirects(path)
 
     def test_edges_sorted_by_id_pair(self):
+        resolved = {t: article(i + 1, t) for i, t in enumerate("ABCD")}
+        # In page-id order, but each page's targets are not, and A repeats B.
+        links = [
+            link(1, "A", "D"),
+            link(1, "A", "B"),
+            link(1, "A", "C"),
+            link(1, "A", "B"),
+            link(2, "B", "D"),
+            link(2, "B", "A"),
+            link(4, "D", "C"),
+            link(4, "D", "A"),
+        ]
+        edges = edges_of(links, resolved)
+        keys = [(int(e[0]), int(e[2])) for e in edges]
+        assert keys == sorted(set(keys))
+        assert len(keys) == 7
+
+    def test_link_rows_out_of_page_id_order_are_refused(self):
         resolved = {t: article(i + 1, t) for i, t in enumerate("ABCD")}
         links = [
             link(4, "D", "A"),
@@ -163,9 +208,8 @@ class TestBuildGraph:
             link(2, "B", "A"),
             link(1, "A", "D"),
         ]
-        edges = edges_of(links, resolved)
-        keys = [(int(e[0]), int(e[2])) for e in edges]
-        assert keys == sorted(keys)
+        with pytest.raises(DataFormatError, match="page id 2 comes after page id 4"):
+            edges_of(links, resolved)
 
     def test_dedup_never_increases_edges(self):
         resolved = {t: article(i + 1, t) for i, t in enumerate("ABC")}
@@ -173,6 +217,75 @@ class TestBuildGraph:
         active = [l for l in links if l[8] == "1"]
         edges = edges_of(links, resolved)
         assert len(edges) <= len(active)
+
+
+def random_snapshot(rng: random.Random):
+    """A random snapshot in page-id order: resolvedredirects rows keyed by
+    title, with resolved, dangling and cycle redirects (some cycling to
+    themselves), and wikilinksnapshot rows with repeated pairs, direct
+    self-links, self-loops through redirects, inactive links and redirect
+    body links."""
+    ids = sorted(rng.sample(range(1, 60), rng.randint(1, 14)))
+    titles = [f"T{page_id}" for page_id in ids]
+    is_redirect = {title: rng.random() < 0.4 for title in titles}
+    articles = [t for t in titles if not is_redirect[t]]
+    redirects = [t for t in titles if is_redirect[t]]
+    resolved = {}
+    for page_id, title in zip(ids, titles):
+        if not is_redirect[title]:
+            resolved[title] = article(page_id, title)
+            continue
+        kind = rng.choice([RESOLUTION_RESOLVED, RESOLUTION_DANGLING, RESOLUTION_CYCLE])
+        if kind == RESOLUTION_RESOLVED and articles:
+            final = rng.choice(articles)
+        elif kind == RESOLUTION_CYCLE:
+            final = rng.choice(redirects)
+        else:
+            kind, final = RESOLUTION_DANGLING, "Gone"
+        resolved[title] = redirect(page_id, title, rng.choice(titles + ["Gone"]), final, kind)
+    links = []
+    for page_id, title in zip(ids, titles):
+        for _ in range(rng.choice([0, 1, 2, 4, 7])):
+            target = rng.choice(titles + [title])
+            active = rng.random() < 0.85
+            links.append(link(page_id, title, target if active else "Missing", active))
+            if rng.random() < 0.2:
+                links.append(links[-1])
+    return links, resolved
+
+
+def sort_unique_reference(links, resolved, drop_self_loops):
+    """Every candidate edge, sorted by (int(from), int(to)) and deduplicated."""
+
+    def receiver(title):
+        page = resolved[title]
+        if page[2] == "0":
+            return page
+        return None if page[5] == RESOLUTION_DANGLING else resolved[page[4]]
+
+    candidates = {
+        (row[0], row[1], final[0], final[1])
+        for row in links
+        if row[8] == "1" and resolved[row[1]][2] == "0" and row[2] != row[1]
+        and (final := receiver(row[2])) is not None
+    }
+    candidates |= {(page[0], page[1], final[0], final[1])
+                   for page in resolved.values()
+                   if page[2] == "1" and (final := receiver(page[1])) is not None}
+    return sorted((e for e in candidates if not (drop_self_loops and e[0] == e[2])),
+                  key=lambda e: (int(e[0]), int(e[2])))
+
+
+class TestAgainstSortUnique:
+    @pytest.mark.parametrize("drop_self_loops", [False, True])
+    def test_random_snapshots(self, drop_self_loops):
+        for seed in range(250):
+            links, resolved = random_snapshot(random.Random(seed))
+            edge_iter, nodes = build_graph(
+                iter(links), resolved, drop_self_loops=drop_self_loops)
+            assert list(edge_iter) == sort_unique_reference(
+                links, resolved, drop_self_loops), f"seed {seed}"
+            assert nodes == sorted((int(p[0]), p[1]) for p in resolved.values())
 
 
 class TestOrphanRedirectProperty:
