@@ -12,19 +12,22 @@ right width as csv.writer writes them, id columns of ASCII digits, titles
 bare or quoted with no carriage return, line feed or NUL, no field past
 csv's field size limit, and valid UTF-8. Every line feed of such a block
 ends a row, so :func:`compute_stats` counts them, and
-:func:`load_graph_file` parses the edge ids of a block with numpy. From
-the first block that does not take the block path, the rest of the file
-goes through csv, in the row loops that check each row where it is read,
-past the rows already taken. The counts, the ids and every error, with its
-row number, are then those of csv alone. The patterns need Python 3.11;
-on 3.10 csv reads every file.
+:func:`load_graph_file` parses a block with numpy: the ids of an edge
+block, and the ids and titles of a node block. An id of more than 19
+digits, or past ``2**63 - 1``, sends its block to csv. From the first
+block that does not take the block path, the rest of the file goes
+through csv, in the row loops that check each row where it is read, past
+the rows already taken. The counts, the ids, the titles and every error,
+with its row number, are then those of csv alone. The patterns need
+Python 3.11; on 3.10 csv reads every file.
 
-:func:`load_graph_file` reads the node file through csv into int64 ids and
+:func:`load_graph_file` reads the node file into int64 ids and
 :class:`Titles`, both in file order, and then streams the edge file into a
 :class:`LinkKey`, one int64 per edge. Titles come only from the node file,
 which must list every edge endpoint exactly once. They are held as one
-UTF-8 buffer and the offsets that bound each title, so a title is a
-``str`` only while it is compared or written.
+UTF-8 buffer and the offsets that bound each title: a node block's title
+bytes are copied straight into the buffer, and only quoted titles are
+unquoted, so a title is a ``str`` only while it is compared or quoted.
 
 PageRank is a matrix-free power iteration over the graph
 :func:`load_graph_file` read, its only input: each step spreads a node's
@@ -37,7 +40,8 @@ rows with a binary search over the sorted ids, and each edge is packed into
 the key as ``source_row * n + target_row``. Sorted in place, the key gives
 the out-degrees, and then turns into the target rows of the distinct
 pairs. Those rows and one flow array per step are the only arrays as long
-as the edge list that the iteration holds. Each step repeats every
+as the edge list that the iteration holds, and the dangling nodes' rows
+are indexed once, before the first step. Each step repeats every
 source's share of its score once per distinct pair and sums the shares
 into the targets with ``np.bincount``. Ties in the ranking depend on the
 last bit of each score, so the order of the sums and the update expression
@@ -47,8 +51,11 @@ ascending order, as a CSR matrix-vector product does.
 Articles are ranked by descending score, and articles with exactly equal
 scores by title. A :class:`Ranking` is the node rows in rank order, an
 int64 array, and their scores; titles are decoded only inside runs of
-equal scores, where UTF-8 byte order is code-point order, and while the
-rankings are written.
+equal scores, where UTF-8 byte order is code-point order. The rankings
+file is formatted ``_RANKING_ROWS`` rows at a time into one string, with
+numpy, from the rows, the scores and the titles' buffer; only a title
+holding a comma, quote, carriage return or line feed is decoded, so that
+csv.writer itself writes it.
 """
 
 from __future__ import annotations
@@ -73,8 +80,9 @@ if TYPE_CHECKING:
 
 RANKING_FIELDS = ("rank", "title", "score")
 GROWTH_FIELDS = ("language", "date", "nodes", "edges")
-_BATCH_ROWS = 1 << 16  # rows per edge batch read through csv
+_BATCH_ROWS = 1 << 16  # rows per batch read through csv
 _BLOCK_BYTES = 1 << 20
+_RANKING_ROWS = 1024  # rankings rows formatted at once: about 0.4 MB of temporaries
 _FIELD_LIMIT = csv.field_size_limit()  # at import: the longest field the patterns take
 if sys.version_info >= (3, 11):  # possessive repeats, so a match keeps no state per row
     _EDGE_ROWS = re.compile(rows_pattern(len(EDGE_FIELDS), (0, 2), _FIELD_LIMIT))
@@ -120,6 +128,25 @@ class Titles(Sequence[str]):
         if not 0 <= i < n:
             raise IndexError("title index out of range")
         return self._data[self._bounds[i]:self._bounds[i + 1]].decode()
+
+    @classmethod
+    def of(cls, titles: Iterable[str]) -> Titles:
+        """The given titles, encoded into one buffer."""
+        data, bounds = bytearray(), array("q", [0])
+        for title in titles:
+            data += title.encode()
+            bounds.append(len(data))
+        return cls(data, bounds)
+
+    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The UTF-8 bytes of the titles ``rows`` indexes, concatenated into
+        one uint8 array, and each one's length."""
+        import numpy as np
+
+        bounds = np.frombuffer(self._bounds, np.int64)
+        starts = bounds[rows]
+        lengths = bounds[rows + 1] - starts
+        return np.frombuffer(self._data, np.uint8)[_spans(starts, lengths)], lengths
 
 
 class GraphNodes(NamedTuple):
@@ -288,6 +315,26 @@ def _pack(ids: np.ndarray, sources: np.ndarray, targets: np.ndarray) -> tuple[np
     return packed, listed & found
 
 
+def _parse_ids(text: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """The int64 ids ``text[lo[i]:hi[i]]``, each ASCII digits, or None if
+    one has more than 19 digits or is past ``2**63 - 1``."""
+    import numpy as np
+
+    digits = int((hi - lo).max())
+    if digits > 19:
+        return None
+    value = np.zeros(len(lo), np.uint64)
+    for k in range(digits, 0, -1):  # right-aligned: the digit k places before hi
+        at = hi - k
+        digit = text[np.maximum(at, 0)] - np.uint8(ord("0"))
+        digit[at < lo] = 0
+        value *= 10
+        value += digit
+    if value.max() > 2**63 - 1:
+        return None
+    return value.view(np.int64)
+
+
 def _block_ids(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """The source and target ids of a block of edge rows that
     ``_EDGE_ROWS`` matched, or None if an id has more than 19 digits or is
@@ -301,22 +348,11 @@ def _block_ids(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
         commas = commas[np.searchsorted(np.flatnonzero(text == ord('"')), commas) % 2 == 0]
     commas = commas.reshape(-1, 3)  # the three delimiters of each row
     starts = np.concatenate(([0], ends[:-1] + 1))
-    ids = []
-    for lo, hi in ((starts, commas[:, 0]), (commas[:, 1] + 1, commas[:, 2])):
-        digits = int((hi - lo).max())
-        if digits > 19:
-            return None
-        value = np.zeros(len(lo), np.uint64)
-        for k in range(digits, 0, -1):  # right-aligned: the digit k places before hi
-            at = hi - k
-            digit = text[np.maximum(at, 0)] - np.uint8(ord("0"))
-            digit[at < lo] = 0
-            value *= 10
-            value += digit
-        if value.max() > 2**63 - 1:
-            return None
-        ids.append(value.view(np.int64))
-    return ids[0], ids[1]
+    sources = _parse_ids(text, starts, commas[:, 0])
+    targets = None if sources is None else _parse_ids(text, commas[:, 1] + 1, commas[:, 2])
+    if targets is None:
+        return None
+    return sources, targets
 
 
 def _csv_edge_batches(
@@ -367,20 +403,100 @@ def _edge_batches(edge_path: str | Path) -> Iterator[tuple[int, np.ndarray, np.n
     yield from _csv_edge_batches(edge_path, taken)
 
 
+def _block_nodes(block: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The ids of a block of node rows that ``_NODE_ROWS`` matched, their
+    titles' UTF-8 bytes, concatenated, and where each title ends in them;
+    None if an id has more than 19 digits or is past ``2**63 - 1``."""
+    import numpy as np
+
+    text = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(text == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    commas = np.flatnonzero(text == ord(","))
+    commas = commas[np.searchsorted(commas, starts)]  # an id holds no comma
+    ids = _parse_ids(text, starts, commas)
+    if ids is None:
+        return None
+    # A title's bytes lie between its row's first comma and its "\n": +1 at
+    # the one and -1 at the other add up to 1 over the comma and the title.
+    keep = np.zeros(len(text), np.int8)
+    keep[commas] = 1
+    keep[ends] = -1
+    np.cumsum(keep, out=keep)
+    keep[commas] = 0
+    lengths = ends - commas - 1
+    if b'"' in block:
+        # Only a quoted title holds quotes, an even number of them: its
+        # opening quote, the first of each doubled one and its closing
+        # quote are dropped. Those are the block's quotes at odd positions
+        # and the opening ones, which sit at even positions.
+        quotes = np.flatnonzero(text == ord('"'))
+        opening = commas[text[commas + 1] == ord('"')] + 1
+        dropped = np.concatenate((opening, quotes[1::2]))
+        keep[dropped] = 0
+        lengths -= np.bincount(np.searchsorted(ends, dropped), minlength=len(ends))
+    return ids, text[keep.view(bool)], np.cumsum(lengths)
+
+
+def _csv_node_batches(
+    node_path: str | Path, taken: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The node batches of the rows past the first ``taken``, read through
+    csv, up to ``_BATCH_ROWS`` rows at a time."""
+    import numpy as np
+
+    first, ids = 2, ()  # () until the first batch, for rows_read
+    with _graph_rows(node_path, NODE_FIELDS, lambda: first - 2 + len(ids)) as rows:
+        for _ in islice(rows, taken):
+            first += 1
+        while True:
+            ids, titles, ends = array("q"), bytearray(), array("q")
+            for row in islice(rows, _BATCH_ROWS):
+                if len(row) != 2 or not (row[0].isascii() and row[0].isdigit()):
+                    raise _bad_row(node_path, NODE_FIELDS, (0,), first + len(ids), row)
+                ids.append(int(row[0]))
+                titles += row[1].encode()
+                ends.append(len(titles))
+            if not ids:
+                return
+            yield (np.frombuffer(ids, np.int64), np.frombuffer(titles, np.uint8),
+                   np.frombuffer(ends, np.int64))
+            first += len(ids)
+
+
+def _node_batches(node_path: str | Path) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The rows of a node file in batches, in file order: their ids, their
+    titles' UTF-8 bytes, concatenated, and where each title ends in them.
+
+    Rows are checked as :func:`compute_stats` checks them, and an id past
+    ``2**63 - 1`` raises :class:`DataFormatError`. A block that
+    :func:`compute_stats` would take is one batch, parsed by
+    :func:`_block_nodes`. From the first block that it would not take, or
+    whose ids :func:`_block_nodes` leaves alone, the rest is read through csv.
+    """
+    taken = 0
+    for block in _blocks(node_path, NODE_FIELDS, _NODE_ROWS):
+        batch = None if block is None else _block_nodes(block)
+        if batch is None:
+            break
+        yield batch
+        taken += len(batch[0])
+    else:
+        return
+    yield from _csv_node_batches(node_path, taken)
+
+
 def _read_nodes(node_path: str | Path) -> GraphNodes:
     """The node file's ids and titles, each title UTF-8 encoded into one
-    buffer."""
+    buffer, a batch of :func:`_node_batches` at a time."""
     import numpy as np
 
     ids = array("q")
     data, bounds = bytearray(), array("q", [0])
-    with _graph_rows(node_path, NODE_FIELDS, lambda: len(ids)) as rows:
-        for row in rows:
-            if len(row) != 2 or not (row[0].isascii() and row[0].isdigit()):
-                raise _bad_row(node_path, NODE_FIELDS, (0,), len(ids) + 2, row)
-            ids.append(int(row[0]))
-            data += row[1].encode()
-            bounds.append(len(data))
+    for batch_ids, titles, ends in _node_batches(node_path):
+        ids.frombytes(memoryview(batch_ids).cast("B"))
+        bounds.frombytes(memoryview(ends + len(data)).cast("B"))
+        data += memoryview(titles)
     return GraphNodes(np.frombuffer(ids, dtype=np.int64), Titles(data, bounds))
 
 
@@ -394,11 +510,11 @@ def load_graph_file(edge_path: str | Path, node_path: str | Path) -> tuple[LinkK
     file's rows is reported before any fault of the node file, and a fault
     of the node file before an unlisted endpoint.
 
-    The node file is read through csv. The edge file is read in blocks, as
-    :func:`compute_stats` reads it, and numpy parses the ids of each block
-    the pattern accepts. From the first block it refuses, or one with an id
-    of more than 19 digits or past ``2**63 - 1``, the rest is read through
-    csv.
+    Both files are read in blocks, as :func:`compute_stats` reads them,
+    and numpy parses each block the pattern accepts: the ids of the edge
+    file, and the ids and titles of the node file. From the first block it
+    refuses, or one with an id of more than 19 digits or past
+    ``2**63 - 1``, the rest of that file is read through csv.
     """
     import numpy as np
 
@@ -475,7 +591,7 @@ def pagerank(
     key.sort()
     source_starts = np.arange(n + 1, dtype=np.int64) * n
     out_degree = np.diff(np.searchsorted(key, source_starts))
-    dangling = out_degree == 0
+    dangling = np.flatnonzero(out_degree == 0)  # gathers what a mask would, once
     share = 1.0 / np.maximum(out_degree, 1)  # 1/d, what each link of a source carries
     # A pair repeated c times carries its c shares summed in order, from
     # 0.0, so (w + w) * x never becomes w * x + w * x, and c / d is not
@@ -493,6 +609,7 @@ def pagerank(
     if len(repeats):
         key = np.delete(key, repeats)
     pairs_per_source = np.diff(np.searchsorted(key, source_starts))
+    del source_starts, out_degree  # node-length arrays the steps do not read
     dst = np.remainder(key, n, out=key)  # target rows, in place
 
     # A pair listed once carries x[source] * (0.0 + 1/d), which is
@@ -546,14 +663,81 @@ def rank_articles(result: PageRankResult, nodes: GraphNodes) -> Ranking:
     return Ranking(rows, ordered, titles)
 
 
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices ``starts[i]`` to ``starts[i] + lengths[i] - 1`` of every
+    i, concatenated."""
+    import numpy as np
+
+    ends = np.cumsum(lengths)
+    index = np.repeat(starts + lengths - ends, lengths)
+    index += np.arange(len(index))
+    return index
+
+
+class _Lines(list):
+    """A sink for csv.writer that keeps each line it writes."""
+
+    write = list.append
+
+
+def _quote_titles(
+    text: np.ndarray, lengths: np.ndarray, quoted: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated titles ``text`` of ``lengths`` with each title that
+    ``quoted`` indexes written as csv.writer writes it as a field."""
+    import numpy as np
+
+    starts = np.cumsum(lengths) - lengths
+    lines = _Lines()
+    csv.writer(lines, lineterminator="\n").writerows(
+        ("", text[start:start + length].tobytes().decode(), "")
+        for start, length in zip(starts[quoted].tolist(), lengths[quoted].tolist())
+    )
+    fields = [line[1:-2].encode() for line in lines]  # each line is ",<field>,\n"
+    field_lengths = np.fromiter(map(len, fields), np.int64, len(fields))
+    starts[quoted] = len(text) + np.cumsum(field_lengths) - field_lengths
+    lengths[quoted] = field_lengths
+    source = np.concatenate((text, np.frombuffer(b"".join(fields), np.uint8)))
+    return source[_spans(starts, lengths)], lengths
+
+
+def _ranking_lines(titles: Titles, rows: np.ndarray, scores: np.ndarray, first: int) -> str:
+    """The rankings file's lines for the ranked node ``rows`` and their
+    ``scores``, ranked from ``first`` on, as csv.writer writes them."""
+    import numpy as np
+
+    text, lengths = titles.gather(rows)
+    # csv.writer decides how a title holding one of these is written.
+    hits = np.flatnonzero(np.isin(text, np.frombuffer(b',"\r\n', np.uint8)))
+    if len(hits):
+        quoted = np.unique(np.searchsorted(np.cumsum(lengths), hits, side="right"))
+        text, lengths = _quote_titles(text, lengths, quoted)
+    # Each line without its title is its rank, two commas and its score;
+    # the title goes before the second comma.
+    bare = "".join(map("{},,{:.5e}\n".format, range(first, first + len(rows)), scores.tolist()))
+    bare = np.frombuffer(bare.encode(), np.uint8)
+    second_commas = np.flatnonzero(bare == ord(","))[1::2]
+    at = _spans(second_commas + np.cumsum(lengths) - lengths, lengths)
+    lines = np.empty(len(bare) + len(text), np.uint8)
+    lines[at] = text
+    rest = np.ones(len(lines), bool)
+    rest[at] = False
+    lines[rest] = bare
+    return lines.tobytes().decode()
+
+
 def write_rankings(ranking: Ranking, path: str | Path) -> int:
     """Rankings CSV with scores in scientific notation, 6 significant digits.
 
-    Rows are formatted one at a time, straight from the ranking's arrays."""
+    Rows are formatted ``_RANKING_ROWS`` at a time into one string, with
+    numpy, straight from the ranking's arrays and the titles' buffer; a
+    title that csv.writer might quote is formatted by csv.writer."""
+    titles = ranking.titles
+    if not isinstance(titles, Titles):
+        titles = Titles.of(titles)
     with DatasetWriter(path, RANKING_FIELDS) as writer:
-        writer.write_rows(zip(
-            map(str, range(1, len(ranking.rows) + 1)),
-            map(ranking.titles.__getitem__, memoryview(ranking.rows)),
-            map("{:.5e}".format, memoryview(ranking.scores)),
-        ))
+        for first in range(0, len(ranking.rows), _RANKING_ROWS):
+            rows = ranking.rows[first:first + _RANKING_ROWS]
+            scores = ranking.scores[first:first + _RANKING_ROWS]
+            writer.write_text(_ranking_lines(titles, rows, scores, first + 1), len(rows))
         return writer.rows_written

@@ -92,7 +92,8 @@ def iter_candidate_edges(
 
     ``links`` are ``wikilinksnapshot`` rows (``snapshot.SNAPSHOT_LINK_FIELDS``).
     Both inputs are in ascending page id; a link row below the one before it
-    is refused. No page has edges of both kinds, so the two merge by page id.
+    is refused, and so is an active one whose title is another page's in
+    ``resolved``. No page has edges of both kinds, so the two merge by page id.
     """
     redirects = _redirect_edges(resolved, drop_self_loops)
     redirect = next(redirects, None)
@@ -115,6 +116,11 @@ def iter_candidate_edges(
             raise DataFormatError(
                 f"snapshot link source {title!r} is missing from the "
                 "resolved pages dataset; inputs are inconsistent"
+            )
+        if source[0] != page_id:
+            raise DataFormatError(
+                f"snapshot link row of page id {page_id} has the title {title!r} of page id "
+                f"{source[0]} in the resolved pages dataset; inputs are inconsistent"
             )
         if source[2] == "1":
             continue  # a redirect's body contributes nothing beyond its target

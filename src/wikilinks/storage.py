@@ -178,7 +178,8 @@ class DatasetWriter:
         self._header = list(header)
         self._stdout = str(path) == "-"
         if self._stdout:
-            self._csv = csv.writer(sys.stdout, lineterminator="\n")
+            self._text = sys.stdout
+            self._csv = csv.writer(self._text, lineterminator="\n")
             self._csv.writerow(self._header)
             return
         self.path = Path(path)
@@ -204,6 +205,16 @@ class DatasetWriter:
     def write_rows(self, rows) -> None:
         for row in rows:
             self.write_row(row)
+
+    def write_text(self, text: str, rows: int) -> None:
+        """Write ``rows`` data rows given as one string, each formatted as
+        :meth:`write_row` would write it.
+
+        The text goes through the same text stream as the rows, which is
+        never flushed: a flush of the gzip member would change its bytes.
+        """
+        self._text.write(text)
+        self.rows_written += rows
 
     def close(self) -> None:
         """Publish the file under its final name; does nothing after :meth:`abort`."""

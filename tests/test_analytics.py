@@ -22,7 +22,7 @@ from wikilinks.analytics import (
 )
 from wikilinks.errors import ConfigurationError, DataFormatError
 from wikilinks.graph import emit_edges, emit_nodes
-from wikilinks.storage import iter_rows, partial_path
+from wikilinks.storage import DatasetWriter, iter_rows, partial_path
 
 
 def dense_pagerank(edges, nodes, damping=0.85):
@@ -85,6 +85,14 @@ def row_by_row_pagerank(edges, nodes, damping, tolerance, max_iter):
             converged = True
             break
     return ids, x, converged, iterations
+
+
+def write_ranking_rows(ranking, path):
+    """Reference: the rankings file written one csv.writer row at a time."""
+    with DatasetWriter(path, ("rank", "title", "score")) as writer:
+        for rank, (row, score) in enumerate(zip(ranking.rows.tolist(), ranking.scores.tolist()), 1):
+            writer.write_row((str(rank), ranking.titles[row], f"{score:.5e}"))
+        return writer.rows_written
 
 
 def graph_files(tmp_path, edges, nodes):
@@ -373,6 +381,34 @@ class TestRankings:
         with gzip.open(path, "rb") as f:
             assert f.read() == text.getvalue().encode("utf-8")
         assert len(set(result.scores.tolist())) < len(ids) // 10  # the runs are there
+
+    def test_written_as_a_row_by_row_csv_writer_writes(self, tmp_path, capsys):
+        # Titles csv.writer quotes, or in 3.11 leaves a "\r" bare in, NUL,
+        # non-ASCII and empty ones; scores from 1e-300 down to subnormal,
+        # and ties; rankings of 0, 1 and about one chunk of rows.
+        titles = ["Plain", "a,b", 'Say "hi"', "\r", "cr\rlf\n", "two\nlines", "nul\x00",
+                  "Café €", "𝄞", "", " padded ", '",', "x" * 300]
+        chunk = analytics._RANKING_ROWS
+        rng = random.Random(18)
+        for count in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            names = [rng.choice(titles) + str(rng.randrange(3)) * rng.randrange(2)
+                     for _ in range(count)]
+            scores = sorted((rng.choice([1e-300, 5e-324, 0.25, 1 / 3]) if rng.random() < 0.3
+                             else rng.random() for _ in range(count)), reverse=True)
+            rows = np.array(rng.sample(range(count), count), dtype=np.int64)
+            for given in (names, analytics.Titles.of(names)):
+                ranking = analytics.Ranking(rows, np.array(scores, dtype=float), given)
+                paths = [tmp_path / f"{side}.csv.gz" for side in ("written", "reference")]
+                assert write_rankings(ranking, paths[0]) == count
+                assert write_ranking_rows(ranking, paths[1]) == count
+                written, reference = (path.read_bytes() for path in paths)
+                assert gzip.decompress(written) == gzip.decompress(reference), count
+                assert written == reference, count
+                assert write_rankings(ranking, "-") == count
+                produced = capsys.readouterr().out
+                write_ranking_rows(ranking, "-")
+                assert produced == capsys.readouterr().out, count
+                assert produced.encode() == gzip.decompress(reference)
 
     def test_ranking_needs_a_title_for_every_node(self, tmp_path):
         result = pagerank(loaded(tmp_path, [(1, 2)])[0])
@@ -700,14 +736,10 @@ class TestBlockReading:
     def test_dataset_writer_files_take_the_block_path_for_every_block(
         self, tmp_path, monkeypatch
     ):
-        def no_csv(*args):
-            raise AssertionError(f"read through csv: {args}")
-
-        monkeypatch.setattr(analytics, "_csv_row_count", no_csv)
-        monkeypatch.setattr(analytics, "_csv_edge_batches", no_csv)
+        fallbacks = count_csv_reads(monkeypatch)
         titles = {
             1: "Plain", 2: "Comma, title", 3: 'Say "hi"', 4: "Café €", 5: "", 6: '"', 7: ",",
-            8: "𝄞 astral", 1_000_000_000_000_000_000: "19 digits",
+            8: "𝄞 astral", 9: '"Quoted", then "twice"', 1_000_000_000_000_000_000: "19 digits",
             9_223_372_036_854_775_807: "2**63 - 1",
         }
         ids = list(titles)
@@ -722,3 +754,110 @@ class TestBlockReading:
             links, nodes = load_graph_file(edge_path, node_path)
             assert decoded_pairs(links) == edges
             assert (nodes.ids.tolist(), list(nodes.titles)) == (ids, list(titles.values()))
+        assert fallbacks == []
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="the block path needs Python 3.11")
+    def test_graph_stage_files_take_the_block_path_for_every_block(
+        self, tmp_path, monkeypatch
+    ):
+        from conftest import FIXTURE_DATES, run_pipeline
+
+        out = tmp_path / "out"
+        out.mkdir()
+        run_pipeline(out)
+        fallbacks = count_csv_reads(monkeypatch)
+        for size in (1, 64, 1 << 20):
+            monkeypatch.setattr(analytics, "_BLOCK_BYTES", size)
+            for date in FIXTURE_DATES:
+                edge_path = out / f"enwiki.wikilinkgraph.{date}.csv.gz"
+                node_path = out / f"enwiki.wikilinkgraph.nodes.{date}.csv.gz"
+                stats = compute_stats(edge_path, node_path)
+                links, nodes = load_graph_file(edge_path, node_path)
+                assert (len(links), len(nodes.ids)) == (stats.edge_count, stats.node_count) != (0, 0)
+        assert fallbacks == []
+
+
+def count_csv_reads(monkeypatch) -> list[str]:
+    """Wraps the csv readers of graph files so that each call is listed, by
+    name, in the list returned."""
+    calls = []
+    for name in ("_csv_row_count", "_csv_edge_batches", "_csv_node_batches"):
+        def counted(*args, _name=name, _read=getattr(analytics, name)):
+            calls.append(_name)
+            return _read(*args)
+
+        monkeypatch.setattr(analytics, name, counted)
+    return calls
+
+
+def node_reading(node_path):
+    """``_read_nodes`` of a node file as its ids, its title buffer and the
+    title bounds, or its error's type and message."""
+    try:
+        nodes = analytics._read_nodes(node_path)
+    except Exception as err:
+        return type(err), str(err)
+    titles = nodes.titles
+    return nodes.ids.tolist(), bytes(titles._data), titles._bounds.tolist()
+
+
+def random_node_text(rng: random.Random, rows: int) -> bytes:
+    """Node rows as csv.writer writes them: ids of 1-19 digits, titles bare,
+    quoted, with commas, doubled quotes, non-ASCII text, or empty."""
+    import io
+
+    pieces = ["Plain", "a,b", 'Say "hi"', '"', ",", "Café €", "𝄞", "日本", " ", "x" * 40, ""]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    for _ in range(rows):
+        digits = rng.randint(1, 19)
+        page_id = rng.randrange(10 ** (digits - 1) if digits > 1 else 0, min(10**digits, 2**63))
+        title = "".join(rng.choices(pieces, k=rng.randint(0, 3)))
+        writer.writerow((str(page_id), title))
+    return text.getvalue().encode()
+
+
+class TestNodeBlocks:
+    """The node file's block path returns what csv alone reads: the same
+    ids, title bytes and bounds, or the same error on the same row."""
+
+    # Rows that send their block to csv.
+    FAULTS = [
+        b"12345678901234567890,Twenty digits\n",
+        b"00000000000000000007,Twenty digits that fit\n",
+        b"9223372036854775808,Past 2**63 - 1\n",
+        b"x,Bad id\n",
+        b"7\n",
+        b"7,Carriage\rreturn\n",
+        b"7,%s\n" % (b"x" * (LIMIT + 1)),
+        b'7,"%s"\n' % (b'""' * (LIMIT + 1)),
+    ]
+    FAULT_IDS = ["20-digits", "20-digits-fit", "past-int64", "bad-id", "narrow", "cr",
+                 "overlong", "overlong-quoted"]
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_node_files_read_as_csv(self, tmp_path, monkeypatch, seed):
+        rng = random.Random(seed)
+        lines = random_node_text(rng, rng.randint(0, 120)).splitlines(keepends=True)
+        for fault in rng.sample(self.FAULTS, rng.randint(0, 2)):
+            lines.insert(rng.randint(0, len(lines)), fault)
+        node_path = write_file(tmp_path / f"n{rng.choice(['.csv', '.csv.gz'])}",
+                               NODE_HEADER + b"".join(lines))
+        with monkeypatch.context() as m:
+            m.setattr(analytics, "_NODE_ROWS", re.compile(rb"(?!)"))
+            by_csv = node_reading(node_path)
+        for size in (1, 7, 64, 512, 1 << 20):
+            monkeypatch.setattr(analytics, "_BLOCK_BYTES", size)
+            assert node_reading(node_path) == by_csv, size
+
+    @pytest.mark.parametrize("fault", FAULTS, ids=FAULT_IDS)
+    def test_a_fault_in_a_later_block(self, tmp_path, monkeypatch, fault):
+        rows = random_node_text(random.Random(3), 200)
+        node_path = write_file(tmp_path / "n.csv.gz", NODE_HEADER + rows + fault + rows)
+        with monkeypatch.context() as m:
+            m.setattr(analytics, "_NODE_ROWS", re.compile(rb"(?!)"))
+            by_csv = node_reading(node_path)
+        monkeypatch.setattr(analytics, "_BLOCK_BYTES", 256)
+        fallbacks = count_csv_reads(monkeypatch)
+        assert node_reading(node_path) == by_csv
+        assert fallbacks == ["_csv_node_batches"]

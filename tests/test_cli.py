@@ -418,6 +418,19 @@ class TestSnapshotAndGraph:
         assert event["event"] == "fatal"
         assert f"page id {page_id} comes after page id" in event["detail"]
 
+    def test_link_row_with_another_pages_title_is_fatal(self, out_dir, capsys):
+        run_pipeline(out_dir, dates=("2018-03-01",))
+        path = out_dir / "enwiki.wikilinksnapshot.2018-03-01.csv.gz"
+        text = gzip.open(path, "rb").read()
+        assert b"\n7,Eta,Gamma," in text and b"\n4,Delta," in text
+        with gzip.open(path, "wb") as f:
+            f.write(text.replace(b"\n7,Eta,Gamma,", b"\n7,Delta,Gamma,"))
+        capsys.readouterr()
+        assert cli.main(["graph", *base_args(out_dir), "--date", "2018-03-01"]) == 1
+        (event,) = stderr_events(capsys)
+        assert event["event"] == "fatal"
+        assert "page id 7 has the title 'Delta' of page id 4" in event["detail"]
+
     def test_full_pipeline_matches_goldens(self, out_dir):
         run_pipeline(out_dir)
         for date in FIXTURE_DATES:

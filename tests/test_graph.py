@@ -149,6 +149,14 @@ class TestBuildGraph:
         with pytest.raises(DataFormatError, match="inconsistent"):
             edges_of([link(1, "Ghost", "A")], resolved)
 
+    def test_source_title_of_another_page_is_fatal(self):
+        resolved = {"P": article(1, "P"), "Q": article(2, "Q"), "A": article(3, "A")}
+        assert edges_of([link(1, "P", "A"), link(2, "Q", "A")], resolved) == [
+            ("1", "P", "3", "A"), ("2", "Q", "3", "A"),
+        ]
+        with pytest.raises(DataFormatError, match="page id 2 has the title 'P' of page id 1"):
+            edges_of([link(1, "P", "A"), link(2, "P", "A")], resolved)
+
     def test_nodes_include_redirects_and_are_sorted(self):
         # Redirect page ids lie between article ids, so each redirect edge
         # must be merged in among the article links by page id.
