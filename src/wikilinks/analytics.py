@@ -14,12 +14,14 @@ csv's field size limit, and valid UTF-8. Every line feed of such a block
 ends a row, so :func:`compute_stats` counts them, and
 :func:`load_graph_file` parses a block with numpy: the ids of an edge
 block, and the ids and titles of a node block. An id of more than 19
-digits, or past ``2**63 - 1``, sends its block to csv. From the first
-block that does not take the block path, the rest of the file goes
-through csv, in the row loops that check each row where it is read, past
-the rows already taken. The counts, the ids, the titles and every error,
-with its row number, are then those of csv alone. The patterns need
-Python 3.11; on 3.10 csv reads every file.
+digits, or past ``2**63 - 1``, sends its block to csv. One reader,
+:func:`_graph_batches`, serves every file kind: from the first block that
+does not take the block path, it reads the rest of the file through
+:func:`storage.iter_rows`, as every other stage reads its inputs, past
+the rows already taken. It checks each row as csv reads it, and the file
+kind's row parser builds each batch a row at a time. The counts, the ids,
+the titles and every error, with its row number, are then those of csv
+alone. The patterns need Python 3.11; on 3.10 csv reads every file.
 
 :func:`load_graph_file` reads the node file into int64 ids and
 :class:`Titles`, both in file order, and then streams the edge file into a
@@ -64,16 +66,16 @@ import csv
 import re
 import sys
 from array import array
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
 from .errors import ConfigurationError, DataFormatError
 from .graph import EDGE_FIELDS, NODE_FIELDS
-from .storage import DatasetWriter, open_rows, read_blocks, rows_pattern
+from .storage import DatasetWriter, iter_rows, read_blocks, rows_pattern
 
 if TYPE_CHECKING:
     import numpy as np
@@ -90,6 +92,7 @@ if sys.version_info >= (3, 11):  # possessive repeats, so a match keeps no state
 else:  # csv reads every graph file
     _EDGE_ROWS = _NODE_ROWS = re.compile(rb"(?!)")
 _MAX_NODES = 3_037_000_499  # the largest n with n * n - 1 <= 2**63 - 1, for the pair key
+_Batch = TypeVar("_Batch")  # what a file kind's parsers make of its rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,79 +173,77 @@ class Ranking(NamedTuple):
         return list(zip(map(self.titles.__getitem__, rows), self.scores[:count].tolist()))
 
 
-def _bad_row(path: str | Path, fields: Sequence[str], id_columns: Sequence[int],
-             number: int, row: list[str]) -> DataFormatError:
-    """The fault of a graph file's row that has the wrong width or an id
-    column that is not ASCII digits, the width reported first."""
-    if len(row) != len(fields):
-        return DataFormatError(
-            f"{path}: row {number} has {len(row)} columns, expected {len(fields)}"
-        )
-    col = next(c for c in id_columns if not (row[c].isascii() and row[c].isdigit()))
-    return DataFormatError(f"{path}: row {number} column {fields[col]} is not an id: {row[col]!r}")
+def _graph_batches(
+    path: str | Path,
+    fields: Sequence[str],
+    id_columns: Sequence[int],
+    pattern: re.Pattern[bytes],
+    block_batch: Callable[[bytes], tuple[int, _Batch] | None],
+    row_batch: Callable[[Iterator[list[str]]], _Batch],
+) -> Iterator[tuple[int, _Batch]]:
+    """The rows of a graph file in batches, in file order: each batch's
+    number of rows, and what the file kind's parsers make of them.
 
-
-@contextmanager
-def _graph_rows(
-    path: str | Path, fields: Sequence[str], rows_read: Callable[[], int]
-) -> Iterator[Iterator[list[str]]]:
-    """The csv reader of a graph file, past its checked header.
-
-    The caller checks each row with :func:`_bad_row` and counts the rows it
-    has taken in ``rows_read()``. An id past ``2**63 - 1`` (an
-    ``OverflowError`` inside the block) and a file that cannot be read to
-    its end raise :class:`DataFormatError` naming the row.
+    Blocks of :func:`read_blocks` go to ``block_batch``, which returns the
+    block's row count and its batch, or None to leave the block to csv. From
+    the first block left, or the first one :func:`read_blocks` refuses, the
+    rest of the file is read through :func:`iter_rows`, past the rows
+    already taken. Each row's width (in :func:`iter_rows`) and then its id
+    columns, ASCII digits, are checked as csv reads it, and ``row_batch``
+    makes a batch of an iterator of at most ``_BATCH_ROWS`` checked rows. An
+    id past ``2**63 - 1`` (an ``OverflowError`` in ``row_batch``) and a file
+    that cannot be read to its end raise :class:`DataFormatError` naming
+    the row. If csv's field size limit has been lowered below the one
+    ``pattern`` takes, the whole file is read through csv.
     """
+    taken = 0
+    if csv.field_size_limit() >= _FIELD_LIMIT:
+        for block in read_blocks(path, fields, pattern, _BLOCK_BYTES):
+            batch = None if block is None else block_batch(block)
+            if batch is None:
+                break
+            yield batch
+            taken += batch[0]
+        else:
+            return
+    read = 0  # data rows csv has read and checked
+
+    def checked(rows: Iterator[list[str]]) -> Iterator[list[str]]:
+        nonlocal read
+        for row in rows:
+            for col in id_columns:
+                if not (row[col].isascii() and row[col].isdigit()):
+                    raise DataFormatError(
+                        f"{path}: row {read + 2} column {fields[col]} is not an id: {row[col]!r}"
+                    )
+            read += 1
+            yield row
+
     try:
-        with open_rows(path, fields) as (_, rows):
-            yield rows
-    except OverflowError:
-        raise DataFormatError(f"{path}: row {rows_read() + 2} has an id past 2**63 - 1")
+        rows = checked(iter_rows(path, fields))
+        _skip_rows(islice(rows, taken))
+        while True:
+            start = read
+            batch = row_batch(islice(rows, _BATCH_ROWS))
+            if read == start:
+                return
+            yield read - start, batch
+    except OverflowError:  # the last row read holds the id
+        raise DataFormatError(f"{path}: row {read + 1} has an id past 2**63 - 1")
     except (DataFormatError, MemoryError):
         raise
     except Exception as err:
-        raise DataFormatError(f"{path}: unreadable row after {rows_read()} data rows: {err}")
+        raise DataFormatError(f"{path}: unreadable row after {read} data rows: {err}")
 
 
-def _blocks(
-    path: str | Path, fields: Sequence[str], rows: re.Pattern[bytes]
-) -> Iterator[bytes | None]:
-    """:func:`read_blocks` of a graph file. If csv's field size limit has
-    been lowered below the one ``rows`` takes, the file is read through csv
-    alone."""
-    if csv.field_size_limit() < _FIELD_LIMIT:
-        return iter((None,))
-    return read_blocks(path, fields, rows, _BLOCK_BYTES)
+def _block_rows(block: bytes) -> tuple[int, None]:
+    """The number of rows of a block that a pattern matched: its line feeds."""
+    return block.count(b"\n"), None
 
 
-def _csv_row_count(path: str | Path, fields: Sequence[str], id_columns: Sequence[int],
-                   taken: int) -> int:
-    """The number of data rows of a graph file, read through csv; each row
-    past the first ``taken`` is checked."""
-    rows = 0
-    with _graph_rows(path, fields, lambda: rows) as reader:
-        for _ in islice(reader, taken):
-            rows += 1
-        for row in reader:
-            if len(row) != len(fields) or not all(
-                row[c].isascii() and row[c].isdigit() for c in id_columns
-            ):
-                raise _bad_row(path, fields, id_columns, rows + 2, row)
-            rows += 1
-    return rows
-
-
-def _count_rows(path: str | Path, fields: Sequence[str], id_columns: Sequence[int],
-                rows: re.Pattern[bytes]) -> int:
-    """The number of data rows of a graph file, each checked."""
-    taken = 0
-    for block in _blocks(path, fields, rows):
-        if block is None:
-            break
-        taken += block.count(b"\n")
-    else:
-        return taken
-    return _csv_row_count(path, fields, id_columns, taken)
+def _skip_rows(rows: Iterator[list[str]]) -> None:
+    """Reads the checked rows and keeps nothing of them."""
+    deque(rows, 0)
 
 
 def compute_stats(
@@ -263,8 +264,10 @@ def compute_stats(
     pattern refuses, the rest of the file is read through csv, with the
     same counts and errors.
     """
-    edges = _count_rows(edge_path, EDGE_FIELDS, (0, 2), _EDGE_ROWS)
-    nodes = _count_rows(node_path, NODE_FIELDS, (0,), _NODE_ROWS)
+    edges = sum(rows for rows, _ in _graph_batches(
+        edge_path, EDGE_FIELDS, (0, 2), _EDGE_ROWS, _block_rows, _skip_rows))
+    nodes = sum(rows for rows, _ in _graph_batches(
+        node_path, NODE_FIELDS, (0,), _NODE_ROWS, _block_rows, _skip_rows))
     return GraphStats(language, date, nodes, edges)
 
 
@@ -335,10 +338,10 @@ def _parse_ids(text: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray |
     return value.view(np.int64)
 
 
-def _block_ids(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """The source and target ids of a block of edge rows that
-    ``_EDGE_ROWS`` matched, or None if an id has more than 19 digits or is
-    past ``2**63 - 1``."""
+def _block_ids(block: bytes) -> tuple[int, tuple[np.ndarray, np.ndarray]] | None:
+    """The number of rows of a block of edge rows that ``_EDGE_ROWS``
+    matched, and their source and target ids; None if an id has more than
+    19 digits or is past ``2**63 - 1``."""
     import numpy as np
 
     text = np.frombuffer(block, np.uint8)
@@ -352,61 +355,25 @@ def _block_ids(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     targets = None if sources is None else _parse_ids(text, commas[:, 1] + 1, commas[:, 2])
     if targets is None:
         return None
-    return sources, targets
+    return len(sources), (sources, targets)
 
 
-def _csv_edge_batches(
-    edge_path: str | Path, taken: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The edge batches of the rows past the first ``taken``, read through
-    csv, up to ``_BATCH_ROWS`` rows at a time."""
+def _edge_rows(rows: Iterator[list[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """The source and target ids of checked edge rows, appended a row at a time."""
     import numpy as np
 
-    first, targets = 2, ()  # () until the first batch, for rows_read
-    with _graph_rows(edge_path, EDGE_FIELDS, lambda: first - 2 + len(targets)) as rows:
-        for _ in islice(rows, taken):
-            first += 1
-        while True:
-            sources, targets = array("q"), array("q")
-            for row in islice(rows, _BATCH_ROWS):
-                if len(row) != 4 or not (
-                    row[0].isascii() and row[0].isdigit() and row[2].isascii() and row[2].isdigit()
-                ):
-                    raise _bad_row(edge_path, EDGE_FIELDS, (0, 2), first + len(targets), row)
-                sources.append(int(row[0]))
-                targets.append(int(row[2]))
-            if not targets:
-                return
-            yield first, np.frombuffer(sources, np.int64), np.frombuffer(targets, np.int64)
-            first += len(targets)
+    sources, targets = array("q"), array("q")
+    for row in rows:
+        sources.append(int(row[0]))
+        targets.append(int(row[2]))
+    return np.frombuffer(sources, np.int64), np.frombuffer(targets, np.int64)
 
 
-def _edge_batches(edge_path: str | Path) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The rows of an edge file in batches, in file order: the row number
-    of each batch's first row, and its source and target id columns.
-
-    Rows are checked as :func:`compute_stats` checks them, and an id past
-    ``2**63 - 1`` raises :class:`DataFormatError`. A block that
-    :func:`compute_stats` would take is one batch, its ids parsed by
-    :func:`_block_ids`. From the first block that it would not take, or
-    whose ids :func:`_block_ids` leaves alone, the rest is read through csv.
-    """
-    taken = 0
-    for block in _blocks(edge_path, EDGE_FIELDS, _EDGE_ROWS):
-        ids = None if block is None else _block_ids(block)
-        if ids is None:
-            break
-        yield taken + 2, *ids
-        taken += len(ids[0])
-    else:
-        return
-    yield from _csv_edge_batches(edge_path, taken)
-
-
-def _block_nodes(block: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The ids of a block of node rows that ``_NODE_ROWS`` matched, their
-    titles' UTF-8 bytes, concatenated, and where each title ends in them;
-    None if an id has more than 19 digits or is past ``2**63 - 1``."""
+def _block_nodes(block: bytes) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
+    """The number of rows of a block of node rows that ``_NODE_ROWS``
+    matched, and their ids, their titles' UTF-8 bytes, concatenated, and
+    where each title ends in them; None if an id has more than 19 digits or
+    is past ``2**63 - 1``."""
     import numpy as np
 
     text = np.frombuffer(block, np.uint8)
@@ -435,65 +402,33 @@ def _block_nodes(block: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | No
         dropped = np.concatenate((opening, quotes[1::2]))
         keep[dropped] = 0
         lengths -= np.bincount(np.searchsorted(ends, dropped), minlength=len(ends))
-    return ids, text[keep.view(bool)], np.cumsum(lengths)
+    return len(ids), (ids, text[keep.view(bool)], np.cumsum(lengths))
 
 
-def _csv_node_batches(
-    node_path: str | Path, taken: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The node batches of the rows past the first ``taken``, read through
-    csv, up to ``_BATCH_ROWS`` rows at a time."""
+def _node_rows(rows: Iterator[list[str]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ids of checked node rows, their titles' UTF-8 bytes, concatenated,
+    and where each title ends in them, appended a row at a time."""
     import numpy as np
 
-    first, ids = 2, ()  # () until the first batch, for rows_read
-    with _graph_rows(node_path, NODE_FIELDS, lambda: first - 2 + len(ids)) as rows:
-        for _ in islice(rows, taken):
-            first += 1
-        while True:
-            ids, titles, ends = array("q"), bytearray(), array("q")
-            for row in islice(rows, _BATCH_ROWS):
-                if len(row) != 2 or not (row[0].isascii() and row[0].isdigit()):
-                    raise _bad_row(node_path, NODE_FIELDS, (0,), first + len(ids), row)
-                ids.append(int(row[0]))
-                titles += row[1].encode()
-                ends.append(len(titles))
-            if not ids:
-                return
-            yield (np.frombuffer(ids, np.int64), np.frombuffer(titles, np.uint8),
-                   np.frombuffer(ends, np.int64))
-            first += len(ids)
-
-
-def _node_batches(node_path: str | Path) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The rows of a node file in batches, in file order: their ids, their
-    titles' UTF-8 bytes, concatenated, and where each title ends in them.
-
-    Rows are checked as :func:`compute_stats` checks them, and an id past
-    ``2**63 - 1`` raises :class:`DataFormatError`. A block that
-    :func:`compute_stats` would take is one batch, parsed by
-    :func:`_block_nodes`. From the first block that it would not take, or
-    whose ids :func:`_block_nodes` leaves alone, the rest is read through csv.
-    """
-    taken = 0
-    for block in _blocks(node_path, NODE_FIELDS, _NODE_ROWS):
-        batch = None if block is None else _block_nodes(block)
-        if batch is None:
-            break
-        yield batch
-        taken += len(batch[0])
-    else:
-        return
-    yield from _csv_node_batches(node_path, taken)
+    ids, titles, ends = array("q"), bytearray(), array("q")
+    for row in rows:
+        ids.append(int(row[0]))
+        titles += row[1].encode()
+        ends.append(len(titles))
+    return (np.frombuffer(ids, np.int64), np.frombuffer(titles, np.uint8),
+            np.frombuffer(ends, np.int64))
 
 
 def _read_nodes(node_path: str | Path) -> GraphNodes:
     """The node file's ids and titles, each title UTF-8 encoded into one
-    buffer, a batch of :func:`_node_batches` at a time."""
+    buffer, a batch at a time."""
     import numpy as np
 
     ids = array("q")
     data, bounds = bytearray(), array("q", [0])
-    for batch_ids, titles, ends in _node_batches(node_path):
+    for _, (batch_ids, titles, ends) in _graph_batches(
+        node_path, NODE_FIELDS, (0,), _NODE_ROWS, _block_nodes, _node_rows
+    ):
         ids.frombytes(memoryview(batch_ids).cast("B"))
         bounds.frombytes(memoryview(ends + len(data)).cast("B"))
         data += memoryview(titles)
@@ -518,6 +453,9 @@ def load_graph_file(edge_path: str | Path, node_path: str | Path) -> tuple[LinkK
     """
     import numpy as np
 
+    def edge_batches():
+        return _graph_batches(edge_path, EDGE_FIELDS, (0, 2), _EDGE_ROWS, _block_ids, _edge_rows)
+
     try:
         nodes = _read_nodes(node_path)
         ids = np.sort(nodes.ids)
@@ -529,18 +467,19 @@ def load_graph_file(edge_path: str | Path, node_path: str | Path) -> tuple[LinkK
                 f"pagerank handles at most {_MAX_NODES:,} nodes, got {len(ids):,}"
             )
     except (DataFormatError, ConfigurationError):
-        for _ in _edge_batches(edge_path):  # a fault in the edge rows comes first
-            pass
+        deque(edge_batches(), 0)  # a fault in the edge rows comes first
         raise
     key = array("q")
     unlisted = None
-    for first, sources, targets in _edge_batches(edge_path):
+    first = 2  # the row number of each batch's first row
+    for rows, (sources, targets) in edge_batches():
         if unlisted is None:  # past it, the rows are only checked
             packed, listed = _pack(ids, sources, targets)
             if listed.all():
                 key.frombytes(memoryview(packed).cast("B"))
             else:
                 unlisted = first + int(listed.argmin())
+        first += rows
     if unlisted is not None:
         raise DataFormatError(
             f"{edge_path}: row {unlisted} links a page that {node_path} does not list"

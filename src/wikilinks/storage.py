@@ -24,7 +24,6 @@ import re
 import subprocess
 import sys
 import zlib
-from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
@@ -264,16 +263,16 @@ def refuse_stale(path: str | Path) -> None:
         )
 
 
-@contextmanager
-def open_rows(
+def iter_rows(
     path: str | Path, expected_header: Sequence[str] | None = None
-) -> Iterator[tuple[list[str] | None, Iterator[list[str]]]]:
-    """The header of a dataset file and a csv reader over its data rows.
+) -> Iterator[list[str]]:
+    """Yield the data rows of a dataset file, read through csv.
 
     A file whose ``.partial`` file is still present is stale, because the
     last run that rebuilt it failed, and a header other than
     ``expected_header``, if given, is wrong; both are refused with
-    :class:`DataFormatError`. The rows themselves are not checked.
+    :class:`DataFormatError`. So is a row whose column count differs from
+    the header's, which is malformed.
     """
     refuse_stale(path)
     opener = gzip.open if str(path).endswith(".gz") else open
@@ -284,17 +283,6 @@ def open_rows(
             raise DataFormatError(
                 f"{path}: expected header {list(expected_header)}, found {header}"
             )
-        yield header, reader
-
-
-def iter_rows(
-    path: str | Path, expected_header: Sequence[str] | None = None
-) -> Iterator[list[str]]:
-    """Yield data rows of a dataset file, checked as :func:`open_rows`
-    checks the file; a row whose column count differs from the header's is
-    malformed and refused with :class:`DataFormatError`.
-    """
-    with open_rows(path, expected_header) as (header, reader):
         width = len(header or ())
         for number, row in enumerate(reader, 2):
             if len(row) != width:
@@ -328,9 +316,9 @@ def read_blocks(
     lines of about ``size`` bytes, while each block is valid UTF-8 and
     ``rows`` matches all of it.
 
-    A stale file is refused as :func:`open_rows` refuses it. Otherwise one
+    A stale file is refused as :func:`iter_rows` refuses it. Otherwise one
     None ends the blocks early, to say that the rest of the file must be read
-    through :func:`open_rows`. It comes in place of the first block that is
+    through :func:`iter_rows`. It comes in place of the first block that is
     refused, and at once when the header is not ``fields`` as
     :class:`DatasetWriter` writes it. It also comes when the file does not
     end in "\\n" or cannot be read to its end.

@@ -5,6 +5,7 @@ import gzip
 import random
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -572,16 +573,24 @@ def read_summary(edge_path, node_path):
 
 
 def assert_blocks_read_as_csv(monkeypatch, edge_path, node_path, sizes=BLOCK_SIZES):
-    """At each block size, the files read as they do with the block path
-    forced off, results and errors alike; returns what they read as."""
+    """At each block size, and with csv batches of the default size, 1 and
+    3 rows, the files read as they do with the block path forced off and
+    batches of the default size, results and errors alike; returns what
+    they read as."""
+    never = re.compile(rb"(?!)")
     with monkeypatch.context() as m:
-        never = re.compile(rb"(?!)")
         m.setattr(analytics, "_EDGE_ROWS", never)
         m.setattr(analytics, "_NODE_ROWS", never)
         by_csv = read_summary(edge_path, node_path)
-    for size in sizes:
-        monkeypatch.setattr(analytics, "_BLOCK_BYTES", size)
-        assert read_summary(edge_path, node_path) == by_csv, size
+    for batch_rows in (analytics._BATCH_ROWS, 1, 3):
+        monkeypatch.setattr(analytics, "_BATCH_ROWS", batch_rows)
+        with monkeypatch.context() as m:
+            m.setattr(analytics, "_EDGE_ROWS", never)
+            m.setattr(analytics, "_NODE_ROWS", never)
+            assert read_summary(edge_path, node_path) == by_csv, batch_rows
+        for size in sizes:
+            monkeypatch.setattr(analytics, "_BLOCK_BYTES", size)
+            assert read_summary(edge_path, node_path) == by_csv, (batch_rows, size)
     return by_csv
 
 
@@ -696,6 +705,32 @@ class TestBlockReading:
             (DataFormatError, message)
         ] * 2
 
+    @pytest.mark.parametrize("kind", ["edges", "nodes"])
+    @pytest.mark.parametrize("id_first", [True, False], ids=["id-then-short", "short-then-id"])
+    def test_fault_precedence(self, tmp_path, monkeypatch, kind, id_first):
+        # Rows 2-16 are valid; rows 17 and 18 hold an id past 2**63 - 1 and
+        # a short row. compute_stats never parses the id, so it reports the
+        # short row; load_graph_file reports whichever fault comes first.
+        if kind == "edges":
+            past, short = b"9223372036854775808,A,1,B\n", b"1,A,2\n"
+            edges = EDGE_HEADER + GOOD_EDGES * 3 + (past + short if id_first else short + past)
+            nodes = NODE_HEADER + GOOD_NODES
+            width = "3 columns, expected 4"
+        else:
+            past, short = b"9223372036854775808,A\n", b"7\n"
+            valid = b"".join(b"%d,T%d\n" % (i, i) for i in range(1, 16))
+            edges = EDGE_HEADER + GOOD_EDGES
+            nodes = NODE_HEADER + valid + (past + short if id_first else short + past)
+            width = "1 columns, expected 2"
+        edge_path = write_file(tmp_path / "g.csv.gz", edges)
+        node_path = write_file(tmp_path / "g.nodes.csv.gz", nodes)
+        path = edge_path if kind == "edges" else node_path
+        short_row = f"{path}: row {18 if id_first else 17} has {width}"
+        past_row = f"{path}: row 17 has an id past 2**63 - 1"
+        assert assert_blocks_read_as_csv(monkeypatch, edge_path, node_path) == [
+            (DataFormatError, short_row), (DataFormatError, past_row if id_first else short_row)
+        ]
+
     @pytest.mark.parametrize("damage", ["truncated", "bit-flipped"])
     def test_damaged_gzip_member(self, tmp_path, monkeypatch, damage):
         edge_path = write_file(tmp_path / "g.csv.gz", EDGE_HEADER + GOOD_EDGES * 300)
@@ -777,16 +812,21 @@ class TestBlockReading:
         assert fallbacks == []
 
 
-def count_csv_reads(monkeypatch) -> list[str]:
-    """Wraps the csv readers of graph files so that each call is listed, by
-    name, in the list returned."""
+def count_csv_reads(monkeypatch) -> list[list]:
+    """Wraps ``analytics.iter_rows``, through which graph files are read as
+    csv, so that each call is listed in the list returned as the file's name
+    and the number of rows it has yielded."""
     calls = []
-    for name in ("_csv_row_count", "_csv_edge_batches", "_csv_node_batches"):
-        def counted(*args, _name=name, _read=getattr(analytics, name)):
-            calls.append(_name)
-            return _read(*args)
+    read = analytics.iter_rows
 
-        monkeypatch.setattr(analytics, name, counted)
+    def counted(path, *args):
+        call = [Path(path).name, 0]
+        calls.append(call)
+        for row in read(path, *args):
+            call[1] += 1
+            yield row
+
+    monkeypatch.setattr(analytics, "iter_rows", counted)
     return calls
 
 
@@ -856,8 +896,13 @@ class TestNodeBlocks:
         node_path = write_file(tmp_path / "n.csv.gz", NODE_HEADER + rows + fault + rows)
         with monkeypatch.context() as m:
             m.setattr(analytics, "_NODE_ROWS", re.compile(rb"(?!)"))
+            csv_reads = count_csv_reads(m)
             by_csv = node_reading(node_path)
         monkeypatch.setattr(analytics, "_BLOCK_BYTES", 256)
         fallbacks = count_csv_reads(monkeypatch)
         assert node_reading(node_path) == by_csv
-        assert fallbacks == ["_csv_node_batches"]
+        # Only the node file goes to csv, and the rows the block path took
+        # pass through iter_rows again, as the rows csv alone reads do.
+        ((name, rows),) = fallbacks
+        assert (name, fallbacks) == ("n.csv.gz", csv_reads)
+        assert rows >= 200
