@@ -13,49 +13,15 @@ Pipeline stages (each also available as a CLI subcommand):
               and per title;
 3. graph    - resolve and deduplicate the active links of each date's
               snapshot rows into an edge list;
-4. analytics - node/edge counts, growth series, PageRank rankings; import
-              ``wikilinks.analytics`` for these, since only the ``stats``
-              and ``pagerank`` stages load it.
+4. analytics - node/edge counts, growth series, PageRank rankings.
 
-Links and redirects leave the wikitext scanner as the string columns that
-extract writes (see :func:`extract_links` and :func:`detect_redirect`).
+``import wikilinks`` loads no stage, and each CLI stage imports only the
+modules it runs. The API lives in the submodules: ``wikilinks.dump``
+(reading dumps), ``wikilinks.wikitext`` (the link scanner:
+:func:`extract_links`, :func:`detect_redirect`, :func:`normalize_title`),
+``wikilinks.pipeline`` (extract), ``wikilinks.snapshot``,
+``wikilinks.graph``, ``wikilinks.analytics``, ``wikilinks.storage`` (dataset
+files) and ``wikilinks.errors``.
 """
 
-from .dump import PageHistory, Revision, filter_namespace, open_dump
-from .errors import ConfigurationError, DataFormatError, DumpFormatError
-from .graph import build_graph, emit_edges
-from .pipeline import RunSummary, extract_all
-from .snapshot import SnapshotDate, build_link_snapshot, select_snapshot_revisions
-from .wikitext import (
-    LanguageProfile,
-    detect_redirect,
-    extract_links,
-    get_profile,
-    normalize_title,
-    section_scan,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConfigurationError",
-    "DataFormatError",
-    "DumpFormatError",
-    "LanguageProfile",
-    "PageHistory",
-    "Revision",
-    "RunSummary",
-    "SnapshotDate",
-    "build_graph",
-    "build_link_snapshot",
-    "detect_redirect",
-    "emit_edges",
-    "extract_all",
-    "extract_links",
-    "filter_namespace",
-    "get_profile",
-    "normalize_title",
-    "open_dump",
-    "section_scan",
-    "select_snapshot_revisions",
-]

@@ -75,7 +75,7 @@ from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
 from .errors import ConfigurationError, DataFormatError
 from .graph import EDGE_FIELDS, NODE_FIELDS
-from .storage import DatasetWriter, iter_rows, read_blocks, rows_pattern
+from .storage import DatasetWriter, iter_rows, read_blocks, rows_pattern, undecodable_line
 
 if TYPE_CHECKING:
     import numpy as np
@@ -193,8 +193,9 @@ def _graph_batches(
     makes a batch of an iterator of at most ``_BATCH_ROWS`` checked rows. An
     id past ``2**63 - 1`` (an ``OverflowError`` in ``row_batch``) and a file
     that cannot be read to its end raise :class:`DataFormatError` naming
-    the row. If csv's field size limit has been lowered below the one
-    ``pattern`` takes, the whole file is read through csv.
+    the row, and a file that is not UTF-8 its first line that is not. If
+    csv's field size limit has been lowered below the one ``pattern``
+    takes, the whole file is read through csv.
     """
     taken = 0
     if csv.field_size_limit() >= _FIELD_LIMIT:
@@ -232,6 +233,13 @@ def _graph_batches(
         raise DataFormatError(f"{path}: row {read + 1} has an id past 2**63 - 1")
     except (DataFormatError, MemoryError):
         raise
+    except UnicodeDecodeError as err:
+        # The text layer decodes ahead of csv, so csv's row count does not
+        # say where the fault is; a scan of the file's lines does.
+        found = undecodable_line(path)
+        if found is None:
+            raise DataFormatError(f"{path}: unreadable row after {read} data rows: {err}")
+        raise DataFormatError(f"{path}: line {found[0]} is not UTF-8: {found[1]}")
     except Exception as err:
         raise DataFormatError(f"{path}: unreadable row after {read} data rows: {err}")
 

@@ -22,11 +22,9 @@ from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import graph, pipeline, snapshot
-from .dump import filter_namespace, open_dump
 from .errors import ConfigurationError, DataFormatError, DumpFormatError
-from .extsort import external_sort
 from .snapshot import SnapshotDate, yearly_snapshot_dates
 from .storage import (
     CHECKSUM_SUFFIX,
@@ -39,7 +37,13 @@ from .storage import (
     refuse_stale,
     verify_checksum,
 )
-from .wikitext import LanguageProfile, get_profile, load_profiles
+
+# Every stage process imports this module, so each command imports the stage
+# modules it runs itself: graph, stats, pagerank and verify never load the
+# XML parser, the link scanner or the extract pipeline.
+if TYPE_CHECKING:
+    from .pipeline import RunSummary
+    from .wikitext import LanguageProfile
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -76,6 +80,8 @@ class RunConfig:
         self.dates = sorted(self.dates, key=lambda d: d.instant)
 
     def profile(self) -> LanguageProfile:
+        from .wikitext import get_profile, load_profiles
+
         if self.profiles_path is not None:
             profiles = load_profiles(self.profiles_path)
             if self.language in profiles:
@@ -116,7 +122,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def extract_shard(config: RunConfig, profile: LanguageProfile, shard: int,
-                  input_path: Path) -> pipeline.RunSummary:
+                  input_path: Path) -> RunSummary:
     """Extract one dump file into raw-link and redirect-history shard ``shard``.
 
     Everything the shard needs happens here, so it can run in a worker
@@ -124,6 +130,9 @@ def extract_shard(config: RunConfig, profile: LanguageProfile, shard: int,
     the dump reader's issue counts in ``diagnostics`` and ``errors``, comes
     back.
     """
+    from . import pipeline
+    from .dump import filter_namespace, open_dump
+
     raw_path = config.path("rawwikilinks", shard=shard)
     redirect_path = config.path("redirecthistory", shard=shard)
     issues: Counter = Counter()
@@ -165,6 +174,8 @@ def extract_shard(config: RunConfig, profile: LanguageProfile, shard: int,
 
 
 def cmd_extract(config: RunConfig) -> int:
+    from .pipeline import RunSummary
+
     missing = [str(p) for p in config.inputs if not p.is_file()]
     if missing:
         _event("missing-input", paths=missing)
@@ -175,7 +186,7 @@ def cmd_extract(config: RunConfig) -> int:
     inputs = sorted(config.inputs, key=str)
     extract = functools.partial(extract_shard, config, profile)
     workers = min(config.jobs, len(inputs))
-    totals = pipeline.RunSummary()
+    totals = RunSummary()
     shards = []
     started = time.perf_counter()
     with ExitStack() as stack:
@@ -227,6 +238,8 @@ def cmd_extract(config: RunConfig) -> int:
 
 
 def _sort_into(tmp_path: Path, final_path: Path, fields, key) -> None:
+    from .extsort import external_sort
+
     with DatasetWriter(final_path, fields) as writer:
         writer.write_rows(external_sort(iter_rows(tmp_path, fields), key))
 
@@ -252,6 +265,8 @@ def _extract_shards(config: RunConfig) -> tuple[list[Path], list[Path]] | None:
 
 
 def cmd_snapshot(config: RunConfig) -> int:
+    from . import pipeline, snapshot
+
     shards = _extract_shards(config)
     if shards is None:
         _event("missing-input", path=str(config.manifest_path()), detail="run extract first")
@@ -316,6 +331,8 @@ def _graph_paths(config: RunConfig, label: str) -> tuple[Path, Path]:
 
 
 def cmd_graph(config: RunConfig) -> int:
+    from . import graph, snapshot
+
     for date in config.dates:
         label = date.label
         resolved_path = config.path("resolvedredirects", date=label)
@@ -335,7 +352,8 @@ def cmd_graph(config: RunConfig) -> int:
 
 
 def cmd_pagerank(config: RunConfig, args: argparse.Namespace) -> int:
-    from . import analytics  # only stats and pagerank load it
+    from . import analytics
+
     if args.output and len(config.dates) > 1:
         raise ConfigurationError("--output needs exactly one --date")
     analytics.check_pagerank_options(args.damping, args.tolerance, args.max_iter)
@@ -366,7 +384,8 @@ def cmd_pagerank(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
-    from . import analytics  # only stats and pagerank load it
+    from . import analytics
+
     collected = []
     for date in config.dates:
         label = date.label

@@ -9,18 +9,17 @@ tag names.
 
 from __future__ import annotations
 
-import logging
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import DumpFormatError
 from .storage import open_dump_stream
 
-log = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    import xml.etree.ElementTree as ET
 
 USER_REGISTERED = "registered"
 USER_ANONYMOUS = "anonymous"
@@ -200,13 +199,17 @@ def read_pages(
     Pages missing a mandatory element (title, id, or a revision id or
     timestamp) are reported through ``on_issue`` with kind "page-skipped"
     and skipped; malformed XML raises :class:`DumpFormatError` naming the
-    byte offset reached.
+    byte offset reached. Without ``on_issue``, issues are logged as warnings.
     """
+    # Imported here: the snapshot stage loads this module too, but parses no XML.
+    import xml.etree.ElementTree as ET
 
-    def issue(i: PageIssue) -> None:
-        if on_issue is not None:
-            on_issue(i)
-        else:
+    if on_issue is None:
+        import logging
+
+        log = logging.getLogger(__name__)
+
+        def on_issue(i: PageIssue) -> None:
             log.warning("%s: %s (page_id=%s title=%r)", i.kind, i.detail, i.page_id, i.title)
 
     counting = _CountingReader(stream)
@@ -215,11 +218,11 @@ def read_pages(
             if _local(elem.tag) != "page":
                 continue
             try:
-                yield _parse_page(elem, issue)
+                yield _parse_page(elem, on_issue)
             except _PageSkip as skip:
                 title = _text(_find(elem, "title"))
                 page_id = _text(_find(elem, "id"))
-                issue(
+                on_issue(
                     PageIssue(
                         "page-skipped",
                         int(page_id) if page_id else None,

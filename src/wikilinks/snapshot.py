@@ -27,10 +27,12 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .dump import format_timestamp, parse_timestamp
 from .errors import DataFormatError
 from .storage import DatasetWriter, iter_rows
-from .wikitext import normalize_title
+
+# Every stage process loads this module for SnapshotDate, so the functions
+# that need the dump reader or the title normalizer import them: graph, stats,
+# pagerank and verify then load neither.
 
 RESOLUTION_ARTICLE = "article"
 RESOLUTION_RESOLVED = "resolved"
@@ -76,6 +78,8 @@ class SnapshotDate:
         """Accept YYYY-MM-DD (midnight UTC) or a full ISO instant."""
         if len(value) == 10:
             return cls(datetime.strptime(value, "%Y-%m-%d").replace(tzinfo=timezone.utc))
+        from .dump import parse_timestamp
+
         return cls(parse_timestamp(value))
 
     @classmethod
@@ -98,6 +102,8 @@ class SnapshotDate:
         instant = self.instant
         if instant.microsecond:
             instant = instant.replace(microsecond=0) + timedelta(seconds=1)
+        from .dump import format_timestamp
+
         return format_timestamp(instant)
 
 
@@ -161,6 +167,8 @@ def select_snapshot_revisions(
     titles, or when two page ids that both exist before the last date share
     a title: either would give a date two pages for one title, or none.
     """
+    from .wikitext import normalize_title
+
     cutoffs = [date.cutoff for date in dates]
     if cutoffs != sorted(cutoffs):
         raise ValueError("snapshot dates must ascend")
@@ -263,6 +271,8 @@ def build_link_snapshot(
     whether the target title existed at the date; redirect pages count as
     existing.
     """
+    from .wikitext import normalize_title
+
     revisions = selection.revisions
     titles = selection.titles
     for row in records:

@@ -14,14 +14,12 @@ filename, so that reruns produce byte-identical files.
 
 from __future__ import annotations
 
-import bz2
 import csv
 import gzip
 import hashlib
 import io
 import os
 import re
-import subprocess
 import sys
 import zlib
 from pathlib import Path
@@ -55,6 +53,8 @@ class _SubprocessStream:
     """Readable binary stream backed by an external decompressor process."""
 
     def __init__(self, command: Sequence[str], path: str | Path):
+        import subprocess  # only 7z input loads it
+
         self._command = list(command) + [str(path)]
         try:
             self._proc = subprocess.Popen(
@@ -107,6 +107,8 @@ def open_dump_stream(
     if codec == "gzip":
         return gzip.open(path, "rb")
     if codec == "bzip2":
+        import bz2  # only bzip2 input loads it
+
         return bz2.open(path, "rb")
     if codec == "7z-external":
         return _SubprocessStream(sevenzip_command or DEFAULT_SEVENZIP, path)
@@ -290,6 +292,27 @@ def iter_rows(
                     f"{path}: row {number} has {len(row)} columns, expected {width}"
                 )
             yield row
+
+
+def undecodable_line(path: str | Path) -> tuple[int, UnicodeDecodeError] | None:
+    """The number of the first line of a dataset file, decompressed, that is
+    not UTF-8, counting the header as line 1, and its decoding error; None
+    when every line decodes or the file cannot be read that far.
+
+    No UTF-8 sequence holds a "\\n", so line by line finds what decoding the
+    whole file finds.
+    """
+    opener = gzip.open if str(path).endswith(".gz") else open
+    try:
+        with opener(path, "rb") as f:
+            for number, line in enumerate(f, 1):
+                try:
+                    line.decode()
+                except UnicodeDecodeError as err:
+                    return number, err
+    except (OSError, EOFError, zlib.error):
+        pass
+    return None
 
 
 def rows_pattern(width: int, id_columns: Sequence[int], limit: int) -> bytes:

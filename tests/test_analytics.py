@@ -706,6 +706,25 @@ class TestBlockReading:
         ] * 2
 
     @pytest.mark.parametrize("kind", ["edges", "nodes"])
+    def test_an_undecodable_byte_names_its_line(self, tmp_path, monkeypatch, kind):
+        # A 20-row file with 0xff in data row 18, line 19 counting the
+        # header: csv, decoded 8 KB ahead, stands at row 0 when it fails.
+        edges = (GOOD_EDGES * 4).splitlines(keepends=True)
+        nodes = (GOOD_NODES * 4).splitlines(keepends=True)
+        if kind == "edges":
+            edges[17] = b"1,\xff,2,B\n"
+        else:
+            nodes[17] = b"6,\xff\n"
+        edge_path = write_file(tmp_path / "g.csv.gz", EDGE_HEADER + b"".join(edges))
+        node_path = write_file(tmp_path / "g.nodes.csv.gz", NODE_HEADER + b"".join(nodes))
+        path = edge_path if kind == "edges" else node_path
+        message = (f"{path}: line 19 is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+                   "in position 2: invalid start byte")
+        assert assert_blocks_read_as_csv(monkeypatch, edge_path, node_path) == [
+            (DataFormatError, message)
+        ] * 2
+
+    @pytest.mark.parametrize("kind", ["edges", "nodes"])
     @pytest.mark.parametrize("id_first", [True, False], ids=["id-then-short", "short-then-id"])
     def test_fault_precedence(self, tmp_path, monkeypatch, kind, id_first):
         # Rows 2-16 are valid; rows 17 and 18 hold an id past 2**63 - 1 and

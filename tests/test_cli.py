@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from wikilinks import cli, dump, graph, pipeline, snapshot
+from wikilinks import cli, dump, extsort, graph, pipeline, snapshot
 from wikilinks.storage import iter_rows, sha256_of, verify_checksum
 
 from conftest import FIXTURE_DATES, GOLDEN_DIR, run_pipeline
@@ -214,7 +214,7 @@ class TestExtractWritePaths:
         def refuse(*args, **kwargs):
             raise AssertionError("extract sorted an in-order dump")
 
-        monkeypatch.setattr(cli, "external_sort", refuse)
+        monkeypatch.setattr(extsort, "external_sort", refuse)
         monkeypatch.setattr(cli, "_sort_into", refuse)
         out = self._extract(tmp_path, "ordered", IN_ORDER_PAGES, 1)
         assert sorted(p.name for p in out.iterdir()) == sorted(
@@ -1054,7 +1054,54 @@ def stage_exit_and_heavy_modules(out: Path, stage: str) -> str:
     return result.stdout.strip()
 
 
+# What only extract and snapshot run: the XML reader, the link scanner and
+# the extract pipeline, and the modules behind them.
+EXTRACT_MODULES = ("wikilinks.dump", "wikilinks.wikitext", "wikilinks.pipeline",
+                   "xml.etree.ElementTree", "logging")
+
+
+def modules_loaded_by(code: str, *argv: str) -> list[str]:
+    """Runs ``code`` in a fresh interpreter after recording ``sys.modules``;
+    returns its output lines, with ``loaded`` bound to a function that lists
+    the given names that were loaded since then."""
+    import subprocess
+    import sys
+
+    prelude = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "def loaded(names):\n"
+        "    return sorted(m for m in names if m in sys.modules and m not in before)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", prelude + code, *argv], capture_output=True, text=True,
+        env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
 class TestConsoleScript:
+    def test_cli_import_loads_no_stage_module(self):
+        # Modules the interpreter loaded before the import do not count: a
+        # site .pth file can load bz2, for one.
+        names = (*EXTRACT_MODULES, "wikilinks.graph", "wikilinks.extsort",
+                 "wikilinks.analytics", "subprocess", "bz2")
+        code = f"import wikilinks.cli\nprint(loaded({names!r}))\n"
+        assert modules_loaded_by(code) == ["[]"]
+
+    @pytest.mark.parametrize("stage", ["verify", "graph", "stats"])
+    def test_later_stages_leave_the_extract_modules_unloaded(self, out_dir, stage):
+        run_pipeline(out_dir, dates=("2018-03-01",))
+        args = [stage, *base_args(out_dir)] + ([] if stage == "verify" else ["--date", "2018-03-01"])
+        code = (
+            "from wikilinks import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            f"print(code, loaded({EXTRACT_MODULES!r}))\n"
+        )
+        assert modules_loaded_by(code, *args) == ["0 []"]
+
     def test_cli_import_leaves_numpy_and_scipy_unloaded(self):
         import subprocess
         import sys
