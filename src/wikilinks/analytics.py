@@ -4,24 +4,20 @@ Counting (:func:`compute_stats`, :func:`write_growth_series`) needs only the
 standard library; numpy is imported inside the functions that rank, so
 ``stats`` never loads it.
 
-Graph files are read in decompressed blocks of whole lines, about 1 MB
-each (:func:`storage.read_blocks`). A block takes the block path when the
-file's header is exactly the one :class:`DatasetWriter` writes and one
-match of ``_EDGE_ROWS`` or ``_NODE_ROWS`` accepts all of it: rows of the
-right width as csv.writer writes them, id columns of ASCII digits, titles
-bare or quoted with no carriage return, line feed or NUL, no field past
-csv's field size limit, and valid UTF-8. Every line feed of such a block
-ends a row, so :func:`compute_stats` counts them, and
-:func:`load_graph_file` parses a block with numpy: the ids of an edge
-block, and the ids and titles of a node block. An id of more than 19
-digits, or past ``2**63 - 1``, sends its block to csv. One reader,
-:func:`_graph_batches`, serves every file kind: from the first block that
-does not take the block path, it reads the rest of the file through
-:func:`storage.iter_rows`, as every other stage reads its inputs, past
-the rows already taken. It checks each row as csv reads it, and the file
-kind's row parser builds each batch a row at a time. The counts, the ids,
-the titles and every error, with its row number, are then those of csv
-alone. The patterns need Python 3.11; on 3.10 csv reads every file.
+Graph files are read through :func:`storage.read_batches`, the reader of
+every dataset file, which checks each row and names each fault as
+:func:`storage.iter_rows` does. This module keeps what is particular to
+each file kind: its row pattern, ``_EDGE_ROWS`` or ``_NODE_ROWS``, and
+its two parsers. A decompressed block of whole lines, about 1 MB, that
+the pattern accepts ends each row with a line feed, so
+:func:`compute_stats` counts them, and :func:`load_graph_file` parses it
+with numpy: the ids of an edge block, and the ids and titles of a node
+block. An id of more than 19 digits, or past ``2**63 - 1``, sends its
+block to csv. From the first block that does not take the block path,
+the rest of the file is read through csv, past the rows already taken,
+and the file kind's row parser builds each batch a row at a time. The
+counts, the ids, the titles and every error, with its row number, are
+then those of csv alone.
 
 :func:`load_graph_file` reads the node file into int64 ids and
 :class:`Titles`, both in file order, and then streams the edge file into a
@@ -63,19 +59,16 @@ csv.writer itself writes it.
 from __future__ import annotations
 
 import csv
-import re
-import sys
 from array import array
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, TypeVar
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigurationError, DataFormatError
 from .graph import EDGE_FIELDS, NODE_FIELDS
-from .storage import DatasetWriter, iter_rows, read_blocks, rows_pattern, undecodable_line
+from .storage import DatasetWriter, read_batches, rows_pattern
 
 if TYPE_CHECKING:
     import numpy as np
@@ -85,14 +78,9 @@ GROWTH_FIELDS = ("language", "date", "nodes", "edges")
 _BATCH_ROWS = 1 << 16  # rows per batch read through csv
 _BLOCK_BYTES = 1 << 20
 _RANKING_ROWS = 1024  # rankings rows formatted at once: about 0.4 MB of temporaries
-_FIELD_LIMIT = csv.field_size_limit()  # at import: the longest field the patterns take
-if sys.version_info >= (3, 11):  # possessive repeats, so a match keeps no state per row
-    _EDGE_ROWS = re.compile(rows_pattern(len(EDGE_FIELDS), (0, 2), _FIELD_LIMIT))
-    _NODE_ROWS = re.compile(rows_pattern(len(NODE_FIELDS), (0,), _FIELD_LIMIT))
-else:  # csv reads every graph file
-    _EDGE_ROWS = _NODE_ROWS = re.compile(rb"(?!)")
+_EDGE_ROWS = rows_pattern(len(EDGE_FIELDS), (0, 2))
+_NODE_ROWS = rows_pattern(len(NODE_FIELDS), (0,))
 _MAX_NODES = 3_037_000_499  # the largest n with n * n - 1 <= 2**63 - 1, for the pair key
-_Batch = TypeVar("_Batch")  # what a file kind's parsers make of its rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,85 +161,14 @@ class Ranking(NamedTuple):
         return list(zip(map(self.titles.__getitem__, rows), self.scores[:count].tolist()))
 
 
-def _graph_batches(
-    path: str | Path,
-    fields: Sequence[str],
-    id_columns: Sequence[int],
-    pattern: re.Pattern[bytes],
-    block_batch: Callable[[bytes], tuple[int, _Batch] | None],
-    row_batch: Callable[[Iterator[list[str]]], _Batch],
-) -> Iterator[tuple[int, _Batch]]:
-    """The rows of a graph file in batches, in file order: each batch's
-    number of rows, and what the file kind's parsers make of them.
-
-    Blocks of :func:`read_blocks` go to ``block_batch``, which returns the
-    block's row count and its batch, or None to leave the block to csv. From
-    the first block left, or the first one :func:`read_blocks` refuses, the
-    rest of the file is read through :func:`iter_rows`, past the rows
-    already taken. Each row's width (in :func:`iter_rows`) and then its id
-    columns, ASCII digits, are checked as csv reads it, and ``row_batch``
-    makes a batch of an iterator of at most ``_BATCH_ROWS`` checked rows. An
-    id past ``2**63 - 1`` (an ``OverflowError`` in ``row_batch``) and a file
-    that cannot be read to its end raise :class:`DataFormatError` naming
-    the row, and a file that is not UTF-8 its first line that is not. If
-    csv's field size limit has been lowered below the one ``pattern``
-    takes, the whole file is read through csv.
-    """
-    taken = 0
-    if csv.field_size_limit() >= _FIELD_LIMIT:
-        for block in read_blocks(path, fields, pattern, _BLOCK_BYTES):
-            batch = None if block is None else block_batch(block)
-            if batch is None:
-                break
-            yield batch
-            taken += batch[0]
-        else:
-            return
-    read = 0  # data rows csv has read and checked
-
-    def checked(rows: Iterator[list[str]]) -> Iterator[list[str]]:
-        nonlocal read
-        for row in rows:
-            for col in id_columns:
-                if not (row[col].isascii() and row[col].isdigit()):
-                    raise DataFormatError(
-                        f"{path}: row {read + 2} column {fields[col]} is not an id: {row[col]!r}"
-                    )
-            read += 1
-            yield row
-
-    try:
-        rows = checked(iter_rows(path, fields))
-        _skip_rows(islice(rows, taken))
-        while True:
-            start = read
-            batch = row_batch(islice(rows, _BATCH_ROWS))
-            if read == start:
-                return
-            yield read - start, batch
-    except OverflowError:  # the last row read holds the id
-        raise DataFormatError(f"{path}: row {read + 1} has an id past 2**63 - 1")
-    except (DataFormatError, MemoryError):
-        raise
-    except UnicodeDecodeError as err:
-        # The text layer decodes ahead of csv, so csv's row count does not
-        # say where the fault is; a scan of the file's lines does.
-        found = undecodable_line(path)
-        if found is None:
-            raise DataFormatError(f"{path}: unreadable row after {read} data rows: {err}")
-        raise DataFormatError(f"{path}: line {found[0]} is not UTF-8: {found[1]}")
-    except Exception as err:
-        raise DataFormatError(f"{path}: unreadable row after {read} data rows: {err}")
-
-
 def _block_rows(block: bytes) -> tuple[int, None]:
     """The number of rows of a block that a pattern matched: its line feeds."""
     return block.count(b"\n"), None
 
 
-def _skip_rows(rows: Iterator[list[str]]) -> None:
-    """Reads the checked rows and keeps nothing of them."""
-    deque(rows, 0)
+def _count_rows(rows: Iterator[list[str]]) -> tuple[int, None]:
+    """The number of checked rows, of which nothing is kept."""
+    return sum(1 for _ in rows), None
 
 
 def compute_stats(
@@ -272,10 +189,12 @@ def compute_stats(
     pattern refuses, the rest of the file is read through csv, with the
     same counts and errors.
     """
-    edges = sum(rows for rows, _ in _graph_batches(
-        edge_path, EDGE_FIELDS, (0, 2), _EDGE_ROWS, _block_rows, _skip_rows))
-    nodes = sum(rows for rows, _ in _graph_batches(
-        node_path, NODE_FIELDS, (0,), _NODE_ROWS, _block_rows, _skip_rows))
+    edges = sum(rows for rows, _ in read_batches(
+        edge_path, EDGE_FIELDS, (0, 2), _EDGE_ROWS, _BLOCK_BYTES, _block_rows, _count_rows,
+        _BATCH_ROWS))
+    nodes = sum(rows for rows, _ in read_batches(
+        node_path, NODE_FIELDS, (0,), _NODE_ROWS, _BLOCK_BYTES, _block_rows, _count_rows,
+        _BATCH_ROWS))
     return GraphStats(language, date, nodes, edges)
 
 
@@ -366,15 +285,16 @@ def _block_ids(block: bytes) -> tuple[int, tuple[np.ndarray, np.ndarray]] | None
     return len(sources), (sources, targets)
 
 
-def _edge_rows(rows: Iterator[list[str]]) -> tuple[np.ndarray, np.ndarray]:
-    """The source and target ids of checked edge rows, appended a row at a time."""
+def _edge_rows(rows: Iterator[list[str]]) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
+    """The number of checked edge rows, and their source and target ids,
+    appended a row at a time."""
     import numpy as np
 
     sources, targets = array("q"), array("q")
     for row in rows:
         sources.append(int(row[0]))
         targets.append(int(row[2]))
-    return np.frombuffer(sources, np.int64), np.frombuffer(targets, np.int64)
+    return len(sources), (np.frombuffer(sources, np.int64), np.frombuffer(targets, np.int64))
 
 
 def _block_nodes(block: bytes) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
@@ -413,9 +333,12 @@ def _block_nodes(block: bytes) -> tuple[int, tuple[np.ndarray, np.ndarray, np.nd
     return len(ids), (ids, text[keep.view(bool)], np.cumsum(lengths))
 
 
-def _node_rows(rows: Iterator[list[str]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ids of checked node rows, their titles' UTF-8 bytes, concatenated,
-    and where each title ends in them, appended a row at a time."""
+def _node_rows(
+    rows: Iterator[list[str]],
+) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The number of checked node rows, and their ids, their titles' UTF-8
+    bytes, concatenated, and where each title ends in them, appended a row
+    at a time."""
     import numpy as np
 
     ids, titles, ends = array("q"), bytearray(), array("q")
@@ -423,8 +346,8 @@ def _node_rows(rows: Iterator[list[str]]) -> tuple[np.ndarray, np.ndarray, np.nd
         ids.append(int(row[0]))
         titles += row[1].encode()
         ends.append(len(titles))
-    return (np.frombuffer(ids, np.int64), np.frombuffer(titles, np.uint8),
-            np.frombuffer(ends, np.int64))
+    return len(ids), (np.frombuffer(ids, np.int64), np.frombuffer(titles, np.uint8),
+                      np.frombuffer(ends, np.int64))
 
 
 def _read_nodes(node_path: str | Path) -> GraphNodes:
@@ -434,8 +357,9 @@ def _read_nodes(node_path: str | Path) -> GraphNodes:
 
     ids = array("q")
     data, bounds = bytearray(), array("q", [0])
-    for _, (batch_ids, titles, ends) in _graph_batches(
-        node_path, NODE_FIELDS, (0,), _NODE_ROWS, _block_nodes, _node_rows
+    for _, (batch_ids, titles, ends) in read_batches(
+        node_path, NODE_FIELDS, (0,), _NODE_ROWS, _BLOCK_BYTES, _block_nodes, _node_rows,
+        _BATCH_ROWS,
     ):
         ids.frombytes(memoryview(batch_ids).cast("B"))
         bounds.frombytes(memoryview(ends + len(data)).cast("B"))
@@ -462,7 +386,8 @@ def load_graph_file(edge_path: str | Path, node_path: str | Path) -> tuple[LinkK
     import numpy as np
 
     def edge_batches():
-        return _graph_batches(edge_path, EDGE_FIELDS, (0, 2), _EDGE_ROWS, _block_ids, _edge_rows)
+        return read_batches(edge_path, EDGE_FIELDS, (0, 2), _EDGE_ROWS, _BLOCK_BYTES, _block_ids,
+                            _edge_rows, _BATCH_ROWS)
 
     try:
         nodes = _read_nodes(node_path)

@@ -241,7 +241,7 @@ def _sort_into(tmp_path: Path, final_path: Path, fields, key) -> None:
     from .extsort import external_sort
 
     with DatasetWriter(final_path, fields) as writer:
-        writer.write_rows(external_sort(iter_rows(tmp_path, fields), key))
+        writer.write_rows(external_sort(iter_rows(tmp_path, fields, (0, 2)), key))
 
 
 def _extract_shards(config: RunConfig) -> tuple[list[Path], list[Path]] | None:
@@ -522,7 +522,7 @@ def main(argv: list[str] | None = None) -> int:
         _event("fatal", detail=str(err))
         return EXIT_FATAL
     except (EOFError, zlib.error, csv.Error, ValueError) as err:
-        # A truncated or corrupt dataset file, or a value in it that does not parse.
+        # A fault no reader names with its file, such as a dump id that is not a number.
         _event("fatal", detail=f"{type(err).__name__}: {err}")
         return EXIT_FATAL
     return EXIT_OK

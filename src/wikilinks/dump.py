@@ -10,6 +10,7 @@ tag names.
 from __future__ import annotations
 
 import re
+import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -198,8 +199,9 @@ def read_pages(
 
     Pages missing a mandatory element (title, id, or a revision id or
     timestamp) are reported through ``on_issue`` with kind "page-skipped"
-    and skipped; malformed XML raises :class:`DumpFormatError` naming the
-    byte offset reached. Without ``on_issue``, issues are logged as warnings.
+    and skipped; malformed XML, and a stream its decompressor cannot read to
+    its end, raise :class:`DumpFormatError` naming the byte offset reached.
+    Without ``on_issue``, issues are logged as warnings.
     """
     # Imported here: the snapshot stage loads this module too, but parses no XML.
     import xml.etree.ElementTree as ET
@@ -234,6 +236,10 @@ def read_pages(
     except ET.ParseError as err:
         raise DumpFormatError(
             f"{source}: malformed XML near byte {counting.bytes_read}: {err}"
+        ) from err
+    except (EOFError, OSError, zlib.error) as err:  # a truncated or corrupt compressed dump
+        raise DumpFormatError(
+            f"{source}: cannot decompress past byte {counting.bytes_read}: {err}"
         ) from err
 
 

@@ -305,7 +305,7 @@ def read_resolved_redirects(path: str | Path) -> dict[str, list[str]]:
     """
     pages = {}
     last = None
-    for row in iter_rows(path, RESOLVED_FIELDS):
+    for row in iter_rows(path, RESOLVED_FIELDS, (0,)):
         page_id = int(row[0])
         if last is not None and page_id <= last:
             raise DataFormatError(
@@ -333,4 +333,4 @@ def write_snapshot_links(
 
 def read_snapshot_links(path: str | Path) -> Iterator[list[str]]:
     """The rows of one date's ``wikilinksnapshot`` file, in SNAPSHOT_LINK_FIELDS order."""
-    return iter_rows(path, SNAPSHOT_LINK_FIELDS)
+    return iter_rows(path, SNAPSHOT_LINK_FIELDS, (0,))

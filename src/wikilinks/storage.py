@@ -10,6 +10,15 @@ All dataset files are UTF-8 CSV (RFC 4180 quoting, LF line endings), gzipped
 when the path ends in ``.gz``. Gzip members are written at the fixed
 compression level :data:`GZIP_LEVEL`, with ``mtime=0`` and no embedded
 filename, so that reruns produce byte-identical files.
+
+Every stage reads dataset files through this module, so one place says
+what is wrong with a file: :func:`iter_rows` checks the header, each row's
+width and that each id column (a column some stage parses with ``int()``)
+is ASCII digits, and turns every read fault into a
+:class:`DataFormatError` that names the path and the line or row.
+:func:`read_batches` reads graph files in blocks that one regular
+expression match accepts, and the rest of a file through
+:func:`iter_rows`.
 """
 
 from __future__ import annotations
@@ -22,8 +31,12 @@ import os
 import re
 import sys
 import zlib
+from collections import deque
+from collections.abc import Callable, Iterator, Sequence
+from itertools import count, islice
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, TypeVar
 
 from .errors import ConfigurationError, DataFormatError, DumpFormatError
 
@@ -36,6 +49,9 @@ CHECKSUM_SUFFIX = ".sha256"
 # gzip's default of 9, for files under 0.5% larger. A constant, not an
 # option: the level is part of the bytes of every .gz output.
 GZIP_LEVEL = 6
+# The longest field the patterns of rows_pattern take: csv's limit at import.
+_FIELD_LIMIT = csv.field_size_limit()
+_Batch = TypeVar("_Batch")  # what read_batches' parsers make of rows
 
 
 def codec_for_path(path: str | Path) -> str:
@@ -266,35 +282,49 @@ def refuse_stale(path: str | Path) -> None:
 
 
 def iter_rows(
-    path: str | Path, expected_header: Sequence[str] | None = None
+    path: str | Path, fields: Sequence[str] | None = None, id_columns: Sequence[int] = ()
 ) -> Iterator[list[str]]:
     """Yield the data rows of a dataset file, read through csv.
 
-    A file whose ``.partial`` file is still present is stale, because the
-    last run that rebuilt it failed, and a header other than
-    ``expected_header``, if given, is wrong; both are refused with
-    :class:`DataFormatError`. So is a row whose column count differs from
-    the header's, which is malformed.
+    Every fault of the file raises :class:`DataFormatError` naming the
+    path: a ``.partial`` file beside it, left by a failed rebuild, which
+    makes it stale; a header other than ``fields``, if given; a row whose
+    column count differs from the header's; a field of ``id_columns`` that
+    is not ASCII digits, "row N column X is not an id"; a line that is not
+    UTF-8, "line N is not UTF-8", counting the header as line 1; and a file
+    that cannot be read, such as a truncated or corrupt gzip member or a
+    row csv refuses, "unreadable row after N data rows".
     """
     refuse_stale(path)
     opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if expected_header is not None and header != list(expected_header):
-            raise DataFormatError(
-                f"{path}: expected header {list(expected_header)}, found {header}"
-            )
-        width = len(header or ())
-        for number, row in enumerate(reader, 2):
-            if len(row) != width:
-                raise DataFormatError(
-                    f"{path}: row {number} has {len(row)} columns, expected {width}"
-                )
-            yield row
+    number = 1  # the row number of the last row read, the header's is 1
+    try:
+        with opener(path, "rt", encoding="utf-8", newline="") as f:
+            reader = csv.reader(f)
+            header = next(reader, None)
+            if fields is not None and header != list(fields):
+                raise DataFormatError(f"{path}: expected header {list(fields)}, found {header}")
+            width = len(header or ())
+            for number, row in enumerate(reader, 2):
+                if len(row) != width:
+                    raise DataFormatError(
+                        f"{path}: row {number} has {len(row)} columns, expected {width}"
+                    )
+                for column in id_columns:
+                    if not (row[column].isascii() and row[column].isdigit()):
+                        raise DataFormatError(f"{path}: row {number} column {header[column]} "
+                                              f"is not an id: {row[column]!r}")
+                yield row
+    except (UnicodeDecodeError, OSError, EOFError, zlib.error, csv.Error) as err:
+        # The text layer decodes ahead of csv, so csv's row count does not
+        # say where a byte that is not UTF-8 is; a scan of the file's lines does.
+        found = isinstance(err, UnicodeDecodeError) and _undecodable_line(path)
+        if found:
+            raise DataFormatError(f"{path}: line {found[0]} is not UTF-8: {found[1]}")
+        raise DataFormatError(f"{path}: unreadable row after {number - 1} data rows: {err}")
 
 
-def undecodable_line(path: str | Path) -> tuple[int, UnicodeDecodeError] | None:
+def _undecodable_line(path: str | Path) -> tuple[int, UnicodeDecodeError] | None:
     """The number of the first line of a dataset file, decompressed, that is
     not UTF-8, counting the header as line 1, and its decoding error; None
     when every line decodes or the file cannot be read that far.
@@ -315,53 +345,88 @@ def undecodable_line(path: str | Path) -> tuple[int, UnicodeDecodeError] | None:
     return None
 
 
-def rows_pattern(width: int, id_columns: Sequence[int], limit: int) -> bytes:
-    """The source of a bytes regular expression that matches blocks of whole
-    rows as :class:`DatasetWriter` writes them: ``width`` fields and a "\\n"
-    per row. The fields in ``id_columns`` are ASCII digits; the others are
-    text, bare or quoted, with no "\\r", "\\n" or NUL. No field is longer
-    than ``limit`` bytes once unquoted.
+def rows_pattern(width: int, id_columns: Sequence[int]) -> re.Pattern[bytes]:
+    """A bytes regular expression that matches blocks of whole rows as
+    :class:`DatasetWriter` writes them: ``width`` fields and a "\\n" per
+    row. The fields in ``id_columns`` are ASCII digits; the others are text,
+    bare or quoted, with no "\\r", "\\n" or NUL. No field is longer than
+    csv's field size limit when this module was loaded, once unquoted.
 
     No field holds a "\\n", so every "\\n" of a matched block ends a row,
     and csv reads each matched row as the fields the pattern sees. The
-    repeats are possessive, which needs Python 3.11.
+    repeats are possessive, so a match keeps no state per row; they need
+    Python 3.11, and on 3.10 the pattern matches nothing.
     """
-    digits = rb"[0-9]{1,%d}+" % limit
-    text = rb'(?:[^,"\r\n\x00]{0,%d}+|"(?:[^"\r\n\x00]|""){0,%d}")' % (limit, limit)
+    if sys.version_info < (3, 11):
+        return re.compile(rb"(?!)")
+    digits = rb"[0-9]{1,%d}+" % _FIELD_LIMIT
+    text = rb'(?:[^,"\r\n\x00]{0,%d}+|"(?:[^"\r\n\x00]|""){0,%d}")' % (
+        _FIELD_LIMIT, _FIELD_LIMIT)
     fields = (digits if column in id_columns else text for column in range(width))
-    return rb"(?:%s\n)*+" % b",".join(fields)
+    return re.compile(rb"(?:%s\n)*+" % b",".join(fields))
 
 
-def read_blocks(
-    path: str | Path, fields: Sequence[str], rows: re.Pattern[bytes], size: int
-) -> Iterator[bytes | None]:
-    """The data rows of a dataset file, decompressed, in blocks of whole
-    lines of about ``size`` bytes, while each block is valid UTF-8 and
-    ``rows`` matches all of it.
+def read_batches(
+    path: str | Path,
+    fields: Sequence[str],
+    id_columns: Sequence[int],
+    pattern: re.Pattern[bytes],
+    block_bytes: int,
+    parse_block: Callable[[bytes], tuple[int, _Batch] | None],
+    parse_rows: Callable[[Iterator[list[str]]], tuple[int, _Batch]],
+    batch_rows: int,
+) -> Iterator[tuple[int, _Batch]]:
+    """The rows of a dataset file in batches, in file order: each batch's
+    number of rows and what ``parse_block`` or ``parse_rows`` makes of them.
 
-    A stale file is refused as :func:`iter_rows` refuses it. Otherwise one
-    None ends the blocks early, to say that the rest of the file must be read
-    through :func:`iter_rows`. It comes in place of the first block that is
-    refused, and at once when the header is not ``fields`` as
-    :class:`DatasetWriter` writes it. It also comes when the file does not
-    end in "\\n" or cannot be read to its end.
+    While the header is ``fields`` as :class:`DatasetWriter` writes it, the
+    file is read decompressed in blocks of whole lines of about
+    ``block_bytes`` bytes. A block that is valid UTF-8 and that one match of
+    ``pattern`` (see :func:`rows_pattern`) accepts goes to ``parse_block``,
+    which returns its row count and batch, or None to leave it to csv.
+
+    From the first block left or refused, or when the file does not end in
+    "\\n" or cannot be read to its end, the rest of the file is read through
+    :func:`iter_rows` with ``id_columns``, past the rows already taken, so
+    every fault is named as :func:`iter_rows` names it. ``parse_rows``
+    makes each batch of at most ``batch_rows`` of those rows; an id that it
+    refuses with ``OverflowError`` raises :class:`DataFormatError` naming
+    its row. If csv's field size limit is lower than the one ``pattern``
+    takes, csv reads the whole file.
     """
     refuse_stale(path)
-    header = (",".join(fields) + "\n").encode()
-    opener = gzip.open if str(path).endswith(".gz") else open
+    taken = 0
+    if csv.field_size_limit() >= _FIELD_LIMIT:
+        header = (",".join(fields) + "\n").encode()
+        opener = gzip.open if str(path).endswith(".gz") else open
+        try:
+            with opener(path, "rb") as f:
+                if f.readline(len(header)) == header:
+                    while block := f.read(block_bytes):
+                        if not block.endswith(b"\n"):
+                            block += f.readline()
+                        # decode() raises UnicodeDecodeError, a ValueError, on invalid UTF-8
+                        if not (block.endswith(b"\n") and pattern.fullmatch(block)
+                                and (block.isascii() or block.decode())):
+                            break
+                        batch = parse_block(block)
+                        if batch is None:
+                            break
+                        yield batch
+                        taken += batch[0]
+                    else:
+                        return
+        except (OSError, EOFError, ValueError, zlib.error):
+            pass  # csv reads the file again and names the fault
+    read = iter_rows(path, fields, id_columns)
+    deque(islice(read, taken), 0)
+    numbers = count(taken + 2)  # the row number of each row parse_rows takes
+    numbered = map(itemgetter(0), zip(read, numbers))
     try:
-        with opener(path, "rb") as f:
-            if f.readline(len(header)) == header:
-                while block := f.read(size):
-                    if not block.endswith(b"\n"):
-                        block += f.readline()
-                    # decode() raises UnicodeDecodeError, a ValueError, on invalid UTF-8
-                    if not (block.endswith(b"\n") and rows.fullmatch(block)
-                            and (block.isascii() or block.decode())):
-                        break
-                    yield block
-                else:
-                    return
-    except (OSError, EOFError, ValueError, zlib.error):
-        pass  # csv reads the file again and raises what it raises
-    yield None
+        while True:
+            rows, batch = parse_rows(islice(numbered, batch_rows))
+            if not rows:
+                return
+            yield rows, batch
+    except OverflowError:  # the last row parse_rows took holds the id
+        raise DataFormatError(f"{path}: row {next(numbers) - 1} has an id past 2**63 - 1")

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wikilinks import analytics
+from wikilinks import analytics, storage
 from wikilinks.analytics import (
     GraphNodes,
     GraphStats,
@@ -832,11 +832,11 @@ class TestBlockReading:
 
 
 def count_csv_reads(monkeypatch) -> list[list]:
-    """Wraps ``analytics.iter_rows``, through which graph files are read as
+    """Wraps ``storage.iter_rows``, through which graph files are read as
     csv, so that each call is listed in the list returned as the file's name
     and the number of rows it has yielded."""
     calls = []
-    read = analytics.iter_rows
+    read = storage.iter_rows
 
     def counted(path, *args):
         call = [Path(path).name, 0]
@@ -845,7 +845,7 @@ def count_csv_reads(monkeypatch) -> list[list]:
             call[1] += 1
             yield row
 
-    monkeypatch.setattr(analytics, "iter_rows", counted)
+    monkeypatch.setattr(storage, "iter_rows", counted)
     return calls
 
 

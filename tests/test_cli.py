@@ -6,6 +6,7 @@ import errno
 import functools
 import gzip
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -224,6 +225,29 @@ class TestExtractWritePaths:
             assert verify_checksum(out / name)
 
 
+# The file of each kind that a later stage reads, and the stages that read it.
+DAMAGED_FILES = {
+    "rawwikilinks": ("rawwikilinks.0000", ["snapshot"]),
+    "redirecthistory": ("redirecthistory.0000", ["snapshot"]),
+    "resolvedredirects": ("resolvedredirects.2018-03-01", ["graph"]),
+    "wikilinksnapshot": ("wikilinksnapshot.2018-03-01", ["graph"]),
+    "edges": ("wikilinkgraph.2018-03-01", ["stats", "pagerank"]),
+    "nodes": ("wikilinkgraph.nodes.2018-03-01", ["stats", "pagerank"]),
+}
+# The kinds of damage to row 3 of a file, each with the id it puts in the
+# first column, if any.
+DAMAGES = {"byte": None, "cut": None, "id": "x3", "0_1": "0_1", "space": " 3",
+           "fullwidth": "\uff13", "short": None}
+
+
+@pytest.fixture(scope="module")
+def damaged_run(tmp_path_factory) -> Path:
+    """An undamaged run of the pipeline on the mini dump at one date."""
+    out = tmp_path_factory.mktemp("undamaged")
+    run_pipeline(out, dates=("2018-03-01",))
+    return out
+
+
 class TestSnapshotAndGraph:
     def test_snapshot_requires_extract(self, out_dir):
         assert cli.main(["snapshot", *base_args(out_dir), "--date", "2018-03-01"]) == 2
@@ -346,24 +370,41 @@ class TestSnapshotAndGraph:
         detail = self._refuse_snapshot(tmp_path, capsys, [alpha], [again])
         assert "title 'Alpha' is held by more than one page id" in detail
 
-    @pytest.mark.parametrize("stage, name, row, corrupt, error", [
-        ("graph", "resolvedredirects.2018-03-01", 3, lambda line: b"x" + line, "ValueError"),
-        ("snapshot", "redirecthistory.0000", 2, lambda line: b"x" + line, "ValueError"),
-        ("graph", "wikilinksnapshot.2018-03-01", 3,
-         lambda line: line.replace(b",", b"\xff,", 1), "UnicodeDecodeError"),
-    ], ids=["resolvedredirects-id", "redirecthistory-id", "wikilinksnapshot-byte"])
-    def test_corrupt_value_is_fatal(self, out_dir, capsys, stage, name, row, corrupt, error):
-        run_pipeline(out_dir, dates=("2018-03-01",))
-        path = out_dir / f"enwiki.{name}.csv.gz"
-        lines = gzip.open(path, "rb").read().splitlines(keepends=True)
-        lines[row - 1] = corrupt(lines[row - 1])
-        with gzip.open(path, "wb") as f:
-            f.writelines(lines)
-        capsys.readouterr()
-        assert cli.main([stage, *base_args(out_dir), "--date", "2018-03-01"]) == 1
-        (event,) = stderr_events(capsys)
-        assert event["event"] == "fatal"
-        assert event["detail"].startswith(error + ":")
+    @pytest.mark.parametrize("damage", list(DAMAGES))
+    @pytest.mark.parametrize("kind", list(DAMAGED_FILES))
+    def test_corrupt_value_is_fatal(self, damaged_run, tmp_path, capsys, kind, damage):
+        """Every stage that reads a damaged file exits 1 with one fatal
+        event naming the file and the line or row of the fault."""
+        out = tmp_path / "out"
+        shutil.copytree(damaged_run, out)
+        name, stages = DAMAGED_FILES[kind]
+        path = out / f"enwiki.{name}.csv.gz"
+        data = path.read_bytes()
+        lines = gzip.decompress(data).splitlines(keepends=True)
+        header = lines[0].decode().rstrip("\n").split(",")
+        line = lines[2]  # data row 2, row and line 3 of the file
+        if damage == "cut":
+            path.write_bytes(data[:len(data) // 2])
+            expected = f"{path}: unreadable row after "
+        else:
+            if damage == "byte":
+                lines[2] = line[:-1] + b"\xff\n"
+                expected = f"{path}: line 3 is not UTF-8: "
+            elif damage == "short":
+                lines[2] = line.rsplit(b",", 1)[0] + b"\n"
+                expected = f"{path}: row 3 has {len(header) - 1} columns, expected {len(header)}"
+            else:
+                value = DAMAGES[damage]
+                lines[2] = value.encode() + line[line.index(b","):]
+                expected = f"{path}: row 3 column {header[0]} is not an id: {value!r}"
+            path.write_bytes(gzip.compress(b"".join(lines), mtime=0))
+        for stage in stages:
+            capsys.readouterr()
+            assert cli.main([stage, *base_args(out), "--date", "2018-03-01"]) == 1, stage
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            (event,) = map(json.loads, err.splitlines())
+            assert event["event"] == "fatal" and event["detail"].startswith(expected), stage
 
     def test_graph_requires_snapshot(self, out_dir, minidump_path):
         assert cli.main(["extract", *base_args(out_dir), str(minidump_path)]) == 0
@@ -663,6 +704,27 @@ class TestShardPool:
             "enwiki.redirecthistory.0001.csv.gz.partial",
         }
         assert (out / "enwiki.extract.manifest.json").read_bytes() == manifest
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("codec", ["gz", "bz2"])
+    def test_truncated_compressed_dump_names_the_dump(
+        self, tmp_path, minidump_path, capsys, codec, jobs
+    ):
+        import bz2
+
+        compress = gzip.compress if codec == "gz" else bz2.compress
+        data = compress(minidump_path.read_bytes())
+        bad = tmp_path / f"bad.xml.{codec}"
+        bad.write_bytes(data[:len(data) // 2])
+        # Two dumps, so that two workers run.
+        inputs = [str(minidump_path), str(bad)][-jobs:]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.main(["extract", *base_args(out), "--jobs", str(jobs), *inputs]) == 1
+        events = stderr_events(capsys)
+        assert [e["event"] for e in events].count("fatal") == 1
+        assert events[-1]["event"] == "fatal"
+        assert events[-1]["detail"].startswith(f"{bad}: cannot decompress past byte ")
 
     def test_pool_size_is_capped_by_the_shard_count(self, tmp_path, monkeypatch):
         requested = []

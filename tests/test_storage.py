@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import gzip
 import random
 
@@ -34,6 +35,19 @@ class TestDatasetWriter:
             pass
         with pytest.raises(DataFormatError, match="header"):
             list(iter_rows(path, ("x", "y")))
+
+    def test_unreadable_row_names_the_rows_read(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b\n1,x\n2,y\n3,%s\n" % ("z" * 9), encoding="utf-8")
+        old = csv.field_size_limit(8)
+        try:
+            with pytest.raises(DataFormatError) as raised:
+                list(iter_rows(path, ("a", "b")))
+        finally:
+            csv.field_size_limit(old)
+        assert str(raised.value) == (
+            f"{path}: unreadable row after 2 data rows: field larger than field limit (8)"
+        )
 
     def test_gzip_output_is_deterministic(self, tmp_path):
         digests = set()
