@@ -4,20 +4,15 @@ Counting (:func:`compute_stats`, :func:`write_growth_series`) needs only the
 standard library; numpy is imported inside the functions that rank, so
 ``stats`` never loads it.
 
-Graph files are read through :func:`storage.read_batches`, the reader of
-every dataset file, which checks each row and names each fault as
-:func:`storage.iter_rows` does. This module keeps what is particular to
-each file kind: its row pattern, ``_EDGE_ROWS`` or ``_NODE_ROWS``, and
-its two parsers. A decompressed block of whole lines, about 1 MB, that
-the pattern accepts ends each row with a line feed, so
+Graph files are read through :func:`storage.read_batches`, which checks
+each row against the file kind's fields and id columns, declared in
+:mod:`.graph`, and names each fault as :func:`storage.iter_rows` does. This
+module keeps each file kind's two parsers. A block of about 1 MB that the
+row pattern accepts ends each row with a line feed, so
 :func:`compute_stats` counts them, and :func:`load_graph_file` parses it
-with numpy: the ids of an edge block, and the ids and titles of a node
-block. An id of more than 19 digits, or past ``2**63 - 1``, sends its
-block to csv. From the first block that does not take the block path,
-the rest of the file is read through csv, past the rows already taken,
-and the file kind's row parser builds each batch a row at a time. The
-counts, the ids, the titles and every error, with its row number, are
-then those of csv alone.
+with numpy; an id of more than 19 digits, or past ``2**63 - 1``, sends it
+to csv. The rows csv reads are parsed a row at a time, and the counts,
+ids, titles and errors are those of csv alone.
 
 :func:`load_graph_file` reads the node file into int64 ids and
 :class:`Titles`, both in file order, and then streams the edge file into a
@@ -67,8 +62,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigurationError, DataFormatError
-from .graph import EDGE_FIELDS, NODE_FIELDS
-from .storage import DatasetWriter, read_batches, rows_pattern
+from .graph import EDGE_FIELDS, EDGE_ID_COLUMNS, NODE_FIELDS, NODE_ID_COLUMNS
+from .storage import DatasetWriter, read_batches
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,8 +73,6 @@ GROWTH_FIELDS = ("language", "date", "nodes", "edges")
 _BATCH_ROWS = 1 << 16  # rows per batch read through csv
 _BLOCK_BYTES = 1 << 20
 _RANKING_ROWS = 1024  # rankings rows formatted at once: about 0.4 MB of temporaries
-_EDGE_ROWS = rows_pattern(len(EDGE_FIELDS), (0, 2))
-_NODE_ROWS = rows_pattern(len(NODE_FIELDS), (0,))
 _MAX_NODES = 3_037_000_499  # the largest n with n * n - 1 <= 2**63 - 1, for the pair key
 
 
@@ -183,17 +176,14 @@ def compute_stats(
     Each row's width and id columns (ASCII digits) are checked as
     :func:`load_graph_file` checks them, but the ids are never parsed: an
     id past ``2**63 - 1``, which :func:`load_graph_file` refuses, is
-    counted here. A file is read in blocks of whole lines, each checked by
-    one match of a pattern of the rows :class:`DatasetWriter` writes, and
-    its rows are counted by their line ends. From the first block the
-    pattern refuses, the rest of the file is read through csv, with the
-    same counts and errors.
+    counted here. The rows of each block :func:`storage.read_batches`
+    takes are counted by their line ends.
     """
     edges = sum(rows for rows, _ in read_batches(
-        edge_path, EDGE_FIELDS, (0, 2), _EDGE_ROWS, _BLOCK_BYTES, _block_rows, _count_rows,
+        edge_path, EDGE_FIELDS, EDGE_ID_COLUMNS, _BLOCK_BYTES, _block_rows, _count_rows,
         _BATCH_ROWS))
     nodes = sum(rows for rows, _ in read_batches(
-        node_path, NODE_FIELDS, (0,), _NODE_ROWS, _BLOCK_BYTES, _block_rows, _count_rows,
+        node_path, NODE_FIELDS, NODE_ID_COLUMNS, _BLOCK_BYTES, _block_rows, _count_rows,
         _BATCH_ROWS))
     return GraphStats(language, date, nodes, edges)
 
@@ -266,9 +256,9 @@ def _parse_ids(text: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray |
 
 
 def _block_ids(block: bytes) -> tuple[int, tuple[np.ndarray, np.ndarray]] | None:
-    """The number of rows of a block of edge rows that ``_EDGE_ROWS``
-    matched, and their source and target ids; None if an id has more than
-    19 digits or is past ``2**63 - 1``."""
+    """The number of rows of a block of edge rows that the edge file's
+    row pattern matched, and their source and target ids; None if an id
+    has more than 19 digits or is past ``2**63 - 1``."""
     import numpy as np
 
     text = np.frombuffer(block, np.uint8)
@@ -298,10 +288,10 @@ def _edge_rows(rows: Iterator[list[str]]) -> tuple[int, tuple[np.ndarray, np.nda
 
 
 def _block_nodes(block: bytes) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
-    """The number of rows of a block of node rows that ``_NODE_ROWS``
-    matched, and their ids, their titles' UTF-8 bytes, concatenated, and
-    where each title ends in them; None if an id has more than 19 digits or
-    is past ``2**63 - 1``."""
+    """The number of rows of a block of node rows that the node file's
+    row pattern matched, and their ids, their titles' UTF-8 bytes,
+    concatenated, and where each title ends in them; None if an id has
+    more than 19 digits or is past ``2**63 - 1``."""
     import numpy as np
 
     text = np.frombuffer(block, np.uint8)
@@ -358,7 +348,7 @@ def _read_nodes(node_path: str | Path) -> GraphNodes:
     ids = array("q")
     data, bounds = bytearray(), array("q", [0])
     for _, (batch_ids, titles, ends) in read_batches(
-        node_path, NODE_FIELDS, (0,), _NODE_ROWS, _BLOCK_BYTES, _block_nodes, _node_rows,
+        node_path, NODE_FIELDS, NODE_ID_COLUMNS, _BLOCK_BYTES, _block_nodes, _node_rows,
         _BATCH_ROWS,
     ):
         ids.frombytes(memoryview(batch_ids).cast("B"))
@@ -386,7 +376,7 @@ def load_graph_file(edge_path: str | Path, node_path: str | Path) -> tuple[LinkK
     import numpy as np
 
     def edge_batches():
-        return read_batches(edge_path, EDGE_FIELDS, (0, 2), _EDGE_ROWS, _BLOCK_BYTES, _block_ids,
+        return read_batches(edge_path, EDGE_FIELDS, EDGE_ID_COLUMNS, _BLOCK_BYTES, _block_ids,
                             _edge_rows, _BATCH_ROWS)
 
     try:

@@ -154,9 +154,11 @@ def extract_shard(config: RunConfig, profile: LanguageProfile, shard: int,
             strip_inert_spans=config.strip_inert_spans,
         )
         if not summary.ascending:
-            for writer, fields, key in (
-                (sink, pipeline.RAW_LINK_FIELDS, pipeline.raw_sort_key),
-                (redirect_sink, pipeline.REDIRECT_FIELDS, pipeline.redirect_sort_key),
+            for writer, fields, id_columns, key in (
+                (sink, pipeline.RAW_LINK_FIELDS, pipeline.RAW_LINK_ID_COLUMNS,
+                 pipeline.raw_sort_key),
+                (redirect_sink, pipeline.REDIRECT_FIELDS, pipeline.REDIRECT_ID_COLUMNS,
+                 pipeline.redirect_sort_key),
             ):
                 writer.abort()
                 # No earlier run's shard may be read while this one is sorted.
@@ -165,7 +167,7 @@ def extract_shard(config: RunConfig, profile: LanguageProfile, shard: int,
                 unsorted = writer.path.with_name("unsorted." + writer.path.name)
                 partial_path(writer.path).replace(unsorted)
                 try:
-                    _sort_into(unsorted, writer.path, fields, key)
+                    _sort_into(unsorted, writer.path, fields, id_columns, key)
                 finally:
                     unsorted.unlink(missing_ok=True)
     summary.errors = issues["page-skipped"]
@@ -237,11 +239,11 @@ def cmd_extract(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _sort_into(tmp_path: Path, final_path: Path, fields, key) -> None:
+def _sort_into(tmp_path: Path, final_path: Path, fields, id_columns, key) -> None:
     from .extsort import external_sort
 
     with DatasetWriter(final_path, fields) as writer:
-        writer.write_rows(external_sort(iter_rows(tmp_path, fields, (0, 2)), key))
+        writer.write_rows(external_sort(iter_rows(tmp_path, fields, id_columns), key))
 
 
 def _extract_shards(config: RunConfig) -> tuple[list[Path], list[Path]] | None:

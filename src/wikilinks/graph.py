@@ -33,6 +33,8 @@ from .storage import DatasetWriter
 
 EDGE_FIELDS = ("page_id_from", "page_title_from", "page_id_to", "page_title_to")
 NODE_FIELDS = ("page_id", "page_title")
+EDGE_ID_COLUMNS = (0, 2)  # parsed with int(); storage.iter_rows checks them
+NODE_ID_COLUMNS = (0,)
 
 # One edge as its CSV row, in EDGE_FIELDS order.
 EdgeRow = tuple[str, str, str, str]

@@ -43,6 +43,7 @@ RAW_LINK_FIELDS = (
     "section_level",
     "section_number",
 )
+RAW_LINK_ID_COLUMNS = (0, 2)  # parsed with int(); storage.iter_rows checks them
 
 REDIRECT_FIELDS = (
     "page_id",
@@ -52,6 +53,7 @@ REDIRECT_FIELDS = (
     "target",
     "tosection",
 )
+REDIRECT_ID_COLUMNS = (0, 2)
 
 
 @dataclass
@@ -162,23 +164,21 @@ def redirect_sort_key(row: Sequence[str]) -> tuple[int, str, int]:
 
 
 def read_raw_records(paths: Sequence[str | Path]) -> Iterator[list[str]]:
-    """Stream raw link rows merged from sorted shard files; one shard's
-    rows come as they are.
+    """Stream raw link rows merged from sorted shard files.
 
     Rows come in (page_id, revision_timestamp, revision_id) order, each
     revision's links in document order, as plain string lists in
     :data:`RAW_LINK_FIELDS` order.
     """
-    streams = [iter_rows(path, RAW_LINK_FIELDS, (0, 2)) for path in sorted(map(str, paths))]
-    return streams[0] if len(streams) == 1 else heap_merge(*streams, key=raw_sort_key)
+    streams = [iter_rows(p, RAW_LINK_FIELDS, RAW_LINK_ID_COLUMNS) for p in sorted(map(str, paths))]
+    return heap_merge(*streams, key=raw_sort_key)
 
 
 def read_redirect_events(paths: Sequence[str | Path]) -> Iterator[list[str]]:
-    """Stream redirect-history rows merged from sorted shard files; one
-    shard's rows come as they are.
+    """Stream redirect-history rows merged from sorted shard files.
 
     Rows come in (page_id, revision_timestamp, revision_id) order, as plain
     string lists in :data:`REDIRECT_FIELDS` order.
     """
-    streams = [iter_rows(path, REDIRECT_FIELDS, (0, 2)) for path in sorted(map(str, paths))]
-    return streams[0] if len(streams) == 1 else heap_merge(*streams, key=redirect_sort_key)
+    streams = [iter_rows(p, REDIRECT_FIELDS, REDIRECT_ID_COLUMNS) for p in sorted(map(str, paths))]
+    return heap_merge(*streams, key=redirect_sort_key)

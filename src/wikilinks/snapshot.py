@@ -49,6 +49,7 @@ RESOLVED_FIELDS = (
     "final_target",
     "resolution",
 )
+RESOLVED_ID_COLUMNS = (0,)  # parsed with int(); storage.iter_rows checks them
 
 SNAPSHOT_LINK_FIELDS = (
     "page_id",
@@ -61,6 +62,7 @@ SNAPSHOT_LINK_FIELDS = (
     "section_number",
     "is_active",
 )
+SNAPSHOT_LINK_ID_COLUMNS = (0,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -305,7 +307,7 @@ def read_resolved_redirects(path: str | Path) -> dict[str, list[str]]:
     """
     pages = {}
     last = None
-    for row in iter_rows(path, RESOLVED_FIELDS, (0,)):
+    for row in iter_rows(path, RESOLVED_FIELDS, RESOLVED_ID_COLUMNS):
         page_id = int(row[0])
         if last is not None and page_id <= last:
             raise DataFormatError(
@@ -333,4 +335,4 @@ def write_snapshot_links(
 
 def read_snapshot_links(path: str | Path) -> Iterator[list[str]]:
     """The rows of one date's ``wikilinksnapshot`` file, in SNAPSHOT_LINK_FIELDS order."""
-    return iter_rows(path, SNAPSHOT_LINK_FIELDS, (0,))
+    return iter_rows(path, SNAPSHOT_LINK_FIELDS, SNAPSHOT_LINK_ID_COLUMNS)

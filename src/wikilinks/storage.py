@@ -11,14 +11,12 @@ when the path ends in ``.gz``. Gzip members are written at the fixed
 compression level :data:`GZIP_LEVEL`, with ``mtime=0`` and no embedded
 filename, so that reruns produce byte-identical files.
 
-Every stage reads dataset files through this module, so one place says
-what is wrong with a file: :func:`iter_rows` checks the header, each row's
-width and that each id column (a column some stage parses with ``int()``)
-is ASCII digits, and turns every read fault into a
-:class:`DataFormatError` that names the path and the line or row.
-:func:`read_batches` reads graph files in blocks that one regular
-expression match accepts, and the rest of a file through
-:func:`iter_rows`.
+Every stage reads dataset files through :func:`iter_rows`, which checks
+the header, each row's width and that each id column (one some stage
+parses with ``int()``) is ASCII digits, and turns every read fault into a
+:class:`DataFormatError` naming the path and the line or row.
+:func:`read_batches` reads graph files in blocks that a regular expression
+accepts, and the rest through :func:`iter_rows`.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ import sys
 import zlib
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
+from functools import cache
 from itertools import count, islice
 from operator import itemgetter
 from pathlib import Path
@@ -293,13 +292,14 @@ def iter_rows(
     is not ASCII digits, "row N column X is not an id"; a line that is not
     UTF-8, "line N is not UTF-8", counting the header as line 1; and a file
     that cannot be read, such as a truncated or corrupt gzip member or a
-    row csv refuses, "unreadable row after N data rows".
+    row csv refuses, "unreadable row after N data rows". A file that
+    cannot be opened raises its own :class:`OSError`.
     """
     refuse_stale(path)
     opener = gzip.open if str(path).endswith(".gz") else open
     number = 1  # the row number of the last row read, the header's is 1
-    try:
-        with opener(path, "rt", encoding="utf-8", newline="") as f:
+    with opener(path, "rt", encoding="utf-8", newline="") as f:
+        try:
             reader = csv.reader(f)
             header = next(reader, None)
             if fields is not None and header != list(fields):
@@ -307,21 +307,20 @@ def iter_rows(
             width = len(header or ())
             for number, row in enumerate(reader, 2):
                 if len(row) != width:
-                    raise DataFormatError(
-                        f"{path}: row {number} has {len(row)} columns, expected {width}"
-                    )
+                    raise DataFormatError(f"{path}: row {number} has {len(row)} columns, "
+                                          f"expected {width}")
                 for column in id_columns:
                     if not (row[column].isascii() and row[column].isdigit()):
                         raise DataFormatError(f"{path}: row {number} column {header[column]} "
                                               f"is not an id: {row[column]!r}")
                 yield row
-    except (UnicodeDecodeError, OSError, EOFError, zlib.error, csv.Error) as err:
-        # The text layer decodes ahead of csv, so csv's row count does not
-        # say where a byte that is not UTF-8 is; a scan of the file's lines does.
-        found = isinstance(err, UnicodeDecodeError) and _undecodable_line(path)
-        if found:
-            raise DataFormatError(f"{path}: line {found[0]} is not UTF-8: {found[1]}")
-        raise DataFormatError(f"{path}: unreadable row after {number - 1} data rows: {err}")
+        except (UnicodeDecodeError, OSError, EOFError, zlib.error, csv.Error) as err:
+            # The text layer decodes ahead of csv, so csv's row count does not
+            # say where a byte that is not UTF-8 is; a scan of the file's lines does.
+            found = isinstance(err, UnicodeDecodeError) and _undecodable_line(path)
+            if found:
+                raise DataFormatError(f"{path}: line {found[0]} is not UTF-8: {found[1]}")
+            raise DataFormatError(f"{path}: unreadable row after {number - 1} data rows: {err}")
 
 
 def _undecodable_line(path: str | Path) -> tuple[int, UnicodeDecodeError] | None:
@@ -345,7 +344,8 @@ def _undecodable_line(path: str | Path) -> tuple[int, UnicodeDecodeError] | None
     return None
 
 
-def rows_pattern(width: int, id_columns: Sequence[int]) -> re.Pattern[bytes]:
+@cache
+def rows_pattern(width: int, id_columns: tuple[int, ...]) -> re.Pattern[bytes]:
     """A bytes regular expression that matches blocks of whole rows as
     :class:`DatasetWriter` writes them: ``width`` fields and a "\\n" per
     row. The fields in ``id_columns`` are ASCII digits; the others are text,
@@ -366,11 +366,27 @@ def rows_pattern(width: int, id_columns: Sequence[int]) -> re.Pattern[bytes]:
     return re.compile(rb"(?:%s\n)*+" % b",".join(fields))
 
 
+def _line_blocks(path: str | Path, fields: Sequence[str], block_bytes: int) -> Iterator[bytes]:
+    """A dataset file after its header, decompressed, in blocks of whole
+    lines of about ``block_bytes`` bytes. Raises :class:`ValueError` for a
+    header other than ``fields`` joined by commas, or a block not UTF-8."""
+    header = (",".join(fields) + "\n").encode()
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "rb") as f:
+        if f.readline(len(header)) != header:
+            raise ValueError(f"{path}: header is not {header!r}")
+        while block := f.read(block_bytes):
+            if not block.endswith(b"\n"):
+                block += f.readline()
+            if not block.isascii():
+                block.decode()  # raises UnicodeDecodeError, a ValueError
+            yield block
+
+
 def read_batches(
     path: str | Path,
     fields: Sequence[str],
-    id_columns: Sequence[int],
-    pattern: re.Pattern[bytes],
+    id_columns: tuple[int, ...],
     block_bytes: int,
     parse_block: Callable[[bytes], tuple[int, _Batch] | None],
     parse_rows: Callable[[Iterator[list[str]]], tuple[int, _Batch]],
@@ -379,45 +395,34 @@ def read_batches(
     """The rows of a dataset file in batches, in file order: each batch's
     number of rows and what ``parse_block`` or ``parse_rows`` makes of them.
 
-    While the header is ``fields`` as :class:`DatasetWriter` writes it, the
-    file is read decompressed in blocks of whole lines of about
-    ``block_bytes`` bytes. A block that is valid UTF-8 and that one match of
-    ``pattern`` (see :func:`rows_pattern`) accepts goes to ``parse_block``,
-    which returns its row count and batch, or None to leave it to csv.
-
-    From the first block left or refused, or when the file does not end in
-    "\\n" or cannot be read to its end, the rest of the file is read through
-    :func:`iter_rows` with ``id_columns``, past the rows already taken, so
-    every fault is named as :func:`iter_rows` names it. ``parse_rows``
-    makes each batch of at most ``batch_rows`` of those rows; an id that it
-    refuses with ``OverflowError`` raises :class:`DataFormatError` naming
-    its row. If csv's field size limit is lower than the one ``pattern``
-    takes, csv reads the whole file.
+    Each block of :func:`_line_blocks` that the schema's :func:`rows_pattern`
+    accepts goes to ``parse_block``, which returns its row count and batch,
+    or None to leave it to csv. From the first block left, refused or not
+    read, or at every row if csv's field size limit is below the pattern's,
+    the rest of the file is read through :func:`iter_rows`, past the rows
+    already taken, so every fault is named as :func:`iter_rows` names it;
+    ``parse_rows`` makes each batch of at most ``batch_rows`` of its rows. An
+    id that ``parse_rows`` refuses with ``OverflowError`` raises
+    :class:`DataFormatError` naming its row.
     """
     refuse_stale(path)
     taken = 0
     if csv.field_size_limit() >= _FIELD_LIMIT:
-        header = (",".join(fields) + "\n").encode()
-        opener = gzip.open if str(path).endswith(".gz") else open
-        try:
-            with opener(path, "rb") as f:
-                if f.readline(len(header)) == header:
-                    while block := f.read(block_bytes):
-                        if not block.endswith(b"\n"):
-                            block += f.readline()
-                        # decode() raises UnicodeDecodeError, a ValueError, on invalid UTF-8
-                        if not (block.endswith(b"\n") and pattern.fullmatch(block)
-                                and (block.isascii() or block.decode())):
-                            break
-                        batch = parse_block(block)
-                        if batch is None:
-                            break
-                        yield batch
-                        taken += batch[0]
-                    else:
-                        return
-        except (OSError, EOFError, ValueError, zlib.error):
-            pass  # csv reads the file again and names the fault
+        pattern = rows_pattern(len(fields), id_columns)
+        blocks = _line_blocks(path, fields, block_bytes)
+        while True:
+            try:
+                block = next(blocks, None)
+            except (OSError, EOFError, ValueError, zlib.error):
+                break  # csv reads the file again and names the fault
+            if block is None:
+                return  # every row was taken
+            batch = parse_block(block) if pattern.fullmatch(block) else None
+            if batch is None:
+                blocks.close()
+                break
+            yield batch
+            taken += batch[0]
     read = iter_rows(path, fields, id_columns)
     deque(islice(read, taken), 0)
     numbers = count(taken + 2)  # the row number of each row parse_rows takes

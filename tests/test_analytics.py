@@ -579,14 +579,12 @@ def assert_blocks_read_as_csv(monkeypatch, edge_path, node_path, sizes=BLOCK_SIZ
     they read as."""
     never = re.compile(rb"(?!)")
     with monkeypatch.context() as m:
-        m.setattr(analytics, "_EDGE_ROWS", never)
-        m.setattr(analytics, "_NODE_ROWS", never)
+        m.setattr(storage, "rows_pattern", lambda width, id_columns: never)
         by_csv = read_summary(edge_path, node_path)
     for batch_rows in (analytics._BATCH_ROWS, 1, 3):
         monkeypatch.setattr(analytics, "_BATCH_ROWS", batch_rows)
         with monkeypatch.context() as m:
-            m.setattr(analytics, "_EDGE_ROWS", never)
-            m.setattr(analytics, "_NODE_ROWS", never)
+            m.setattr(storage, "rows_pattern", lambda width, id_columns: never)
             assert read_summary(edge_path, node_path) == by_csv, batch_rows
         for size in sizes:
             monkeypatch.setattr(analytics, "_BLOCK_BYTES", size)
@@ -903,7 +901,7 @@ class TestNodeBlocks:
         node_path = write_file(tmp_path / f"n{rng.choice(['.csv', '.csv.gz'])}",
                                NODE_HEADER + b"".join(lines))
         with monkeypatch.context() as m:
-            m.setattr(analytics, "_NODE_ROWS", re.compile(rb"(?!)"))
+            m.setattr(storage, "rows_pattern", lambda width, id_columns: re.compile(rb"(?!)"))
             by_csv = node_reading(node_path)
         for size in (1, 7, 64, 512, 1 << 20):
             monkeypatch.setattr(analytics, "_BLOCK_BYTES", size)
@@ -914,7 +912,7 @@ class TestNodeBlocks:
         rows = random_node_text(random.Random(3), 200)
         node_path = write_file(tmp_path / "n.csv.gz", NODE_HEADER + rows + fault + rows)
         with monkeypatch.context() as m:
-            m.setattr(analytics, "_NODE_ROWS", re.compile(rb"(?!)"))
+            m.setattr(storage, "rows_pattern", lambda width, id_columns: re.compile(rb"(?!)"))
             csv_reads = count_csv_reads(m)
             by_csv = node_reading(node_path)
         monkeypatch.setattr(analytics, "_BLOCK_BYTES", 256)

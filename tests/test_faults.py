@@ -27,6 +27,9 @@ from pathlib import Path
 import pytest
 
 from wikilinks import cli
+from wikilinks.graph import EDGE_ID_COLUMNS, NODE_ID_COLUMNS
+from wikilinks.pipeline import RAW_LINK_ID_COLUMNS, REDIRECT_ID_COLUMNS
+from wikilinks.snapshot import RESOLVED_ID_COLUMNS, SNAPSHOT_LINK_ID_COLUMNS
 
 from conftest import MINIDUMP
 
@@ -35,12 +38,12 @@ STAGES = ("extract", "snapshot", "graph", "stats", "pagerank")
 # Each file a later stage reads: the stages that read it and its id columns.
 FILES = {
     "dump.xml.gz": (("extract",), ()),
-    "out/enwiki.rawwikilinks.0000.csv.gz": (("snapshot",), (0, 2)),
-    "out/enwiki.redirecthistory.0000.csv.gz": (("snapshot",), (0, 2)),
-    f"out/enwiki.resolvedredirects.{DATE}.csv.gz": (("graph",), (0,)),
-    f"out/enwiki.wikilinksnapshot.{DATE}.csv.gz": (("graph",), (0,)),
-    f"out/enwiki.wikilinkgraph.{DATE}.csv.gz": (("stats", "pagerank"), (0, 2)),
-    f"out/enwiki.wikilinkgraph.nodes.{DATE}.csv.gz": (("stats", "pagerank"), (0,)),
+    "out/enwiki.rawwikilinks.0000.csv.gz": (("snapshot",), RAW_LINK_ID_COLUMNS),
+    "out/enwiki.redirecthistory.0000.csv.gz": (("snapshot",), REDIRECT_ID_COLUMNS),
+    f"out/enwiki.resolvedredirects.{DATE}.csv.gz": (("graph",), RESOLVED_ID_COLUMNS),
+    f"out/enwiki.wikilinksnapshot.{DATE}.csv.gz": (("graph",), SNAPSHOT_LINK_ID_COLUMNS),
+    f"out/enwiki.wikilinkgraph.{DATE}.csv.gz": (("stats", "pagerank"), EDGE_ID_COLUMNS),
+    f"out/enwiki.wikilinkgraph.nodes.{DATE}.csv.gz": (("stats", "pagerank"), NODE_ID_COLUMNS),
 }
 BAD_IDS = ("x3", "0_1", " 3", "３", "", "-1", "3.0")
 

@@ -8,7 +8,9 @@ from wikilinks.cli import _sort_into
 from wikilinks.dump import filter_namespace, read_pages
 from wikilinks.pipeline import (
     RAW_LINK_FIELDS,
+    RAW_LINK_ID_COLUMNS,
     REDIRECT_FIELDS,
+    REDIRECT_ID_COLUMNS,
     extract_all,
     raw_sort_key,
     read_raw_records,
@@ -168,7 +170,7 @@ class TestSortAndMerge:
         ]
         with DatasetWriter(unsorted, RAW_LINK_FIELDS) as writer:
             writer.write_rows(records)
-        _sort_into(unsorted, path, RAW_LINK_FIELDS, raw_sort_key)
+        _sort_into(unsorted, path, RAW_LINK_FIELDS, RAW_LINK_ID_COLUMNS, raw_sort_key)
         rows = list(iter_rows(path, RAW_LINK_FIELDS))
         assert [r[9] for r in rows] == ["L3", "L2", "L1"]
 
@@ -207,9 +209,11 @@ class TestSortAndMerge:
             assert summary.ascending
             digests.append((sha256_of(raw), sha256_of(redirects)))
             # Pages in ascending id order come out sorted: sorting is a no-op.
-            for path, fields, key in ((raw, RAW_LINK_FIELDS, raw_sort_key),
-                                      (redirects, REDIRECT_FIELDS, redirect_sort_key)):
+            for path, fields, id_columns, key in (
+                (raw, RAW_LINK_FIELDS, RAW_LINK_ID_COLUMNS, raw_sort_key),
+                (redirects, REDIRECT_FIELDS, REDIRECT_ID_COLUMNS, redirect_sort_key),
+            ):
                 resorted = path.with_name("sorted." + path.name)
-                _sort_into(path, resorted, fields, key)
+                _sort_into(path, resorted, fields, id_columns, key)
                 assert sha256_of(resorted) == sha256_of(path)
         assert digests[0] == digests[1]

@@ -13,6 +13,7 @@ from wikilinks.storage import (
     checksum_path,
     codec_for_path,
     iter_rows,
+    read_batches,
     sha256_of,
     verify_checksum,
     write_checksum,
@@ -48,6 +49,27 @@ class TestDatasetWriter:
         assert str(raised.value) == (
             f"{path}: unreadable row after 2 data rows: field larger than field limit (8)"
         )
+
+    @pytest.mark.parametrize("name", ["absent.csv", "absent.csv.gz"])
+    def test_a_file_that_cannot_be_opened_raises_its_own_error(self, tmp_path, name):
+        with pytest.raises(FileNotFoundError):
+            list(iter_rows(tmp_path / name, ("a", "b"), (0,)))
+
+    def test_a_block_parser_error_is_not_read_as_a_file_fault(self, tmp_path):
+        path = tmp_path / "data.csv.gz"
+        with DatasetWriter(path, ("a", "b")) as writer:
+            writer.write_rows([("1", "x"), ("2", "y")])
+
+        def parse_block(block):
+            raise ValueError("parser fault")
+
+        def parse_rows(rows):
+            rows = list(rows)
+            return len(rows), rows
+
+        batches = read_batches(path, ("a", "b"), (0,), 1 << 20, parse_block, parse_rows, 10)
+        with pytest.raises(ValueError, match="parser fault"):
+            list(batches)
 
     def test_gzip_output_is_deterministic(self, tmp_path):
         digests = set()
