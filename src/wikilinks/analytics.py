@@ -32,14 +32,17 @@ result is empty and converged after 0 iterations. Node ids are mapped to
 rows with a binary search over the sorted ids, and each edge is packed into
 the key as ``source_row * n + target_row``. Sorted in place, the key gives
 the out-degrees, and then turns into the target rows of the distinct
-pairs. Those rows and one flow array per step are the only arrays as long
-as the edge list that the iteration holds, and the dangling nodes' rows
-are indexed once, before the first step. Each step repeats every
-source's share of its score once per distinct pair and sums the shares
-into the targets with ``np.bincount``. Ties in the ranking depend on the
-last bit of each score, so the order of the sums and the update expression
-stay fixed: each target's sum starts from 0.0 and adds its sources in
-ascending order, as a CSR matrix-vector product does.
+pairs: the only array as long as the edge list that the iteration holds.
+The dangling nodes' rows are indexed once, before the first step. Each
+step takes the sources in consecutive runs of about ``_STEP_PAIRS``
+distinct pairs: it repeats every source's share of its score once per
+pair of the run and adds the shares into one reused product vector with
+``np.add.at``, run after run, so a step holds one run's flow, not one as
+long as the edge list. Ties in the ranking depend on the last bit of each
+score, so the order of the sums and the update expression stay fixed:
+each target's sum starts from 0.0 and adds its sources in ascending
+order, as a CSR matrix-vector product (or ``np.bincount``) does, and the
+node-length update is done in place in the same order of operations.
 
 Articles are ranked by descending score, and articles with exactly equal
 scores by title. A :class:`Ranking` is the node rows in rank order, an
@@ -72,6 +75,7 @@ RANKING_FIELDS = ("rank", "title", "score")
 GROWTH_FIELDS = ("language", "date", "nodes", "edges")
 _BATCH_ROWS = 1 << 16  # rows per batch read through csv
 _BLOCK_BYTES = 1 << 20
+_STEP_PAIRS = 1 << 16  # distinct pairs whose flow a PageRank step builds at a time
 _RANKING_ROWS = 1024  # rankings rows formatted at once: about 0.4 MB of temporaries
 _MAX_NODES = 3_037_000_499  # the largest n with n * n - 1 <= 2**63 - 1, for the pair key
 
@@ -435,6 +439,11 @@ def pagerank(
     ``tolerance``; if ``max_iter`` is reached first the result carries
     ``converged=False``. An empty graph has nothing to move: its result is
     empty and converged after 0 iterations.
+
+    Besides the target rows, which reuse the key's memory, a step holds
+    the flow of one run of about ``_STEP_PAIRS`` pairs, four float64 node
+    vectors and the pairs per source. For any run size, the scores are
+    bit-for-bit those of a CSR matrix-vector product.
     """
     import numpy as np
 
@@ -473,28 +482,66 @@ def pagerank(
     pairs_per_source = np.diff(np.searchsorted(key, source_starts))
     del source_starts, out_degree  # node-length arrays the steps do not read
     dst = np.remainder(key, n, out=key)  # target rows, in place
+    step_runs = _step_runs(pairs_per_source, patch_at, _STEP_PAIRS)
 
     # A pair listed once carries x[source] * (0.0 + 1/d), which is
     # x[source] * share, so np.repeat spreads it without a per-pair weight
-    # or source array. np.bincount then adds each target's sources in
-    # ascending order, from 0.0, as a CSR matvec does; in source order its
-    # consecutive adds mostly go to different targets.
+    # or source array, one run of sources at a time. np.add.at then adds
+    # each flow into its target in pair order: every target's sum starts
+    # from 0.0 and adds its sources in ascending order, as a CSR matvec
+    # (and np.bincount) does. The node-length update runs in place, in the
+    # order of (1 - d) / n + d * (product + mass / n).
     x = np.full(n, 1.0 / n)
+    product = np.empty(n)
+    spread = np.empty(n)  # x * share, then |new - x|
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
         dangling_mass = x[dangling].sum()
-        flow = np.repeat(x * share, pairs_per_source)
-        flow[patch_at] = x[patch_sources] * patch_shares
-        product = np.bincount(dst, weights=flow, minlength=n)
-        del flow  # else the next step's flow is built while this one is alive
-        new = (1.0 - damping) / n + damping * (product + dangling_mass / n)
-        delta = np.abs(new - x).sum()
-        x = new
+        np.multiply(x, share, out=spread)
+        product.fill(0.0)
+        for sources, pairs, patches in step_runs:
+            flow = np.repeat(spread[sources], pairs_per_source[sources])
+            flow[patch_at[patches]] = x[patch_sources[patches]] * patch_shares[patches]
+            np.add.at(product, dst[pairs], flow)
+        product += dangling_mass / n
+        product *= damping
+        product += (1.0 - damping) / n
+        np.subtract(product, x, out=spread)
+        delta = np.abs(spread, out=spread).sum()
+        x, product = product, x
         if delta < tolerance:
             converged = True
             break
     return PageRankResult(ids, x, converged, iterations)
+
+
+def _step_runs(
+    pairs_per_source: np.ndarray, patch_at: np.ndarray, size: int
+) -> list[tuple[slice, slice, slice]]:
+    """Consecutive runs of sources of about ``size`` distinct pairs each,
+    as the slices of their sources, their pairs and their entries of the
+    sorted ``patch_at``, which is made relative to each run's first pair.
+
+    A run ends only between two sources, so a source with more than
+    ``size`` pairs is a run of its own.
+    """
+    import numpy as np
+
+    ends = np.cumsum(pairs_per_source)
+    total = int(ends[-1])
+    runs = []
+    source = pair = patch = 0
+    while pair < total:
+        # The sources whose pairs all end within ``size`` of the run's
+        # start, and at least one.
+        end_source = max(int(np.searchsorted(ends, pair + size, side="right")), source + 1)
+        end_pair = int(ends[end_source - 1])
+        end_patch = int(np.searchsorted(patch_at, end_pair))
+        patch_at[patch:end_patch] -= pair
+        runs.append((slice(source, end_source), slice(pair, end_pair), slice(patch, end_patch)))
+        source, pair, patch = end_source, end_pair, end_patch
+    return runs
 
 
 def rank_articles(result: PageRankResult, nodes: GraphNodes) -> Ranking:

@@ -354,6 +354,9 @@ def cmd_graph(config: RunConfig) -> int:
 
 
 def cmd_pagerank(config: RunConfig, args: argparse.Namespace) -> int:
+    # PageRank calls no BLAS routine, and OpenBLAS's idle worker threads
+    # spin before they sleep; the setting must precede numpy's import.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import analytics
 
     if args.output and len(config.dates) > 1:

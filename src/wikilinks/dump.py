@@ -95,6 +95,18 @@ class _PageSkip(Exception):
     pass
 
 
+class _NotAnInteger(Exception):
+    """An id or namespace whose text ``int()`` refuses; its args name the
+    element and give its text."""
+
+
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise _NotAnInteger(what, text) from None
+
+
 class _CountingReader:
     """read() wrapper that tracks how many bytes the XML parser consumed."""
 
@@ -133,7 +145,7 @@ def _parse_contributor(elem: ET.Element | None) -> tuple[str, str, int | None]:
     user_id = _text(_find(elem, "id"))
     if username is None or user_id is None:
         return USER_ANONYMOUS, (username or "").strip(), None
-    return USER_REGISTERED, username, int(user_id)
+    return USER_REGISTERED, username, _int(user_id, "contributor id")
 
 
 def _parse_revision(elem: ET.Element, issue, page_id, title) -> Revision:
@@ -156,8 +168,8 @@ def _parse_revision(elem: ET.Element, issue, page_id, title) -> Revision:
         issue(PageIssue("missing-text", page_id, title, f"revision {rev_id} has no text"))
         wikitext = ""
     return Revision(
-        revision_id=int(rev_id),
-        parent_id=int(parent) if parent else None,
+        revision_id=_int(rev_id, "revision id"),
+        parent_id=_int(parent, "parent id") if parent else None,
         timestamp=ts,
         user_type=user_type,
         user_username=username,
@@ -175,8 +187,8 @@ def _parse_page(elem: ET.Element, issue) -> PageHistory:
     if page_id is None:
         raise _PageSkip(f"page {title!r} without id")
     ns = _text(_find(elem, "ns"))
-    page_id, title = int(page_id), title.strip()
-    namespace = int(ns) if ns is not None else 0
+    page_id, title = _int(page_id, "page id"), title.strip()
+    namespace = _int(ns, "namespace") if ns is not None else 0
     revisions = [
         _parse_revision(child, issue, page_id, title)
         for child in elem
@@ -199,8 +211,9 @@ def read_pages(
 
     Pages missing a mandatory element (title, id, or a revision id or
     timestamp) are reported through ``on_issue`` with kind "page-skipped"
-    and skipped; malformed XML, and a stream its decompressor cannot read to
-    its end, raise :class:`DumpFormatError` naming the byte offset reached.
+    and skipped; malformed XML, an id or namespace that is not an integer,
+    and a stream its decompressor cannot read to its end, raise
+    :class:`DumpFormatError` naming the byte offset reached.
     Without ``on_issue``, issues are logged as warnings.
     """
     # Imported here: the snapshot stage loads this module too, but parses no XML.
@@ -227,7 +240,7 @@ def read_pages(
                 on_issue(
                     PageIssue(
                         "page-skipped",
-                        int(page_id) if page_id else None,
+                        _int(page_id, "page id") if page_id else None,
                         title,
                         str(skip),
                     )
@@ -237,6 +250,11 @@ def read_pages(
         raise DumpFormatError(
             f"{source}: malformed XML near byte {counting.bytes_read}: {err}"
         ) from err
+    except _NotAnInteger as err:
+        what, text = err.args
+        raise DumpFormatError(
+            f"{source}: {what} is not an integer near byte {counting.bytes_read}: {text!r}"
+        ) from None
     except (EOFError, OSError, zlib.error) as err:  # a truncated or corrupt compressed dump
         raise DumpFormatError(
             f"{source}: cannot decompress past byte {counting.bytes_read}: {err}"

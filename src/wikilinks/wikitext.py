@@ -130,14 +130,6 @@ def scan_links(text: str) -> list[tuple[int, int, str, str | None]]:
     return out
 
 
-def split_fragment(target: str) -> tuple[str, str | None]:
-    """Split a raw link target at the first ``#`` into (link, tosection)."""
-    if "#" in target:
-        link, _, tosection = target.partition("#")
-        return link, tosection
-    return target, None
-
-
 def _parse_header(line: str) -> tuple[str, int] | None:
     """Parse one line as a ``== title ==`` header, or return None.
 

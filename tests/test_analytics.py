@@ -26,6 +26,9 @@ from wikilinks.graph import emit_edges, emit_nodes
 from wikilinks.storage import DatasetWriter, iter_rows, partial_path
 
 
+STEP_PAIRS = (1, 2, 7, analytics._STEP_PAIRS)  # run sizes of a PageRank step under test
+
+
 def dense_pagerank(edges, nodes, damping=0.85):
     """Oracle: direct solve of (I - d A^T) x = (1-d)/N with dangling rows uniform."""
     ids = sorted(set(nodes) | {s for s, _ in edges} | {d for _, d in edges})
@@ -229,11 +232,12 @@ class TestPageRank:
             assert list(result.node_ids) == ids
             np.testing.assert_allclose(result.scores, expected, atol=1e-10)
 
-    def test_matches_a_row_by_row_reference_bit_for_bit(self, tmp_path):
+    def test_matches_a_row_by_row_reference_bit_for_bit(self, tmp_path, monkeypatch):
         # Ties in the ranking depend on the last bit of each score, so the
         # sums must run in the reference's order: repeated pairs (in runs
         # longer than 8, past numpy's pairwise-summation block), self-loops,
-        # dangling and isolated nodes, and several damping and stopping values.
+        # dangling and isolated nodes, and several damping and stopping
+        # values, with each step split into runs of every size in STEP_PAIRS.
         rng = np.random.default_rng(12)
         for case in range(320):
             n = int(rng.integers(1, 25))
@@ -249,13 +253,77 @@ class TestPageRank:
             tolerance = float(rng.choice([1e-12, 1e-6, 0.0]))
             max_iter = int(rng.choice([200, 7, 1]))
             links, _ = loaded(tmp_path, edges.tolist(), nodes.tolist())
-            result = pagerank(links, damping=damping, tolerance=tolerance, max_iter=max_iter)
             ids_ref, scores, converged, iterations = row_by_row_pagerank(
                 edges.tolist(), nodes.tolist(), damping, tolerance, max_iter
             )
-            assert result.node_ids.tolist() == ids_ref, case
-            assert np.array_equal(result.scores.view(np.int64), scores.view(np.int64)), case
-            assert (result.converged, result.iterations) == (converged, iterations), case
+            for step_pairs in STEP_PAIRS:
+                monkeypatch.setattr(analytics, "_STEP_PAIRS", step_pairs)
+                result = pagerank(analytics.LinkKey(links.key.copy(), links.ids),
+                                  damping=damping, tolerance=tolerance, max_iter=max_iter)
+                assert result.node_ids.tolist() == ids_ref, (case, step_pairs)
+                assert np.array_equal(result.scores.view(np.int64), scores.view(np.int64)), (
+                    case, step_pairs)
+                assert (result.converged, result.iterations) == (converged, iterations), (
+                    case, step_pairs)
+
+    @pytest.mark.parametrize("step_pairs", STEP_PAIRS)
+    def test_runs_cut_between_repeated_pairs_match_the_reference(self, tmp_path, monkeypatch,
+                                                                  step_pairs):
+        # Source 1 has nine distinct pairs, more than a run of 1, 2 or 7,
+        # with its self-loop and its last pair repeated. Source 2's last
+        # pair and source 3's first pair (a self-loop) are repeated, and
+        # 3 + 5 pairs do not fit in a run of 7, so every size but the
+        # default cuts a run between them. 4 to 9 are dangling, 10 isolated.
+        edges = [(1, t) for t in range(1, 10)] + [(1, 1), (1, 9), (1, 9)]
+        edges += [(2, 3), (2, 5), (2, 7), (2, 7)]
+        edges += [(3, 3), (3, 4), (3, 5), (3, 3), (3, 6), (3, 8), (3, 3), (3, 3)]
+        random.Random(step_pairs).shuffle(edges)
+        monkeypatch.setattr(analytics, "_STEP_PAIRS", step_pairs)
+        result = pagerank(loaded(tmp_path, edges, range(1, 11))[0])
+        ids, scores, converged, iterations = row_by_row_pagerank(
+            edges, range(1, 11), 0.85, 1e-12, 200)
+        assert result.node_ids.tolist() == ids
+        assert np.array_equal(result.scores.view(np.int64), scores.view(np.int64))
+        assert (result.converged, result.iterations) == (converged, iterations)
+
+    def test_step_runs_end_only_between_sources(self):
+        # Pair counts 9, 3, 5, 0, 0 in runs of 7: the first source is a
+        # run of its own, the second does not fit with the third, and the
+        # sources without pairs join the last run. Patches become relative
+        # to their run's first pair.
+        patch_at = np.array([0, 8, 11, 12, 16])
+        runs = analytics._step_runs(np.array([9, 3, 5, 0, 0]), patch_at, 7)
+        assert runs == [
+            (slice(0, 1), slice(0, 9), slice(0, 2)),
+            (slice(1, 2), slice(9, 12), slice(2, 3)),
+            (slice(2, 5), slice(12, 17), slice(3, 5)),
+        ]
+        assert patch_at.tolist() == [0, 8, 2, 0, 4]
+        assert analytics._step_runs(np.zeros(3, np.int64), np.empty(0, np.int64), 7) == []
+
+    def test_working_set_holds_one_run_of_flow(self):
+        # 400k distinct pairs over 50k nodes. A step holds the target rows,
+        # which pagerank reuses from the key, one run's flow and a few
+        # node-length vectors; a flow as long as the pair list would alone
+        # take 8 B per pair. The bound allows 2 B per pair, seven 8-byte
+        # vectors per node and 1 MiB for one run's flow and small arrays.
+        import tracemalloc
+
+        pairs, nodes = 400_000, 50_000
+        rng = np.random.default_rng(3)
+        ids = np.cumsum(rng.integers(1, 4, size=nodes))
+        key = np.unique(rng.integers(0, nodes * nodes, size=pairs + 5_000))[:pairs]
+        rng.shuffle(key)
+        links = analytics.LinkKey(key, ids)
+        tracemalloc.start()
+        try:
+            result = pagerank(links)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        bound = 2 * pairs + 56 * nodes + 2**20
+        assert peak <= bound, f"{peak:,} B traced, bound {bound:,} B"
 
     def test_rank_order_invariant_under_relabeling(self, tmp_path):
         edges = [(0, 1), (1, 2), (2, 0), (3, 1), (3, 2), (4, 3)]

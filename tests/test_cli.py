@@ -6,6 +6,7 @@ import errno
 import functools
 import gzip
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -726,6 +727,31 @@ class TestShardPool:
         assert events[-1]["event"] == "fatal"
         assert events[-1]["detail"].startswith(f"{bad}: cannot decompress past byte ")
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("element, valid, bad", [
+        ("page id", "<title>Alpha</title>\n    <ns>0</ns>\n    <id>1</id>", "<id>x1</id>"),
+        ("revision id", "<id>101</id>", "<id>x101</id>"),
+        ("contributor id", "<username>Alice</username><id>1</id>", "<id>x1</id>"),
+    ])
+    def test_non_integer_id_names_the_dump(
+        self, tmp_path, minidump_path, capsys, element, valid, bad, jobs
+    ):
+        text = minidump_path.read_text(encoding="utf-8")
+        assert valid in text
+        dump = tmp_path / "bad.xml"
+        dump.write_text(text.replace(valid, valid.rsplit("<id>", 1)[0] + bad, 1), encoding="utf-8")
+        # Two dumps, so that two workers run.
+        inputs = [str(minidump_path), str(dump)][-jobs:]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.main(["extract", *base_args(out), "--jobs", str(jobs), *inputs]) == 1
+        events = stderr_events(capsys)
+        assert [e["event"] for e in events].count("fatal") == 1
+        assert events[-1]["event"] == "fatal"
+        detail = events[-1]["detail"]
+        assert detail.startswith(f"{dump}: {element} is not an integer near byte ")
+        assert detail.endswith(repr(bad[4:-5]))
+
     def test_pool_size_is_capped_by_the_shard_count(self, tmp_path, monkeypatch):
         requested = []
 
@@ -967,13 +993,19 @@ class TestPagerankCommand:
         assert detail in event["detail"]
         assert not (out_dir / "enwiki.pagerank.2018-03-01.csv.gz").exists()
 
-    def test_rankings_with_tie_runs_match_golden(self, out_dir):
+    def test_rankings_with_tie_runs_match_golden(self, out_dir, monkeypatch):
+        from test_analytics import STEP_PAIRS
+        from wikilinks import analytics
+
         nodes, edges = tie_graph()
         write_graph_files(out_dir, edges, nodes)
-        assert cli.main(["pagerank", *base_args(out_dir), "--date", "2018-03-01"]) == 0
-        with gzip.open(out_dir / "enwiki.pagerank.2018-03-01.csv.gz", "rb") as f:
-            produced = f.read()
-        assert produced == (GOLDEN_DIR / "enwiki.pagerank.tie-graph.csv").read_bytes()
+        golden = (GOLDEN_DIR / "enwiki.pagerank.tie-graph.csv").read_bytes()
+        for step_pairs in STEP_PAIRS:
+            monkeypatch.setattr(analytics, "_STEP_PAIRS", step_pairs)
+            assert cli.main(["pagerank", *base_args(out_dir), "--date", "2018-03-01"]) == 0
+            with gzip.open(out_dir / "enwiki.pagerank.2018-03-01.csv.gz", "rb") as f:
+                produced = f.read()
+            assert produced == golden, step_pairs
         scores = [line.rsplit(b",", 1)[1] for line in produced.splitlines()[1:]]
         assert len(scores) == 2_000 and len(set(scores)) < 1_000  # long runs of equal scores
 
@@ -1060,6 +1092,16 @@ class TestPagerankCommand:
         )
         per_node = (used - base) * 1024 / 200_000
         assert per_node <= 250, f"{per_node:.0f} B per node above the imports"
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+    def test_openblas_starts_one_thread_unless_set(self, out_dir, monkeypatch, preset, expected):
+        if preset is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+        write_graph_files(out_dir, [(1, 2)], [(1, "A"), (2, "B")])
+        assert cli.main(["pagerank", *base_args(out_dir), "--date", "2018-03-01"]) == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == expected
 
     def test_pagerank_requires_graph(self, out_dir):
         assert cli.main(["pagerank", *base_args(out_dir), "--date", "2018-03-01"]) == 2

@@ -170,6 +170,22 @@ class TestReadPages:
         with pytest.raises(DumpFormatError, match="byte"):
             read_all(xml)
 
+    @pytest.mark.parametrize("xml, element, text", [
+        (page_xml("A", "7x", [BASIC_REV]), "page id", "7x"),
+        (page_xml("A", 1, [BASIC_REV], ns="main"), "namespace", "main"),
+        (page_xml("A", 1, [dict(BASIC_REV, id="r5")]), "revision id", "r5"),
+        (page_xml("A", 1, [dict(BASIC_REV, parentid="p4")]), "parent id", "p4"),
+        (page_xml("A", 1, [dict(BASIC_REV, user_id="u9")]), "contributor id", "u9"),
+        # A page without a title is skipped, and its id is still read.
+        ("<page><ns>0</ns><id>7x</id></page>", "page id", "7x"),
+    ])
+    def test_non_integer_id_names_source_and_byte_offset(self, xml, element, text):
+        with pytest.raises(DumpFormatError) as caught:
+            read_all(dump_bytes(xml), source="d.xml", on_issue=lambda issue: None)
+        message = str(caught.value)
+        assert message.startswith(f"d.xml: {element} is not an integer near byte ")
+        assert message.endswith(f": {text!r}")
+
     def test_no_namespace_prefix_tolerated(self):
         plain = "<mediawiki>" + page_xml("A", 1, [BASIC_REV]) + "</mediawiki>"
         (page,) = read_all(plain.encode())

@@ -18,7 +18,6 @@ from wikilinks.wikitext import (
     normalize_title,
     scan_links,
     section_scan,
-    split_fragment,
 )
 
 # Inputs that stress every branch of the link grammar.
@@ -98,8 +97,8 @@ def reference_rows(text: str):
     rows = []
     for m in LINK_RE.finditer(text):
         sec = next(s for s in sections if s.start <= m.start() < s.end)
-        link, tosection = split_fragment(m.group("link"))
-        rows.append((link, tosection or "", m.group("anchor") or "",
+        link, _, tosection = m.group("link").partition("#")
+        rows.append((link, tosection, m.group("anchor") or "",
                      sec.name, str(sec.level), str(sec.number)))
     return rows
 
