@@ -15,12 +15,19 @@ to csv. The rows csv reads are parsed a row at a time, and the counts,
 ids, titles and errors are those of csv alone.
 
 :func:`load_graph_file` reads the node file into int64 ids and
-:class:`Titles`, both in file order, and then streams the edge file into a
-:class:`LinkKey`, one int64 per edge. Titles come only from the node file,
-which must list every edge endpoint exactly once. They are held as one
-UTF-8 buffer and the offsets that bound each title: a node block's title
-bytes are copied straight into the buffer, and only quoted titles are
-unquoted, so a title is a ``str`` only while it is compared or quoted.
+:class:`Titles`, both in file order, and then streams the edge file into
+:class:`LinkRows`. Both files must be in the order ``graph`` writes them:
+node ids strictly ascending, and edges by strictly ascending
+(page_id_from, page_id_to), so no pair is listed twice; anything else is
+refused, never sorted. Titles come only from the node file, which must
+list every edge endpoint. They are held as one UTF-8 buffer and the
+offsets that bound each title: a node block's title bytes are copied
+straight into the buffer, and only quoted titles are unquoted, so a title
+is a ``str`` only while it is compared or quoted. Node ids are mapped to
+rows with a binary search over the ids, and each block of edges is
+checked on the keys ``source_row * n + target_row``, which must rise, and
+then kept as int32 target rows, appended, and counts added to an int64
+out-degree per node: 4 bytes per edge.
 
 PageRank is a matrix-free power iteration over the graph
 :func:`load_graph_file` read, its only input: each step spreads a node's
@@ -28,21 +35,17 @@ mass uniformly over its out-links, redistributes the mass held by dangling
 nodes (out-degree 0) uniformly over all nodes, and mixes in a uniform
 teleport with weight ``1 - damping``. Scores therefore sum to 1 at every
 iteration. An empty graph is loaded, ranked and written the same way: its
-result is empty and converged after 0 iterations. Node ids are mapped to
-rows with a binary search over the sorted ids, and each edge is packed into
-the key as ``source_row * n + target_row``. Sorted in place, the key gives
-the out-degrees, and then turns into the target rows of the distinct
-pairs: the only array as long as the edge list that the iteration holds.
-The dangling nodes' rows are indexed once, before the first step. Each
-step takes the sources in consecutive runs of about ``_STEP_PAIRS``
-distinct pairs: it repeats every source's share of its score once per
-pair of the run and adds the shares into one reused product vector with
-``np.add.at``, run after run, so a step holds one run's flow, not one as
-long as the edge list. Ties in the ranking depend on the last bit of each
-score, so the order of the sums and the update expression stay fixed:
-each target's sum starts from 0.0 and adds its sources in ascending
-order, as a CSR matrix-vector product (or ``np.bincount``) does, and the
-node-length update is done in place in the same order of operations.
+result is empty and converged after 0 iterations. The dangling nodes' rows
+are indexed once, before the first step. Each step takes the sources in
+consecutive runs of about ``_STEP_PAIRS`` links: it repeats every
+source's share of its score once per link of the run and adds the shares
+into one reused product vector with ``np.add.at``, run after run, so a
+step holds one run's flow, not one as long as the edge list. Ties in the
+ranking depend on the last bit of each score, so the order of the sums
+and the update expression stay fixed: each target's sum starts from 0.0
+and adds its sources in ascending order, as a CSR matrix-vector product
+(or ``np.bincount``) does, and the node-length update is done in place in
+the same order of operations.
 
 Articles are ranked by descending score, and articles with exactly equal
 scores by title. A :class:`Ranking` is the node rows in rank order, an
@@ -75,9 +78,9 @@ RANKING_FIELDS = ("rank", "title", "score")
 GROWTH_FIELDS = ("language", "date", "nodes", "edges")
 _BATCH_ROWS = 1 << 16  # rows per batch read through csv
 _BLOCK_BYTES = 1 << 20
-_STEP_PAIRS = 1 << 16  # distinct pairs whose flow a PageRank step builds at a time
+_STEP_PAIRS = 1 << 16  # links whose flow a PageRank step builds at a time
 _RANKING_ROWS = 1024  # rankings rows formatted at once: about 0.4 MB of temporaries
-_MAX_NODES = 3_037_000_499  # the largest n with n * n - 1 <= 2**63 - 1, for the pair key
+_MAX_NODES = 2**31 - 1  # target rows are int32
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,21 +205,23 @@ def write_growth_series(stats: Iterable[GraphStats], path: str | Path) -> int:
         return writer.rows_written
 
 
-@dataclass(slots=True)
-class LinkKey:
-    """A graph's links packed one int64 per link, in the order given.
+@dataclass(frozen=True, slots=True)
+class LinkRows:
+    """A graph's links as rows of its node ids, in (source, target) order.
 
-    Each entry is ``source_row * n + target_row``, where a row indexes
-    ``ids``, the graph's ``n`` node ids in ascending order. ``len()`` is the
-    number of links, repeated pairs included. :func:`pagerank` takes the key
-    out and indexes it in place, so a ``LinkKey`` can be ranked once.
+    A row indexes ``ids``, the graph's ``n`` node ids in ascending order.
+    ``targets`` holds each link's target row as an int32, and
+    ``out_degree`` each row's number of links as an int64, so the links of
+    row ``r`` are the ``out_degree[r]`` targets after those of the rows
+    before it. ``len()`` is the number of links.
     """
 
-    key: np.ndarray | None
+    targets: np.ndarray
+    out_degree: np.ndarray
     ids: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.key)
+        return len(self.targets)
 
 
 def _rows_of(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,14 +234,16 @@ def _rows_of(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return rows, listed
 
 
-def _pack(ids: np.ndarray, sources: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The keys of (source, target) id pairs against the sorted ``ids``, and
-    whether both ends of each pair are listed there."""
-    packed, listed = _rows_of(ids, sources)
-    rows, found = _rows_of(ids, targets)
-    packed *= len(ids)
-    packed += rows
-    return packed, listed & found
+def _pack(
+    ids: np.ndarray, sources: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The source and target rows of (source, target) id pairs in the
+    sorted ``ids``, their keys ``source_row * n + target_row``, which rise
+    with the pairs, and whether both ends of each pair are listed there."""
+    source_rows, listed = _rows_of(ids, sources)
+    target_rows, found = _rows_of(ids, targets)
+    listed &= found
+    return source_rows, target_rows, source_rows * len(ids) + target_rows, listed
 
 
 def _parse_ids(text: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
@@ -361,21 +368,26 @@ def _read_nodes(node_path: str | Path) -> GraphNodes:
     return GraphNodes(np.frombuffer(ids, dtype=np.int64), Titles(data, bounds))
 
 
-def load_graph_file(edge_path: str | Path, node_path: str | Path) -> tuple[LinkKey, GraphNodes]:
-    """The edges as a :class:`LinkKey` in file order, and the nodes in file
-    order.
+def load_graph_file(edge_path: str | Path, node_path: str | Path) -> tuple[LinkRows, GraphNodes]:
+    """The edges as :class:`LinkRows`, and the nodes in file order.
 
-    Rows are checked as :func:`compute_stats` checks them. An id past
-    ``2**63 - 1``, a node id listed twice or an edge endpoint missing from
-    the node file raises :class:`DataFormatError`. A fault in the edge
-    file's rows is reported before any fault of the node file, and a fault
-    of the node file before an unlisted endpoint.
+    Rows are checked as :func:`compute_stats` checks them. Both files must
+    be in the order ``graph`` writes them: node ids strictly ascending, and
+    edge (page_id_from, page_id_to) pairs strictly ascending, so no pair is
+    listed twice. An id past ``2**63 - 1``, a node id listed twice or out
+    of order, an edge endpoint missing from the node file, or an edge out
+    of order or repeated raises :class:`DataFormatError`. A fault in the
+    edge file's rows is reported before any fault of the node file, and a
+    fault of the node file before the first edge that is unlisted, out of
+    order or repeated.
 
     Both files are read in blocks, as :func:`compute_stats` reads them,
     and numpy parses each block the pattern accepts: the ids of the edge
     file, and the ids and titles of the node file. From the first block it
     refuses, or one with an id of more than 19 digits or past
-    ``2**63 - 1``, the rest of that file is read through csv.
+    ``2**63 - 1``, the rest of that file is read through csv. Each batch of
+    edges is checked and then appended as target rows and added to the
+    out-degrees, so no array of one int64 per edge is built.
     """
     import numpy as np
 
@@ -385,10 +397,14 @@ def load_graph_file(edge_path: str | Path, node_path: str | Path) -> tuple[LinkK
 
     try:
         nodes = _read_nodes(node_path)
-        ids = np.sort(nodes.ids)
-        repeated = ids[1:][ids[1:] == ids[:-1]]
-        if len(repeated):
-            raise DataFormatError(f"{node_path}: page id {repeated[0]} is listed twice")
+        ids = nodes.ids
+        falls = np.flatnonzero(ids[1:] <= ids[:-1])
+        if len(falls):
+            before, after = ids[falls[0]:falls[0] + 2].tolist()
+            if before == after:
+                raise DataFormatError(f"{node_path}: page id {after} is listed twice")
+            raise DataFormatError(f"{node_path}: row {falls[0] + 3} lists page id {after} after "
+                                  f"page id {before}, out of page-id order")
         if len(ids) > _MAX_NODES:
             raise ConfigurationError(
                 f"pagerank handles at most {_MAX_NODES:,} nodes, got {len(ids):,}"
@@ -396,22 +412,53 @@ def load_graph_file(edge_path: str | Path, node_path: str | Path) -> tuple[LinkK
     except (DataFormatError, ConfigurationError):
         deque(edge_batches(), 0)  # a fault in the edge rows comes first
         raise
-    key = array("q")
-    unlisted = None
+    n = len(ids)
+    targets = array("i")
+    out_degree = np.zeros(n, np.int64)
+    last = -1  # the key of the last edge taken: keys rise strictly
+
+    def take(first: int, source_ids: np.ndarray, target_ids: np.ndarray) -> str | None:
+        """Appends a batch of edges whose first row is row ``first``, or
+        returns its first fault's message."""
+        nonlocal last
+        source_rows, target_rows, keys, listed = _pack(ids, source_ids, target_ids)
+        # The keys of the rows before the first unlisted endpoint must rise.
+        listed_rows = len(keys) if listed.all() else int(listed.argmin())
+        falls = np.flatnonzero(np.diff(keys[:listed_rows], prepend=last) <= 0)
+        if len(falls):
+            at = int(falls[0])
+            pair, before = _pair(ids, keys[at]), _pair(ids, keys[at - 1] if at else last)
+            if pair == before:
+                return (f"{edge_path}: row {first + at} repeats the link from page id "
+                        f"{pair[0]} to page id {pair[1]}")
+            return (f"{edge_path}: row {first + at} links page id {pair[0]} to page id "
+                    f"{pair[1]} after page id {before[0]} to page id {before[1]}, out of "
+                    "(page_id_from, page_id_to) order")
+        if listed_rows < len(keys):
+            return (f"{edge_path}: row {first + listed_rows} links a page that {node_path} "
+                    "does not list")
+        targets.frombytes(memoryview(target_rows.astype(np.int32)).cast("B"))
+        low = int(source_rows[0])  # the rows ascend, so their counts are a slice
+        out_degree[low:int(source_rows[-1]) + 1] += np.bincount(source_rows - low)
+        last = int(keys[-1])
+        return None
+
+    fault = None  # the first edge fault's message; past it, the rows are only checked
     first = 2  # the row number of each batch's first row
-    for rows, (sources, targets) in edge_batches():
-        if unlisted is None:  # past it, the rows are only checked
-            packed, listed = _pack(ids, sources, targets)
-            if listed.all():
-                key.frombytes(memoryview(packed).cast("B"))
-            else:
-                unlisted = first + int(listed.argmin())
+    for rows, batch in edge_batches():
+        if fault is None:
+            fault = take(first, *batch)
+        del batch  # freed before the next block is parsed
         first += rows
-    if unlisted is not None:
-        raise DataFormatError(
-            f"{edge_path}: row {unlisted} links a page that {node_path} does not list"
-        )
-    return LinkKey(np.frombuffer(key, dtype=np.int64), ids), nodes
+    if fault is not None:
+        raise DataFormatError(fault)
+    return LinkRows(np.frombuffer(targets, dtype=np.int32), out_degree, ids), nodes
+
+
+def _pair(ids: np.ndarray, key: int) -> tuple[int, int]:
+    """The (source, target) ids of an edge's key."""
+    source, target = divmod(int(key), len(ids))
+    return int(ids[source]), int(ids[target])
 
 
 def check_pagerank_options(damping: float, tolerance: float, max_iter: int) -> None:
@@ -425,7 +472,7 @@ def check_pagerank_options(damping: float, tolerance: float, max_iter: int) -> N
 
 
 def pagerank(
-    links: LinkKey,
+    links: LinkRows,
     *,
     damping: float = 0.85,
     tolerance: float = 1e-12,
@@ -433,63 +480,35 @@ def pagerank(
 ) -> PageRankResult:
     """Power-iteration PageRank over the graph :func:`load_graph_file` read.
 
-    The key is taken out of ``links`` and indexed in place. Every node of
-    the node file is ranked; isolated nodes still receive teleport and
-    dangling mass. Iteration stops when the L1 change drops below
-    ``tolerance``; if ``max_iter`` is reached first the result carries
-    ``converged=False``. An empty graph has nothing to move: its result is
-    empty and converged after 0 iterations.
+    Every node of the node file is ranked; isolated nodes still receive
+    teleport and dangling mass. Iteration stops when the L1 change drops
+    below ``tolerance``; if ``max_iter`` is reached first the result
+    carries ``converged=False``. An empty graph has nothing to move: its
+    result is empty and converged after 0 iterations.
 
-    Besides the target rows, which reuse the key's memory, a step holds
-    the flow of one run of about ``_STEP_PAIRS`` pairs, four float64 node
-    vectors and the pairs per source. For any run size, the scores are
-    bit-for-bit those of a CSR matrix-vector product.
+    Besides the links, which it only reads, a step holds the flow of one
+    run of about ``_STEP_PAIRS`` links and four float64 node vectors. For
+    any run size, the scores are bit-for-bit those of a CSR matrix-vector
+    product.
     """
     import numpy as np
 
     check_pagerank_options(damping, tolerance, max_iter)
-    key, links.key = links.key, None
-    if key is None:
-        raise ValueError("this LinkKey was ranked already")
-    ids = links.ids
+    ids, dst, out_degree = links.ids, links.targets, links.out_degree
     n = len(ids)
     if n == 0:
         return PageRankResult(ids, np.empty(0), True, 0)
 
-    # One entry per distinct pair, sorted by (source, target). Each
-    # source's first key is source * n, so its entries start where that
-    # value would be inserted.
-    key.sort()
-    source_starts = np.arange(n + 1, dtype=np.int64) * n
-    out_degree = np.diff(np.searchsorted(key, source_starts))
     dangling = np.flatnonzero(out_degree == 0)  # gathers what a mask would, once
     share = 1.0 / np.maximum(out_degree, 1)  # 1/d, what each link of a source carries
-    # A pair repeated c times carries its c shares summed in order, from
-    # 0.0, so (w + w) * x never becomes w * x + w * x, and c / d is not
-    # that sum for c >= 3. The sums are taken once, over the repeated pairs
-    # only, and patched into the flow at every step.
-    repeats = np.flatnonzero(key[1:] == key[:-1]) + 1  # the second and later copies
-    runs = np.flatnonzero(np.diff(repeats, prepend=-2) != 1)
-    first = repeats[runs] - 1  # each repeated pair's first copy
-    copies = np.diff(runs, append=len(repeats)) + 1
-    patch_sources = key[first] // n
-    patch_shares = np.bincount(
-        np.repeat(np.arange(len(first)), copies), weights=np.repeat(share[patch_sources], copies)
-    )
-    patch_at = first - np.searchsorted(repeats, first)  # where the pair lands once deduplicated
-    if len(repeats):
-        key = np.delete(key, repeats)
-    pairs_per_source = np.diff(np.searchsorted(key, source_starts))
-    del source_starts, out_degree  # node-length arrays the steps do not read
-    dst = np.remainder(key, n, out=key)  # target rows, in place
-    step_runs = _step_runs(pairs_per_source, patch_at, _STEP_PAIRS)
+    step_runs = _step_runs(out_degree, _STEP_PAIRS)
 
-    # A pair listed once carries x[source] * (0.0 + 1/d), which is
-    # x[source] * share, so np.repeat spreads it without a per-pair weight
-    # or source array, one run of sources at a time. np.add.at then adds
-    # each flow into its target in pair order: every target's sum starts
-    # from 0.0 and adds its sources in ascending order, as a CSR matvec
-    # (and np.bincount) does. The node-length update runs in place, in the
+    # Each link carries x[source] * (0.0 + 1/d), which is x[source] *
+    # share, so np.repeat spreads it without a per-link weight or source
+    # array, one run of sources at a time. np.add.at then adds each flow
+    # into its target in link order: every target's sum starts from 0.0
+    # and adds its sources in ascending order, as a CSR matvec (and
+    # np.bincount) does. The node-length update runs in place, in the
     # order of (1 - d) / n + d * (product + mass / n).
     x = np.full(n, 1.0 / n)
     product = np.empty(n)
@@ -500,10 +519,8 @@ def pagerank(
         dangling_mass = x[dangling].sum()
         np.multiply(x, share, out=spread)
         product.fill(0.0)
-        for sources, pairs, patches in step_runs:
-            flow = np.repeat(spread[sources], pairs_per_source[sources])
-            flow[patch_at[patches]] = x[patch_sources[patches]] * patch_shares[patches]
-            np.add.at(product, dst[pairs], flow)
+        for sources, pairs in step_runs:
+            np.add.at(product, dst[pairs], np.repeat(spread[sources], out_degree[sources]))
         product += dangling_mass / n
         product *= damping
         product += (1.0 - damping) / n
@@ -516,31 +533,26 @@ def pagerank(
     return PageRankResult(ids, x, converged, iterations)
 
 
-def _step_runs(
-    pairs_per_source: np.ndarray, patch_at: np.ndarray, size: int
-) -> list[tuple[slice, slice, slice]]:
-    """Consecutive runs of sources of about ``size`` distinct pairs each,
-    as the slices of their sources, their pairs and their entries of the
-    sorted ``patch_at``, which is made relative to each run's first pair.
+def _step_runs(out_degree: np.ndarray, size: int) -> list[tuple[slice, slice]]:
+    """Consecutive runs of sources of about ``size`` links each, as the
+    slices of their sources and of their links.
 
     A run ends only between two sources, so a source with more than
-    ``size`` pairs is a run of its own.
+    ``size`` links is a run of its own.
     """
     import numpy as np
 
-    ends = np.cumsum(pairs_per_source)
+    ends = np.cumsum(out_degree)
     total = int(ends[-1])
     runs = []
-    source = pair = patch = 0
-    while pair < total:
-        # The sources whose pairs all end within ``size`` of the run's
+    source = link = 0
+    while link < total:
+        # The sources whose links all end within ``size`` of the run's
         # start, and at least one.
-        end_source = max(int(np.searchsorted(ends, pair + size, side="right")), source + 1)
-        end_pair = int(ends[end_source - 1])
-        end_patch = int(np.searchsorted(patch_at, end_pair))
-        patch_at[patch:end_patch] -= pair
-        runs.append((slice(source, end_source), slice(pair, end_pair), slice(patch, end_patch)))
-        source, pair, patch = end_source, end_pair, end_patch
+        end_source = max(int(np.searchsorted(ends, link + size, side="right")), source + 1)
+        end_link = int(ends[end_source - 1])
+        runs.append((slice(source, end_source), slice(link, end_link)))
+        source, link = end_source, end_link
     return runs
 
 

@@ -333,24 +333,28 @@ def _graph_paths(config: RunConfig, label: str) -> tuple[Path, Path]:
 
 
 def cmd_graph(config: RunConfig) -> int:
-    from . import graph, snapshot
-
     for date in config.dates:
         label = date.label
         resolved_path = config.path("resolvedredirects", date=label)
         links_path = config.path("wikilinksnapshot", date=label)
         if _missing_input("run snapshot first", resolved_path, links_path):
             return EXIT_USAGE
-        resolved = snapshot.read_resolved_redirects(resolved_path)
-        links = snapshot.read_snapshot_links(links_path)
-        edges, nodes = graph.build_graph(
-            links, resolved, drop_self_loops=config.drop_self_loops
-        )
-        edge_path, node_path = _graph_paths(config, label)
-        edge_count = graph.emit_edges(edges, edge_path)
-        node_count = graph.emit_nodes(nodes, node_path)
-        _event("graph-done", date=label, nodes=node_count, edges=edge_count)
+        _graph_date(config, label, resolved_path, links_path)
     return EXIT_OK
+
+
+def _graph_date(config: RunConfig, label: str, resolved_path: Path, links_path: Path) -> None:
+    """Builds and writes one date's graph; what it reads is freed on return,
+    before the next date is read."""
+    from . import graph, snapshot
+
+    resolved = snapshot.read_resolved_redirects(resolved_path)
+    links = snapshot.read_snapshot_links(links_path)
+    edges, nodes = graph.build_graph(links, resolved, drop_self_loops=config.drop_self_loops)
+    edge_path, node_path = _graph_paths(config, label)
+    edge_count = graph.emit_edges(edges, edge_path)
+    node_count = graph.emit_nodes(nodes, node_path)
+    _event("graph-done", date=label, nodes=node_count, edges=edge_count)
 
 
 def cmd_pagerank(config: RunConfig, args: argparse.Namespace) -> int:
@@ -367,25 +371,35 @@ def cmd_pagerank(config: RunConfig, args: argparse.Namespace) -> int:
         paths = _graph_paths(config, label)
         if _missing_input("run graph first", *paths):
             return EXIT_USAGE
-        links, nodes = analytics.load_graph_file(*paths)
-        result = analytics.pagerank(
-            links,
-            damping=args.damping,
-            tolerance=args.tolerance,
-            max_iter=args.max_iter,
-        )
-        ranking = analytics.rank_articles(result, nodes)
         out = args.output if args.output else config.path("pagerank", date=label)
-        analytics.write_rankings(ranking, out)
-        _event(
-            "pagerank-done",
-            date=label,
-            nodes=len(nodes.ids),
-            converged=result.converged,
-            iterations=result.iterations,
-            top=[(title, float(f"{score:.6g}")) for title, score in ranking.head(3)],
-        )
+        _pagerank_date(args, label, paths, out)
     return EXIT_OK
+
+
+def _pagerank_date(args: argparse.Namespace, label: str, paths: tuple[Path, Path],
+                   out: str | Path) -> None:
+    """Ranks one date's graph and writes its rankings; its arrays are freed
+    on return, before the next date is read."""
+    from . import analytics
+
+    links, nodes = analytics.load_graph_file(*paths)
+    result = analytics.pagerank(
+        links,
+        damping=args.damping,
+        tolerance=args.tolerance,
+        max_iter=args.max_iter,
+    )
+    del links  # ranking and writing need only the scores and the titles
+    ranking = analytics.rank_articles(result, nodes)
+    analytics.write_rankings(ranking, out)
+    _event(
+        "pagerank-done",
+        date=label,
+        nodes=len(nodes.ids),
+        converged=result.converged,
+        iterations=result.iterations,
+        top=[(title, float(f"{score:.6g}")) for title, score in ranking.head(3)],
+    )
 
 
 def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:

@@ -421,8 +421,9 @@ def read_batches(
             if batch is None:
                 blocks.close()
                 break
-            yield batch
             taken += batch[0]
+            yield batch
+            del batch  # freed before the next block is parsed
     read = iter_rows(path, fields, id_columns)
     deque(islice(read, taken), 0)
     numbers = count(taken + 2)  # the row number of each row parse_rows takes

@@ -52,8 +52,7 @@ def dense_pagerank(edges, nodes, damping=0.85):
 def row_by_row_pagerank(edges, nodes, damping, tolerance, max_iter):
     """Reference: pagerank's update expression, dangling sum and stopping
     test, with the matrix product as a plain loop over target rows. Each row
-    sums from 0.0 in ascending source order, and a repeated pair's weights
-    are summed, in edge order, before they multiply the score.
+    sums from 0.0 in ascending source order. ``edges`` are distinct pairs.
     """
     ids = sorted(set(nodes) | {s for s, _ in edges} | {t for _, t in edges})
     row = {node: i for i, node in enumerate(ids)}
@@ -61,13 +60,9 @@ def row_by_row_pagerank(edges, nodes, damping, tolerance, max_iter):
     out_degree = [0] * n
     for s, _ in edges:
         out_degree[row[s]] += 1
-    entries = {}  # (target row, source row) -> summed weight
-    for s, t in edges:
-        key = (row[t], row[s])
-        entries[key] = entries.get(key, 0.0) + 1.0 / out_degree[row[s]]
     sources = [[] for _ in range(n)]  # per target row: (source row, weight)
-    for (t, s), weight in sorted(entries.items()):
-        sources[t].append((s, weight))
+    for t, s in sorted((row[t], row[s]) for s, t in edges):
+        sources[t].append((s, 1.0 / out_degree[s]))
     dangling = np.array([d == 0 for d in out_degree])
 
     x = np.full(n, 1.0 / n)
@@ -108,16 +103,18 @@ def graph_files(tmp_path, edges, nodes):
 
 
 def loaded(tmp_path, edges, nodes=()):
-    """``load_graph_file`` of the (source, target) id pairs ``edges``,
-    written as graph files whose node file lists ``nodes`` and every
+    """``load_graph_file`` of the distinct (source, target) id pairs
+    ``edges``, written as graph files in the order ``graph`` writes them:
+    the pairs ascending, and a node file that lists ``nodes`` and every
     endpoint, in ascending id order."""
-    return load_graph_file(*graph_files(tmp_path, edges, sorted(set(nodes).union(*edges))))
+    return load_graph_file(*graph_files(tmp_path, sorted(edges),
+                                        sorted(set(nodes).union(*edges))))
 
 
 def decoded_pairs(links):
-    """The (source id, target id) pairs of a LinkKey, in its order."""
-    sources, targets = np.divmod(links.key, len(links.ids))
-    return list(zip(links.ids[sources].tolist(), links.ids[targets].tolist()))
+    """The (source id, target id) pairs of a LinkRows, in its order."""
+    sources = np.repeat(np.arange(len(links.ids)), links.out_degree)
+    return list(zip(links.ids[sources].tolist(), links.ids[links.targets].tolist()))
 
 
 def raw_graph_files(tmp_path, edge_text, node_text):
@@ -234,8 +231,8 @@ class TestPageRank:
 
     def test_matches_a_row_by_row_reference_bit_for_bit(self, tmp_path, monkeypatch):
         # Ties in the ranking depend on the last bit of each score, so the
-        # sums must run in the reference's order: repeated pairs (in runs
-        # longer than 8, past numpy's pairwise-summation block), self-loops,
+        # sums must run in the reference's order: targets with more than 8
+        # sources (past numpy's pairwise-summation block), self-loops,
         # dangling and isolated nodes, and several damping and stopping
         # values, with each step split into runs of every size in STEP_PAIRS.
         rng = np.random.default_rng(12)
@@ -243,23 +240,23 @@ class TestPageRank:
             n = int(rng.integers(1, 25))
             ids = np.sort(rng.choice(10**9, size=n, replace=False))
             edges = ids[rng.integers(0, n, size=(int(rng.integers(0, 60)), 2))]
-            if case % 2:
-                edges = np.repeat(edges, rng.integers(1, 13, size=len(edges)), axis=0)
-                rng.shuffle(edges)
+            if case % 2:  # dense: up to every pair of the n nodes
+                edges = ids[rng.integers(0, n, size=(int(rng.integers(0, 4 * n * n)), 2))]
             if case % 5 == 0:
                 edges = np.concatenate([edges, np.repeat(ids[:1], 2)[None, :]])  # a self-loop
+            edges = np.unique(edges.reshape(-1, 2), axis=0)  # distinct pairs, ascending
             nodes = ids if len(edges) == 0 or case % 3 else ids[: n // 2]
             damping = float(rng.choice([0.85, 0.5, 0.99, 0.15]))
             tolerance = float(rng.choice([1e-12, 1e-6, 0.0]))
             max_iter = int(rng.choice([200, 7, 1]))
-            links, _ = loaded(tmp_path, edges.tolist(), nodes.tolist())
+            edges = [tuple(edge) for edge in edges.tolist()]
+            links, _ = loaded(tmp_path, edges, nodes.tolist())
             ids_ref, scores, converged, iterations = row_by_row_pagerank(
-                edges.tolist(), nodes.tolist(), damping, tolerance, max_iter
+                edges, nodes.tolist(), damping, tolerance, max_iter
             )
             for step_pairs in STEP_PAIRS:
                 monkeypatch.setattr(analytics, "_STEP_PAIRS", step_pairs)
-                result = pagerank(analytics.LinkKey(links.key.copy(), links.ids),
-                                  damping=damping, tolerance=tolerance, max_iter=max_iter)
+                result = pagerank(links, damping=damping, tolerance=tolerance, max_iter=max_iter)
                 assert result.node_ids.tolist() == ids_ref, (case, step_pairs)
                 assert np.array_equal(result.scores.view(np.int64), scores.view(np.int64)), (
                     case, step_pairs)
@@ -267,17 +264,16 @@ class TestPageRank:
                     case, step_pairs)
 
     @pytest.mark.parametrize("step_pairs", STEP_PAIRS)
-    def test_runs_cut_between_repeated_pairs_match_the_reference(self, tmp_path, monkeypatch,
-                                                                  step_pairs):
-        # Source 1 has nine distinct pairs, more than a run of 1, 2 or 7,
-        # with its self-loop and its last pair repeated. Source 2's last
-        # pair and source 3's first pair (a self-loop) are repeated, and
-        # 3 + 5 pairs do not fit in a run of 7, so every size but the
-        # default cuts a run between them. 4 to 9 are dangling, 10 isolated.
-        edges = [(1, t) for t in range(1, 10)] + [(1, 1), (1, 9), (1, 9)]
-        edges += [(2, 3), (2, 5), (2, 7), (2, 7)]
-        edges += [(3, 3), (3, 4), (3, 5), (3, 3), (3, 6), (3, 8), (3, 3), (3, 3)]
-        random.Random(step_pairs).shuffle(edges)
+    def test_runs_cut_between_sources_match_the_reference(self, tmp_path, monkeypatch,
+                                                          step_pairs):
+        # Source 1 has nine pairs, a self-loop among them, more than a run
+        # of 1, 2 or 7. Source 3's first pair is a self-loop, and 3 + 5
+        # pairs of sources 2 and 3 do not fit in a run of 7, so every size
+        # but the default cuts a run between them. 4 to 9 are dangling, 10
+        # isolated.
+        edges = [(1, t) for t in range(1, 10)]
+        edges += [(2, 3), (2, 5), (2, 7)]
+        edges += [(3, 3), (3, 4), (3, 5), (3, 6), (3, 8)]
         monkeypatch.setattr(analytics, "_STEP_PAIRS", step_pairs)
         result = pagerank(loaded(tmp_path, edges, range(1, 11))[0])
         ids, scores, converged, iterations = row_by_row_pagerank(
@@ -287,42 +283,46 @@ class TestPageRank:
         assert (result.converged, result.iterations) == (converged, iterations)
 
     def test_step_runs_end_only_between_sources(self):
-        # Pair counts 9, 3, 5, 0, 0 in runs of 7: the first source is a
+        # Link counts 9, 3, 5, 0, 0 in runs of 7: the first source is a
         # run of its own, the second does not fit with the third, and the
-        # sources without pairs join the last run. Patches become relative
-        # to their run's first pair.
-        patch_at = np.array([0, 8, 11, 12, 16])
-        runs = analytics._step_runs(np.array([9, 3, 5, 0, 0]), patch_at, 7)
+        # sources without links join the last run.
+        runs = analytics._step_runs(np.array([9, 3, 5, 0, 0]), 7)
         assert runs == [
-            (slice(0, 1), slice(0, 9), slice(0, 2)),
-            (slice(1, 2), slice(9, 12), slice(2, 3)),
-            (slice(2, 5), slice(12, 17), slice(3, 5)),
+            (slice(0, 1), slice(0, 9)),
+            (slice(1, 2), slice(9, 12)),
+            (slice(2, 5), slice(12, 17)),
         ]
-        assert patch_at.tolist() == [0, 8, 2, 0, 4]
-        assert analytics._step_runs(np.zeros(3, np.int64), np.empty(0, np.int64), 7) == []
+        assert analytics._step_runs(np.zeros(3, np.int64), 7) == []
 
-    def test_working_set_holds_one_run_of_flow(self):
-        # 400k distinct pairs over 50k nodes. A step holds the target rows,
-        # which pagerank reuses from the key, one run's flow and a few
-        # node-length vectors; a flow as long as the pair list would alone
-        # take 8 B per pair. The bound allows 2 B per pair, seven 8-byte
-        # vectors per node and 1 MiB for one run's flow and small arrays.
+    def test_loading_and_ranking_hold_4_bytes_per_link(self, tmp_path, monkeypatch):
+        # 600k links over 30k nodes, as graph writes them, read in blocks
+        # of 256 KiB. The target rows take 4 B per link; the node ids,
+        # titles, out-degrees and PageRank's node vectors about 90 B per
+        # node; and a block's parsing a few times its size. An int64 per
+        # link, 8 B, would exceed the bound by about 1 MB.
         import tracemalloc
 
-        pairs, nodes = 400_000, 50_000
+        links, nodes = 600_000, 30_000
         rng = np.random.default_rng(3)
         ids = np.cumsum(rng.integers(1, 4, size=nodes))
-        key = np.unique(rng.integers(0, nodes * nodes, size=pairs + 5_000))[:pairs]
-        rng.shuffle(key)
-        links = analytics.LinkKey(key, ids)
+        keys = np.unique(rng.integers(0, nodes * nodes, size=links))
+        sources, targets = ids[keys // nodes].tolist(), ids[keys % nodes].tolist()
+        edge_path, node_path = tmp_path / "g.csv", tmp_path / "g.nodes.csv"
+        edge_path.write_text(EDGE_HEADER.decode() + "".join(
+            f"{s},Page {s},{t},Page {t}\n" for s, t in zip(sources, targets)))
+        node_path.write_text(NODE_HEADER.decode() + "".join(
+            f"{i},Page {i}\n" for i in ids.tolist()))
+        monkeypatch.setattr(analytics, "_BLOCK_BYTES", 1 << 18)
         tracemalloc.start()
         try:
-            result = pagerank(links)
+            loaded_links, loaded_nodes = load_graph_file(edge_path, node_path)
+            result = pagerank(loaded_links, max_iter=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert result.converged
-        bound = 2 * pairs + 56 * nodes + 2**20
+        assert (len(loaded_links), len(loaded_nodes.ids), result.iterations) == (
+            len(keys), nodes, 3)
+        bound = 4 * len(keys) + 96 * nodes + 4 * analytics._BLOCK_BYTES
         assert peak <= bound, f"{peak:,} B traced, bound {bound:,} B"
 
     def test_rank_order_invariant_under_relabeling(self, tmp_path):
@@ -358,12 +358,14 @@ class TestPageRank:
         with pytest.raises(ConfigurationError):
             pagerank(loaded(tmp_path, [(1, 2)])[0], **option)
 
-    def test_graph_past_the_pair_key_is_refused(self, tmp_path, monkeypatch):
+    def test_graph_past_int32_rows_is_refused(self, tmp_path, monkeypatch):
         from wikilinks import analytics
 
-        # The largest (source, target) key, n * n - 1, must fit in int64.
+        # The last row, n - 1, must fit in int32, and the order check's
+        # largest key, n * n - 1, in int64.
         limit = analytics._MAX_NODES
-        assert limit * limit - 1 <= 2**63 - 1 < (limit + 1) * (limit + 1) - 1
+        assert limit - 1 < limit == np.iinfo(np.int32).max
+        assert limit * limit - 1 <= np.iinfo(np.int64).max
         monkeypatch.setattr(analytics, "_MAX_NODES", 2)
         assert pagerank(loaded(tmp_path, [(1, 2)])[0]).iterations > 0
         with pytest.raises(ConfigurationError, match="at most 2 nodes"):
@@ -396,7 +398,7 @@ class TestRankings:
         rng = random.Random(7)
         edges = [(i, i + 1 - 4 * (i % 4 == 3)) for i in range(40)]  # ten 4-rings
         edges += [(leaf, 100 + hub) for hub in range(5) for leaf in range(200 + 10 * hub, 205 + 10 * hub)]
-        edges += [(rng.randrange(300, 340), rng.randrange(300, 340)) for _ in range(60)]
+        edges += {(rng.randrange(300, 340), rng.randrange(300, 340)) for _ in range(60)}
         ids = sorted({n for edge in edges for n in edge} | set(range(400, 420)))
         titles = [f"T{rng.randrange(1000):03d}" for _ in ids]  # out of id order, some repeated
         result = pagerank(loaded(tmp_path, edges, ids)[0])
@@ -426,7 +428,6 @@ class TestRankings:
         title_of = dict(zip(ids, titles))
         edges = [(i, 1 + i % 7) for i in range(8, 301, 2)]  # the odd ids past 7 are isolated
         nodes = ids[:]
-        rng.shuffle(nodes)
         edge_path, node_path = tmp_path / "g.csv.gz", tmp_path / "g.nodes.csv.gz"
         emit_edges([(str(s), title_of[s], str(d), title_of[d]) for s, d in edges], edge_path)
         emit_nodes([(i, title_of[i]) for i in nodes], node_path)
@@ -499,37 +500,79 @@ class TestRankings:
     def test_load_graph_file_includes_isolated_nodes(self, tmp_path):
         edge_path, node_path = graph_files(tmp_path, [(1, 2)], [1, 2, 3])
         links, nodes = load_graph_file(edge_path, node_path)
-        assert links.key.dtype == np.int64 and decoded_pairs(links) == [(1, 2)]
+        assert links.targets.dtype == np.int32 and links.out_degree.dtype == np.int64
+        assert decoded_pairs(links) == [(1, 2)]
         assert dict(zip(nodes.ids.tolist(), nodes.titles)) == {1: "N1", 2: "N2", 3: "N3"}
 
     def test_load_graph_file_keeps_file_order(self, tmp_path):
-        edge_path, node_path = graph_files(tmp_path, [(7, 2), (2, 9), (2, 7)], [9, 2, 7])
+        edge_path, node_path = graph_files(tmp_path, [(2, 7), (2, 9), (7, 2)], [2, 7, 9])
         links, nodes = load_graph_file(edge_path, node_path)
         assert len(links) == 3
-        assert decoded_pairs(links) == [(7, 2), (2, 9), (2, 7)]
-        assert nodes.ids.tolist() == [9, 2, 7]
-        assert list(nodes.titles) == ["N9", "N2", "N7"]
+        assert (links.targets.tolist(), links.out_degree.tolist()) == ([1, 2, 0], [2, 1, 0])
+        assert decoded_pairs(links) == [(2, 7), (2, 9), (7, 2)]
+        assert nodes.ids.tolist() == [2, 7, 9]
+        assert list(nodes.titles) == ["N2", "N7", "N9"]
 
     def test_loaded_graph_ranks_bit_for_bit_as_the_reference(self, tmp_path):
-        # A pair listed seven times, a dangling and an isolated node, through
-        # the file; seven shares of 1/9 summed in order are not 7 * (1/9).
-        edges = [(2, 3), (3, 1), (1, 3), (3, 5), (5, 2), (1, 4)]
-        edges[1:1] = [(1, 2)] * 4
-        edges[4:4] = [(1, 2)] * 3
-        nodes = [6, 5, 4, 3, 2, 1]
+        # A dangling and an isolated node, through the file, ranked twice:
+        # pagerank only reads the links. Listed seven times, as a file
+        # out of the documented order may list it, the pair 1 -> 2 is
+        # refused at its second row.
+        edges = [(1, 2), (1, 3), (1, 4), (2, 3), (3, 1), (3, 5), (5, 2)]
+        nodes = [1, 2, 3, 4, 5, 6]
         links, _ = load_graph_file(*graph_files(tmp_path, edges, nodes))
-        result = pagerank(links)
         ids, scores, converged, iterations = row_by_row_pagerank(edges, nodes, 0.85, 1e-12, 200)
-        assert result.node_ids.tolist() == ids
-        assert np.array_equal(result.scores.view(np.int64), scores.view(np.int64))
-        assert (result.converged, result.iterations) == (converged, iterations)
-        with pytest.raises(ValueError, match="ranked already"):
-            pagerank(links)
+        for _ in range(2):
+            result = pagerank(links)
+            assert result.node_ids.tolist() == ids
+            assert np.array_equal(result.scores.view(np.int64), scores.view(np.int64))
+            assert (result.converged, result.iterations) == (converged, iterations)
+        edge_path, node_path = graph_files(tmp_path, edges[:1] * 7 + edges[1:], nodes)
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"{edge_path}: row 3 repeats the link from page id 1 to page id 2")):
+            load_graph_file(edge_path, node_path)
 
     def test_load_graph_file_refuses_a_node_id_listed_twice(self, tmp_path):
         edge_path, node_path = graph_files(tmp_path, [(1, 2)], [1, 2, 2])
         with pytest.raises(DataFormatError, match="page id 2 is listed twice"):
             load_graph_file(edge_path, node_path)
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(1, 2), (1, 3), (1, 2)], "row 4 links page id 1 to page id 2 after page id 1 to "
+                                   "page id 3, out of (page_id_from, page_id_to) order"),
+        ([(1, 2), (2, 1), (1, 3)], "row 4 links page id 1 to page id 3 after page id 2 to "
+                                   "page id 1, out of (page_id_from, page_id_to) order"),
+        ([(1, 2), (1, 3), (1, 3)], "row 4 repeats the link from page id 1 to page id 3"),
+    ])
+    def test_load_graph_file_refuses_edges_out_of_order(self, tmp_path, edges, message):
+        edge_path, node_path = graph_files(tmp_path, edges, [1, 2, 3])
+        with pytest.raises(DataFormatError, match=re.escape(f"{edge_path}: {message}")):
+            load_graph_file(edge_path, node_path)
+
+    @pytest.mark.parametrize("nodes, message", [
+        ([1, 3, 2], "row 4 lists page id 2 after page id 3, out of page-id order"),
+        ([1, 2, 3, 1], "row 5 lists page id 1 after page id 3, out of page-id order"),
+        ([1, 2, 2, 1], "page id 2 is listed twice"),  # the first fault in file order
+    ])
+    def test_load_graph_file_refuses_nodes_out_of_order(self, tmp_path, nodes, message):
+        edge_path, node_path = graph_files(tmp_path, [(1, 2)], nodes)
+        with pytest.raises(DataFormatError, match=re.escape(f"{node_path}: {message}")):
+            load_graph_file(edge_path, node_path)
+
+    def test_load_graph_file_reports_the_first_of_unlisted_and_out_of_order_edges(
+        self, tmp_path
+    ):
+        # Both are found only after every row is checked, in row order, in
+        # the same block or in later ones.
+        text = "".join(f"1,A,{t},T\n" for t in range(2, 70_002))
+        for tail, message in [
+            ("1,A,3,C\n1,A,70005,X\n", "row 70002 links page id 1 to page id 3 after"),
+            ("1,A,70001,T\n1,A,70005,X\n", "row 70002 repeats the link"),
+        ]:
+            edge_path, node_path = raw_graph_files(
+                tmp_path, text + tail, "".join(f"{i},T\n" for i in range(1, 70_002)))
+            with pytest.raises(DataFormatError, match=message):
+                load_graph_file(edge_path, node_path)
 
     def test_load_graph_file_refuses_an_endpoint_missing_from_the_nodes(self, tmp_path):
         edge_path, node_path = graph_files(tmp_path, [(1, 2), (1, 3), (3, 1)], [1, 2])
@@ -565,14 +608,15 @@ class TestRankings:
     def test_load_graph_file_reports_node_errors_before_unlisted_endpoints(
         self, tmp_path, node_text, message
     ):
-        edge_path, node_path = raw_graph_files(tmp_path, "1,A,3,C\n1,A,2,B\n", node_text)
+        edge_path, node_path = raw_graph_files(tmp_path, "1,A,2,B\n1,A,3,C\n", node_text)
         with pytest.raises(DataFormatError, match=message) as raised:
             load_graph_file(edge_path, node_path)
         assert str(raised.value).startswith(f"{node_path}: ")
 
     def test_load_graph_file_reports_the_first_unlisted_endpoint(self, tmp_path):
         edge_path, node_path = raw_graph_files(
-            tmp_path, "1,A,2,B\n" * 70_000 + "4,D,1,A\n1,A,3,C\n", "1,A\n2,B\n"
+            tmp_path, "".join(f"1,A,{t},T\n" for t in range(2, 70_002)) + "70004,D,1,A\n1,A,3,C\n",
+            "".join(f"{i},T\n" for i in range(1, 70_002)),
         )
         with pytest.raises(DataFormatError, match="row 70002 links a page"):
             load_graph_file(edge_path, node_path)
@@ -600,14 +644,29 @@ EDGE_HEADER = b"page_id_from,page_title_from,page_id_to,page_title_to\n"
 NODE_HEADER = b"page_id,page_title\n"
 # Titles with a comma, quotes, two- and three-byte UTF-8 and an empty one,
 # as DatasetWriter quotes them.
-GOOD_EDGES = (
-    '1,Plain,2,"Comma, title"\n'
-    '2,"Comma, title",3,"Say ""hi"""\n'
-    '3,"Say ""hi""",4,Café €\n'
-    "4,Café €,5,\n"
-    "5,,1,Plain\n"
-).encode()
-GOOD_NODES = '1,Plain\n2,"Comma, title"\n3,"Say ""hi"""\n4,Café €\n5,\n'.encode()
+GOOD_TITLES = ("Plain", '"Comma, title"', '"Say ""hi"""', "Café €", "")
+
+
+def good_edges(rings: int = 1) -> bytes:
+    """Edge rows of ``rings`` rings of five nodes, the k-th ring of ids
+    5k + 1 to 5k + 5 titled GOOD_TITLES: one link from each node, so the
+    rows ascend by (page_id_from, page_id_to) as graph writes them."""
+    return "".join(
+        f"{5 * ring + k + 1},{GOOD_TITLES[k]},{5 * ring + (k + 1) % 5 + 1},"
+        f"{GOOD_TITLES[(k + 1) % 5]}\n"
+        for ring in range(rings) for k in range(5)
+    ).encode()
+
+
+def good_nodes(rings: int = 1) -> bytes:
+    """The node rows of :func:`good_edges`' rings, in id order."""
+    return "".join(
+        f"{5 * ring + k + 1},{GOOD_TITLES[k]}\n" for ring in range(rings) for k in range(5)
+    ).encode()
+
+
+GOOD_EDGES = good_edges()
+GOOD_NODES = good_nodes()
 LIMIT = csv.field_size_limit()
 # Block sizes that cut GOOD_EDGES' rows inside "é" (6) and "€" (9, 10, 23).
 BLOCK_SIZES = (1, 2, 3, 6, 9, 10, 17, 23, 1 << 20)
@@ -634,8 +693,8 @@ def read_summary(edge_path, node_path):
             continue
         if read is load_graph_file:
             links, nodes = result
-            result = (links.key.tolist(), links.ids.tolist(), nodes.ids.tolist(),
-                      list(nodes.titles))
+            result = (links.targets.tolist(), links.out_degree.tolist(), links.ids.tolist(),
+                      nodes.ids.tolist(), list(nodes.titles))
         outcomes.append(result)
     return outcomes
 
@@ -666,7 +725,7 @@ class TestBlockReading:
     titles and errors as csv alone."""
 
     @pytest.mark.parametrize("edge_data, node_data", [
-        pytest.param(EDGE_HEADER + GOOD_EDGES * 9, NODE_HEADER + GOOD_NODES, id="valid"),
+        pytest.param(EDGE_HEADER + good_edges(9), NODE_HEADER + good_nodes(9), id="valid"),
         pytest.param(EDGE_HEADER, NODE_HEADER, id="header-only"),
         pytest.param(b"", NODE_HEADER, id="empty-file"),
         pytest.param(EDGE_HEADER[:-1], NODE_HEADER, id="header-without-newline"),
@@ -674,54 +733,63 @@ class TestBlockReading:
                      NODE_HEADER + GOOD_NODES, id="quoted-header"),
         pytest.param(EDGE_HEADER + GOOD_EDGES, b"\xef\xbb\xbf" + NODE_HEADER + GOOD_NODES,
                      id="bom"),
-        pytest.param(EDGE_HEADER + GOOD_EDGES * 4 + b"1,\xff,2,B\n", NODE_HEADER + GOOD_NODES,
+        pytest.param(EDGE_HEADER + good_edges(4) + b"1,\xff,2,B\n", NODE_HEADER + good_nodes(4),
                      id="invalid-utf8"),
         pytest.param(EDGE_HEADER + GOOD_EDGES, NODE_HEADER + GOOD_NODES + b"6,\xed\xa0\x80\n",
                      id="encoded-surrogate"),
-        pytest.param(EDGE_HEADER + GOOD_EDGES * 3 + b"1,A\x00,2,B\n", NODE_HEADER + GOOD_NODES,
+        pytest.param(EDGE_HEADER + good_edges(3) + b"15,A\x00,12,B\n", NODE_HEADER + good_nodes(3),
                      id="nul"),
-        pytest.param(EDGE_HEADER + GOOD_EDGES * 3 + b'1,"A,\x00",2,B\n', NODE_HEADER + GOOD_NODES,
+        pytest.param(EDGE_HEADER + good_edges(3) + b'15,"A,\x00",12,B\n',
+                     NODE_HEADER + good_nodes(3),
                      id="nul-in-quoted-title"),
-        pytest.param(EDGE_HEADER + GOOD_EDGES + b"1,A,2,B", NODE_HEADER + GOOD_NODES,
+        pytest.param(EDGE_HEADER + GOOD_EDGES + b"5,A,2,B", NODE_HEADER + GOOD_NODES,
                      id="no-final-newline"),
         pytest.param(EDGE_HEADER + GOOD_EDGES.replace(b"\n", b"\r\n"),
                      NODE_HEADER + GOOD_NODES, id="crlf"),
-        pytest.param(EDGE_HEADER + GOOD_EDGES + b'"1",A,2,B\n', NODE_HEADER + GOOD_NODES,
+        pytest.param(EDGE_HEADER + GOOD_EDGES + b'"5",A,2,B\n', NODE_HEADER + GOOD_NODES,
                      id="quoted-id"),
-        pytest.param(EDGE_HEADER + GOOD_EDGES * 2 + b'1,"two\nlines",2,B\n',
-                     NODE_HEADER + GOOD_NODES, id="newline-in-title"),
-        pytest.param(EDGE_HEADER + GOOD_EDGES * 3 + b"\n" + GOOD_EDGES, NODE_HEADER + GOOD_NODES,
+        pytest.param(EDGE_HEADER + good_edges(2) + b'10,"two\nlines",7,B\n',
+                     NODE_HEADER + good_nodes(2), id="newline-in-title"),
+        pytest.param(EDGE_HEADER + good_edges(3) + b"\n" + good_edges(4)[len(good_edges(3)):],
+                     NODE_HEADER + good_nodes(4),
                      id="blank-line"),
         pytest.param(EDGE_HEADER + GOOD_EDGES + b"9223372036854775807,A,1,B\n",
                      NODE_HEADER + GOOD_NODES + b"9223372036854775807,A\n", id="int64-max"),
         pytest.param(EDGE_HEADER + GOOD_EDGES + b"9223372036854775808,A,1,B\n",
                      NODE_HEADER + GOOD_NODES, id="past-int64"),
-        pytest.param(EDGE_HEADER + GOOD_EDGES + b"1,A,0000000000000000000000005,B\n",
+        pytest.param(EDGE_HEADER + GOOD_EDGES + b"5,A,0000000000000000000000005,B\n",
                      NODE_HEADER + GOOD_NODES, id="25-character-id"),
-        pytest.param(EDGE_HEADER + GOOD_EDGES + b"1,A,18446744073709551621,B\n",
+        pytest.param(EDGE_HEADER + GOOD_EDGES + b"5,A,18446744073709551621,B\n",
                      NODE_HEADER + GOOD_NODES, id="2**64-plus-5"),
-        pytest.param(EDGE_HEADER + GOOD_EDGES + b"1,A,%s,B\n" % (b"1" * (LIMIT + 1)),
+        pytest.param(EDGE_HEADER + GOOD_EDGES + b"5,A,%s,B\n" % (b"1" * (LIMIT + 1)),
                      NODE_HEADER + GOOD_NODES, id="id-past-limit"),
-        pytest.param(EDGE_HEADER + GOOD_EDGES * 40 + b"1,A,2\n", NODE_HEADER + GOOD_NODES,
+        pytest.param(EDGE_HEADER + good_edges(40) + b"1,A,2\n", NODE_HEADER + good_nodes(40),
                      id="width-fault-late"),
-        pytest.param(EDGE_HEADER + GOOD_EDGES * 40 + b"1,A,x,B\n", NODE_HEADER + GOOD_NODES,
+        pytest.param(EDGE_HEADER + good_edges(40) + b"1,A,x,B\n", NODE_HEADER + good_nodes(40),
                      id="digit-fault-late"),
-        pytest.param(EDGE_HEADER + GOOD_EDGES * 40 + b"1,A,-2,B\n", NODE_HEADER + GOOD_NODES,
+        pytest.param(EDGE_HEADER + good_edges(40) + b"1,A,-2,B\n", NODE_HEADER + good_nodes(40),
                      id="negative-id-late"),
-        pytest.param(EDGE_HEADER + GOOD_EDGES * 20 + b"1,A,2\n",
-                     NODE_HEADER + GOOD_NODES * 3 + b"x,B\n", id="edge-fault-before-node-fault"),
-        pytest.param(EDGE_HEADER + GOOD_EDGES * 20, NODE_HEADER + GOOD_NODES * 3 + b"7\n",
+        pytest.param(EDGE_HEADER + good_edges(20) + b"1,A,2\n",
+                     NODE_HEADER + good_nodes(20) + b"x,B\n", id="edge-fault-before-node-fault"),
+        pytest.param(EDGE_HEADER + good_edges(20), NODE_HEADER + good_nodes(20) + b"7\n",
                      id="node-fault"),
-        pytest.param(EDGE_HEADER + GOOD_EDGES, NODE_HEADER + GOOD_NODES * 2, id="duplicate-node"),
-        pytest.param(EDGE_HEADER + GOOD_EDGES * 8 + b"5,,6,\n" + GOOD_EDGES,
-                     NODE_HEADER + GOOD_NODES, id="unlisted-endpoint"),
-        pytest.param(EDGE_HEADER + GOOD_EDGES + b"1,%s,2,B\n" % (b"x" * LIMIT),
+        pytest.param(EDGE_HEADER + GOOD_EDGES, NODE_HEADER + GOOD_NODES + b"5,\n",
+                     id="duplicate-node"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES, NODE_HEADER + GOOD_NODES * 2,
+                     id="nodes-out-of-order"),
+        pytest.param(EDGE_HEADER + good_edges(8) + b"40,,41,\n" + GOOD_EDGES,
+                     NODE_HEADER + good_nodes(8), id="unlisted-endpoint"),
+        pytest.param(EDGE_HEADER + good_edges(8) + b"40,,36,\n" + GOOD_EDGES,
+                     NODE_HEADER + good_nodes(8), id="repeated-edge"),
+        pytest.param(EDGE_HEADER + good_edges(8) + GOOD_EDGES, NODE_HEADER + good_nodes(8),
+                     id="edges-out-of-order"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES + b"5,%s,2,B\n" % (b"x" * LIMIT),
                      NODE_HEADER + GOOD_NODES, id="field-at-limit"),
-        pytest.param(EDGE_HEADER + GOOD_EDGES + b"1,%s,2,B\n" % (b"x" * (LIMIT + 1)),
+        pytest.param(EDGE_HEADER + GOOD_EDGES + b"5,%s,2,B\n" % (b"x" * (LIMIT + 1)),
                      NODE_HEADER + GOOD_NODES, id="field-past-limit"),
-        pytest.param(EDGE_HEADER + GOOD_EDGES + b'1,"%s",2,B\n' % (b'""' * (LIMIT + 1)),
+        pytest.param(EDGE_HEADER + GOOD_EDGES + b'5,"%s",2,B\n' % (b'""' * (LIMIT + 1)),
                      NODE_HEADER + GOOD_NODES, id="quoted-field-past-limit"),
-        pytest.param(EDGE_HEADER + GOOD_EDGES + "1,{},2,B\n".format("é" * LIMIT).encode(),
+        pytest.param(EDGE_HEADER + GOOD_EDGES + "5,{},2,B\n".format("é" * LIMIT).encode(),
                      NODE_HEADER + GOOD_NODES, id="field-at-limit-past-it-in-bytes"),
     ])
     def test_blocks_read_as_csv(self, tmp_path, monkeypatch, edge_data, node_data):
@@ -731,23 +799,23 @@ class TestBlockReading:
 
     @pytest.mark.parametrize("suffix", [".csv.gz", ".csv"])
     def test_cuts_at_every_offset(self, tmp_path, monkeypatch, suffix):
-        edge_path = write_file(tmp_path / f"g{suffix}", EDGE_HEADER + GOOD_EDGES * 3)
-        node_path = write_file(tmp_path / f"g.nodes{suffix}", NODE_HEADER + GOOD_NODES)
+        edge_path = write_file(tmp_path / f"g{suffix}", EDGE_HEADER + good_edges(3))
+        node_path = write_file(tmp_path / f"g.nodes{suffix}", NODE_HEADER + good_nodes(3))
         assert_blocks_read_as_csv(monkeypatch, edge_path, node_path, range(1, 34))
 
-    @pytest.mark.parametrize("tail", [b"1,A,2,B", b"1,\xff,2,B\n", b"1,A,x,B\n"])
+    @pytest.mark.parametrize("tail", [b"20,A,17,B", b"1,\xff,2,B\n", b"1,A,x,B\n"])
     def test_plain_files(self, tmp_path, monkeypatch, tail):
-        edge_path = write_file(tmp_path / "g.csv", EDGE_HEADER + GOOD_EDGES * 4 + tail)
-        node_path = write_file(tmp_path / "g.nodes.csv", NODE_HEADER + GOOD_NODES)
+        edge_path = write_file(tmp_path / "g.csv", EDGE_HEADER + good_edges(4) + tail)
+        node_path = write_file(tmp_path / "g.nodes.csv", NODE_HEADER + good_nodes(4))
         assert_blocks_read_as_csv(monkeypatch, edge_path, node_path)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_files_read_as_csv(self, tmp_path, monkeypatch, seed):
         rng = random.Random(seed)
         titles = ["Plain", "Comma, title", 'Say "hi"', "Café €", "", "𝄞", ",", '"']
-        ids = rng.sample(range(1, 10**6), 6)
+        ids = sorted(rng.sample(range(1, 10**6), 6))
         nodes = [(i, rng.choice(titles)) for i in ids]
-        edges = [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 60))]
+        edges = sorted({(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 60))})
         edge_path, node_path = tmp_path / "g.csv.gz", tmp_path / "g.nodes.csv.gz"
         emit_edges([(str(s), f"T{s}", str(t), dict(nodes)[t]) for s, t in edges], edge_path)
         emit_nodes(nodes, node_path)
@@ -764,8 +832,8 @@ class TestBlockReading:
         assert_blocks_read_as_csv(monkeypatch, edge_path, node_path)
 
     def test_a_late_fault_names_its_row(self, tmp_path, monkeypatch):
-        edge_path = write_file(tmp_path / "g.csv.gz", EDGE_HEADER + GOOD_EDGES * 40 + b"1,A,x,B\n")
-        node_path = write_file(tmp_path / "g.nodes.csv.gz", NODE_HEADER + GOOD_NODES)
+        edge_path = write_file(tmp_path / "g.csv.gz", EDGE_HEADER + good_edges(40) + b"1,A,x,B\n")
+        node_path = write_file(tmp_path / "g.nodes.csv.gz", NODE_HEADER + good_nodes(40))
         message = f"{edge_path}: row 202 column page_id_to is not an id: 'x'"
         assert assert_blocks_read_as_csv(monkeypatch, edge_path, node_path) == [
             (DataFormatError, message)
@@ -775,8 +843,8 @@ class TestBlockReading:
     def test_an_undecodable_byte_names_its_line(self, tmp_path, monkeypatch, kind):
         # A 20-row file with 0xff in data row 18, line 19 counting the
         # header: csv, decoded 8 KB ahead, stands at row 0 when it fails.
-        edges = (GOOD_EDGES * 4).splitlines(keepends=True)
-        nodes = (GOOD_NODES * 4).splitlines(keepends=True)
+        edges = good_edges(4).splitlines(keepends=True)
+        nodes = good_nodes(4).splitlines(keepends=True)
         if kind == "edges":
             edges[17] = b"1,\xff,2,B\n"
         else:
@@ -798,8 +866,8 @@ class TestBlockReading:
         # short row; load_graph_file reports whichever fault comes first.
         if kind == "edges":
             past, short = b"9223372036854775808,A,1,B\n", b"1,A,2\n"
-            edges = EDGE_HEADER + GOOD_EDGES * 3 + (past + short if id_first else short + past)
-            nodes = NODE_HEADER + GOOD_NODES
+            edges = EDGE_HEADER + good_edges(3) + (past + short if id_first else short + past)
+            nodes = NODE_HEADER + good_nodes(3)
             width = "3 columns, expected 4"
         else:
             past, short = b"9223372036854775808,A\n", b"7\n"
@@ -818,8 +886,8 @@ class TestBlockReading:
 
     @pytest.mark.parametrize("damage", ["truncated", "bit-flipped"])
     def test_damaged_gzip_member(self, tmp_path, monkeypatch, damage):
-        edge_path = write_file(tmp_path / "g.csv.gz", EDGE_HEADER + GOOD_EDGES * 300)
-        node_path = write_file(tmp_path / "g.nodes.csv.gz", NODE_HEADER + GOOD_NODES)
+        edge_path = write_file(tmp_path / "g.csv.gz", EDGE_HEADER + good_edges(60))
+        node_path = write_file(tmp_path / "g.nodes.csv.gz", NODE_HEADER + good_nodes(60))
         data = bytearray(edge_path.read_bytes())
         if damage == "truncated":
             del data[len(data) // 2:]
@@ -864,7 +932,7 @@ class TestBlockReading:
         }
         ids = list(titles)
         rng = random.Random(16)
-        edges = [(rng.choice(ids), rng.choice(ids)) for _ in range(400)]
+        edges = sorted({(rng.choice(ids), rng.choice(ids)) for _ in range(400)})
         edge_path, node_path = tmp_path / "g.csv.gz", tmp_path / "g.nodes.csv.gz"
         emit_edges([(str(s), titles[s], str(t), titles[t]) for s, t in edges], edge_path)
         emit_nodes(titles.items(), node_path)

@@ -23,9 +23,9 @@ def base_args(out: Path) -> list[str]:
     return ["--lang", "en", "--output-dir", str(out)]
 
 
-def date_args() -> list[str]:
+def date_args(dates=FIXTURE_DATES) -> list[str]:
     args = []
-    for date in FIXTURE_DATES:
+    for date in dates:
         args += ["--date", date]
     return args
 
@@ -239,6 +239,14 @@ DAMAGED_FILES = {
 # first column, if any.
 DAMAGES = {"byte": None, "cut": None, "id": "x3", "0_1": "0_1", "space": " 3",
            "fullwidth": "\uff13", "short": None}
+# Damages to the order of the graph files, which pagerank checks: rows 3 and
+# 4 swapped, or row 3 repeated as row 4, each with what the fault's message
+# says of row 4.
+ORDER_DAMAGES = {
+    ("edges", "swap"): "links page id",
+    ("edges", "repeat"): "repeats the link",
+    ("nodes", "swap"): "lists page id",
+}
 
 
 @pytest.fixture(scope="module")
@@ -406,6 +414,52 @@ class TestSnapshotAndGraph:
             assert "Traceback" not in err
             (event,) = map(json.loads, err.splitlines())
             assert event["event"] == "fatal" and event["detail"].startswith(expected), stage
+
+    @pytest.mark.parametrize("kind, damage", list(ORDER_DAMAGES))
+    def test_graph_file_out_of_order_is_fatal(self, damaged_run, tmp_path, capsys, kind,
+                                              damage):
+        """pagerank exits 1 with one fatal event naming the file and the
+        row that breaks the order graph writes."""
+        out = tmp_path / "out"
+        shutil.copytree(damaged_run, out)
+        path = out / f"enwiki.{DAMAGED_FILES[kind][0]}.csv.gz"
+        lines = gzip.decompress(path.read_bytes()).splitlines(keepends=True)
+        if damage == "swap":
+            lines[2], lines[3] = lines[3], lines[2]
+        else:
+            lines.insert(3, lines[2])
+        path.write_bytes(gzip.compress(b"".join(lines), mtime=0))
+        capsys.readouterr()
+        assert cli.main(["pagerank", *base_args(out), "--date", "2018-03-01"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (event,) = map(json.loads, err.splitlines())
+        assert event["event"] == "fatal"
+        assert event["detail"].startswith(f"{path}: row 4 {ORDER_DAMAGES[kind, damage]} ")
+
+    def test_a_date_is_freed_before_the_next_is_built(self, tmp_path):
+        # Two dates of the same snapshot peak no higher than one: the first
+        # date's pages and nodes are gone before the second's are read.
+        # Kept, they added about 1 MB. The slack holds what CPython's free
+        # lists keep of the first date: 2,000 tuples of each size.
+        from wikilinks.snapshot import SNAPSHOT_LINK_FIELDS, write_resolved_redirects
+        from wikilinks.storage import DatasetWriter
+
+        pages = range(1, 5_001)
+        dates = ("2017-03-01", "2018-03-01")
+        for date in dates:
+            write_resolved_redirects(
+                tmp_path / f"enwiki.resolvedredirects.{date}.csv.gz",
+                ((str(i), f"Page {i}", "0", "", "", "article") for i in pages))
+            with DatasetWriter(tmp_path / f"enwiki.wikilinksnapshot.{date}.csv.gz",
+                               SNAPSHOT_LINK_FIELDS) as writer:
+                writer.write_rows((str(i), f"Page {i}", f"Page {1 + (i * k) % 5_000}",
+                                   "", "", "", "0", "0", "1")
+                                  for i in pages for k in (2, 3, 7))
+        assert cli.main(["graph", *base_args(tmp_path), "--date", dates[1]]) == 0  # imports
+        one = traced_peak(["graph", *base_args(tmp_path), "--date", dates[1]])
+        two = traced_peak(["graph", *base_args(tmp_path), *date_args(dates)])
+        assert two <= one + 2**18, f"{two:,} B traced for two dates, {one:,} B for one"
 
     def test_graph_requires_snapshot(self, out_dir, minidump_path):
         assert cli.main(["extract", *base_args(out_dir), str(minidump_path)]) == 0
@@ -888,6 +942,18 @@ def write_edge_text(out: Path, lines: str, date: str = "2018-03-01") -> None:
         f.write("page_id_from,page_title_from,page_id_to,page_title_to\n" + lines)
 
 
+def traced_peak(argv: list[str]) -> int:
+    """The ``tracemalloc`` peak of ``cli.main(argv)``, which must exit 0."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def stderr_events(capsys) -> list[dict]:
     return [json.loads(line) for line in capsys.readouterr().err.splitlines()]
 
@@ -1009,42 +1075,43 @@ class TestPagerankCommand:
         scores = [line.rsplit(b",", 1)[1] for line in produced.splitlines()[1:]]
         assert len(scores) == 2_000 and len(set(scores)) < 1_000  # long runs of equal scores
 
-    def test_repeated_pair_matches_the_row_by_row_reference(self, out_dir, tmp_path):
-        # graph never writes a pair twice, so only a hand-written file sends
-        # one through the file path. 1 -> 2 is listed three times out of
-        # five links of 1, and 1/5 + 1/5 + 1/5 != 3/5; 4 is dangling and 6
-        # is isolated.
-        import numpy as np
-        from test_analytics import row_by_row_pagerank
-        from wikilinks import analytics
+    def test_repeated_pair_is_refused(self, out_dir, capsys):
+        # graph never writes a pair twice. A hand-written file that lists
+        # 1 -> 2 three times, in (page_id_from, page_id_to) order
+        # otherwise, is refused at its first repeat, with no rankings.
+        write_edge_text(out_dir, "1,A,2,B\n1,A,2,B\n1,A,2,B\n1,A,3,C\n2,B,3,C\n")
+        graph.emit_nodes([(1, "A"), (2, "B"), (3, "C")],
+                         out_dir / "enwiki.wikilinkgraph.nodes.2018-03-01.csv.gz")
+        capsys.readouterr()
+        assert cli.main(["pagerank", *base_args(out_dir), "--date", "2018-03-01"]) == 1
+        (event,) = stderr_events(capsys)
+        edge_path = out_dir / "enwiki.wikilinkgraph.2018-03-01.csv.gz"
+        assert event == {"event": "fatal", "detail": (
+            f"{edge_path}: row 3 repeats the link from page id 1 to page id 2")}
+        assert not (out_dir / "enwiki.pagerank.2018-03-01.csv.gz").exists()
 
-        write_edge_text(
-            out_dir,
-            "1,A,2,B\n2,B,3,C\n1,A,2,B\n3,C,1,A\n1,A,3,C\n"
-            "3,C,5,E\n1,A,2,B\n5,E,2,B\n1,A,4,D\n",
-        )
-        nodes = [(1, "A"), (2, "B"), (3, "C"), (4, "D"), (5, "E"), (6, "F")]
-        graph.emit_nodes(nodes, out_dir / "enwiki.wikilinkgraph.nodes.2018-03-01.csv.gz")
-        assert cli.main(["pagerank", *base_args(out_dir), "--date", "2018-03-01"]) == 0
-
-        edges = [(1, 2), (2, 3), (1, 2), (3, 1), (1, 3), (3, 5), (1, 2), (5, 2), (1, 4)]
-        ids, scores, converged, iterations = row_by_row_pagerank(
-            edges, [i for i, _ in nodes], 0.85, 1e-12, 200
-        )
-        reference = analytics.PageRankResult(np.array(ids), scores, converged, iterations)
-        analytics.write_rankings(
-            analytics.rank_articles(reference, tuple(zip(*nodes))), tmp_path / "expected.csv.gz"
-        )
-        with gzip.open(out_dir / "enwiki.pagerank.2018-03-01.csv.gz", "rb") as f:
-            produced = f.read()
-        with gzip.open(tmp_path / "expected.csv.gz", "rb") as f:
-            assert produced == f.read()
+    def test_a_date_is_freed_before_the_next_is_read(self, out_dir):
+        # Two dates of the same graph peak no higher than one: the first
+        # date's nodes, scores and ranking are gone before the second
+        # date's files are read. Kept, they added about 1.2 MB. The slack
+        # holds what CPython's free lists keep of the first date.
+        ids = list(range(1, 40_001, 2))
+        edges = [(s, ids[(k * s) % len(ids)]) for s in ids[::2] for k in (1, 2, 3)]
+        nodes = [(i, f"Page {i}") for i in ids]
+        dates = ("2017-03-01", "2018-03-01")
+        for date in dates:
+            write_graph_files(out_dir, sorted(set(edges)), nodes, date=date)
+        assert cli.main(["pagerank", *base_args(out_dir), "--date", dates[1]]) == 0  # imports
+        one = traced_peak(["pagerank", *base_args(out_dir), "--date", dates[1]])
+        two = traced_peak(["pagerank", *base_args(out_dir), *date_args(dates)])
+        assert two <= one + 2**18, f"{two:,} B traced for two dates, {one:,} B for one"
 
     def test_peak_memory_per_edge(self, out_dir):
         # 25k nodes and 200k edges; the bound is 75 B per edge above a
-        # process that only imports what pagerank imports: numpy. It read
-        # 50-53 B per edge over twelve runs, and moves by 10-15 B with
-        # allocation order alone.
+        # process that only imports what pagerank imports: numpy. With an
+        # int64 key per edge it read 50-53 B per edge over twelve runs
+        # (43-50 B over three more); with int32 target rows, 39-40 B over
+        # three. It moves by 10-15 B with allocation order alone.
         import numpy as np
 
         rng = np.random.default_rng(5)
@@ -1065,16 +1132,16 @@ class TestPagerankCommand:
         assert per_edge <= 75, f"{per_edge:.0f} B per edge above the imports"
 
     def test_peak_memory_per_node(self, out_dir):
-        # 200k nodes with titles of about 50 characters and 200k edges. With
-        # the titles in one UTF-8 buffer and the ranking an array of rows,
-        # this read 180-189 B per node above the imports; with a str per
-        # title and a ranked object per node it read 325. The bound is
-        # between the two.
+        # 200k nodes with titles of about 50 characters and about 200k
+        # edges. With the titles in one UTF-8 buffer and the ranking an
+        # array of rows, this read 180-189 B per node above the imports;
+        # with a str per title and a ranked object per node it read 325.
+        # The bound is between the two.
         import numpy as np
 
         rng = np.random.default_rng(5)
         ids = np.cumsum(rng.integers(1, 4, size=200_000))
-        pairs = rng.integers(0, len(ids), size=(200_000, 2))
+        pairs = np.unique(rng.integers(0, len(ids), size=(200_000, 2)), axis=0)
         src, dst = ids[pairs[:, 0]].tolist(), ids[pairs[:, 1]].tolist()
 
         def title(i):

@@ -105,10 +105,10 @@ def run(out: Path, *argv: str) -> None:
     assert cli.main([*argv, "--lang", "en", "--output-dir", str(out)]) == 0
 
 
-def assert_matches_bruteforce(out: Path, whole: Path) -> None:
+def assert_matches_bruteforce(out: Path, whole: Path, drop_self_loops: bool = False) -> None:
     """Every date's edges and nodes in ``out`` equal the oracle's on ``whole``."""
     for date in DATES:
-        edges, nodes = bruteforce.snapshot_edges(whole, date)
+        edges, nodes = bruteforce.snapshot_edges(whole, date, drop_self_loops=drop_self_loops)
         produced_edges = [
             (int(r[0]), r[1], int(r[2]), r[3])
             for r in iter_rows(out / f"enwiki.wikilinkgraph.{date}.csv.gz", EDGE_FIELDS)
@@ -122,8 +122,8 @@ def assert_matches_bruteforce(out: Path, whole: Path) -> None:
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(histories(), st.sampled_from((1, 2)))
-def test_every_date_matches_bruteforce(history, jobs):
+@given(histories(), st.sampled_from((1, 2)), st.booleans())
+def test_every_date_matches_bruteforce(history, jobs, drop_self_loops):
     date_args = [arg for date in DATES for arg in ("--date", date)]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -132,8 +132,10 @@ def test_every_date_matches_bruteforce(history, jobs):
         out.mkdir()
         run(out, "extract", "--jobs", str(jobs), *map(str, dumps))
         run(out, "snapshot", *date_args)
-        run(out, "graph", *date_args)
-        assert_matches_bruteforce(out, whole)
+        run(out, "graph", *date_args, *["--drop-self-loops"] * drop_self_loops)
+        assert_matches_bruteforce(out, whole, drop_self_loops)
+        # pagerank refuses graph files out of the order graph writes them in.
+        run(out, "pagerank", *date_args)
 
         # Each date of the all-dates pass equals a snapshot of that date alone.
         alone = tmp / "alone"
