@@ -7,27 +7,29 @@ standard library; numpy is imported inside the functions that rank, so
 Graph files are read through :func:`storage.read_batches`, which checks
 each row against the file kind's fields and id columns, declared in
 :mod:`.graph`, and names each fault as :func:`storage.iter_rows` does. This
-module keeps each file kind's two parsers. A block of about 1 MB that the
+module keeps each file kind's parsers. A block of about 256 KB that the
 row pattern accepts ends each row with a line feed, so
-:func:`compute_stats` counts them, and :func:`load_graph_file` parses it
-with numpy; an id of more than 19 digits, or past ``2**63 - 1``, sends it
-to csv. The rows csv reads are parsed a row at a time, and the counts,
-ids, titles and errors are those of csv alone.
+:func:`compute_stats` counts them, and PageRank's readers parse it with
+numpy; an id of more than 19 digits, or past ``2**63 - 1``, sends it to
+csv. The rows csv reads are parsed a row at a time, and the counts, ids,
+titles and errors are those of csv alone.
 
-:func:`load_graph_file` reads the node file into int64 ids and
-:class:`Titles`, both in file order, and then streams the edge file into
-:class:`LinkRows`. Both files must be in the order ``graph`` writes them:
-node ids strictly ascending, and edges by strictly ascending
-(page_id_from, page_id_to), so no pair is listed twice; anything else is
-refused, never sorted. Titles come only from the node file, which must
-list every edge endpoint. They are held as one UTF-8 buffer and the
-offsets that bound each title: a node block's title bytes are copied
-straight into the buffer, and only quoted titles are unquoted, so a title
-is a ``str`` only while it is compared or quoted. Node ids are mapped to
-rows with a binary search over the ids, and each block of edges is
-checked on the keys ``source_row * n + target_row``, which must rise, and
-then kept as int32 target rows, appended, and counts added to an int64
-out-degree per node: 4 bytes per edge.
+The ``pagerank`` stage holds only what each phase needs.
+:func:`load_graph_file` reads the node file's ids alone, into int64, and
+then streams the edge file into :class:`LinkRows`. Both files must be in
+the order ``graph`` writes them: node ids strictly ascending, and edges by
+strictly ascending (page_id_from, page_id_to), so no pair is listed twice;
+anything else is refused, never sorted. Node ids are mapped to rows with a
+binary search over the ids, and each block of edges is checked on the keys
+``source_row * n + target_row``, which must rise, and then kept as int32
+target rows, appended, and counts added to an int32 out-degree per node: 4
+bytes per edge. Titles come only from the node file, which must list every
+edge endpoint. Once the iteration is done and the links are freed,
+:func:`read_titles` reads the node file again, for its titles, and refuses
+it unless its size, modification time, inode and ids are those of the first
+read. The titles are held as one UTF-8 buffer and the offsets that bound
+each title: a node block's title bytes are copied straight into the
+buffer, and only quoted titles are unquoted.
 
 PageRank is a matrix-free power iteration over the graph
 :func:`load_graph_file` read, its only input: each step spreads a node's
@@ -48,18 +50,21 @@ and adds its sources in ascending order, as a CSR matrix-vector product
 the same order of operations.
 
 Articles are ranked by descending score, and articles with exactly equal
-scores by title. A :class:`Ranking` is the node rows in rank order, an
-int64 array, and their scores; titles are decoded only inside runs of
-equal scores, where UTF-8 byte order is code-point order. The rankings
-file is formatted ``_RANKING_ROWS`` rows at a time into one string, with
-numpy, from the rows, the scores and the titles' buffer; only a title
-holding a comma, quote, carriage return or line feed is decoded, so that
-csv.writer itself writes it.
+scores by title, then by id. A :class:`Ranking` is the node rows in rank
+order, an int64 array, and their scores. The rows of runs of equal scores
+are ordered by numpy, about ``_TIE_ROWS`` at a time, on each title's first
+16 UTF-8 bytes, where byte order is code-point order; only titles longer
+than that which share those bytes are compared whole. The rankings file
+is formatted ``_RANKING_ROWS`` rows at a time into one string, with numpy,
+from the rows, the scores and the titles' buffer; only a title holding a
+comma, quote, carriage return or line feed is decoded, so that csv.writer
+itself writes it.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from array import array
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
@@ -77,8 +82,9 @@ if TYPE_CHECKING:
 RANKING_FIELDS = ("rank", "title", "score")
 GROWTH_FIELDS = ("language", "date", "nodes", "edges")
 _BATCH_ROWS = 1 << 16  # rows per batch read through csv
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 18  # a block's parsing temporaries stay below PageRank's arrays
 _STEP_PAIRS = 1 << 16  # links whose flow a PageRank step builds at a time
+_TIE_ROWS = 1 << 14  # tied ranking rows ordered at a time, in whole runs
 _RANKING_ROWS = 1024  # rankings rows formatted at once: about 0.4 MB of temporaries
 _MAX_NODES = 2**31 - 1  # target rows are int32
 
@@ -140,11 +146,23 @@ class Titles(Sequence[str]):
         return np.frombuffer(self._data, np.uint8)[_spans(starts, lengths)], lengths
 
 
-class GraphNodes(NamedTuple):
-    """The nodes of a graph: int64 ids and their titles, in the same order."""
+class NodeFile(NamedTuple):
+    """A node file whose ids :func:`load_graph_file` read: its path, and
+    its size, modification time and inode before that read."""
 
-    ids: np.ndarray
-    titles: Sequence[str]
+    path: str | Path
+    stat: tuple[int, int, int]
+
+    @classmethod
+    def of(cls, path: str | Path) -> NodeFile:
+        """The node file at ``path`` as it is now."""
+        return cls(path, _file_stat(path))
+
+
+def _file_stat(path: str | Path) -> tuple[int, int, int]:
+    """The size, modification time in ns and inode of a file."""
+    stat = os.stat(path)
+    return stat.st_size, stat.st_mtime_ns, stat.st_ino
 
 
 class Ranking(NamedTuple):
@@ -211,7 +229,7 @@ class LinkRows:
 
     A row indexes ``ids``, the graph's ``n`` node ids in ascending order.
     ``targets`` holds each link's target row as an int32, and
-    ``out_degree`` each row's number of links as an int64, so the links of
+    ``out_degree`` each row's number of links as an int32, so the links of
     row ``r`` are the ``out_degree[r]`` targets after those of the rows
     before it. ``len()`` is the number of links.
     """
@@ -298,19 +316,46 @@ def _edge_rows(rows: Iterator[list[str]]) -> tuple[int, tuple[np.ndarray, np.nda
     return len(sources), (np.frombuffer(sources, np.int64), np.frombuffer(targets, np.int64))
 
 
-def _block_nodes(block: bytes) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
-    """The number of rows of a block of node rows that the node file's
-    row pattern matched, and their ids, their titles' UTF-8 bytes,
-    concatenated, and where each title ends in them; None if an id has
-    more than 19 digits or is past ``2**63 - 1``."""
+def _node_columns(text: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Where each row of a block of node rows that the node file's row
+    pattern matched ends, where its first comma is, and the rows' ids; None
+    for the ids if one has more than 19 digits or is past ``2**63 - 1``."""
     import numpy as np
 
-    text = np.frombuffer(block, np.uint8)
     ends = np.flatnonzero(text == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
     commas = np.flatnonzero(text == ord(","))
     commas = commas[np.searchsorted(commas, starts)]  # an id holds no comma
-    ids = _parse_ids(text, starts, commas)
+    return ends, commas, _parse_ids(text, starts, commas)
+
+
+def _block_node_ids(block: bytes) -> tuple[int, np.ndarray] | None:
+    """The number of rows of a block of node rows that the node file's
+    row pattern matched, and their ids; None as for :func:`_node_columns`."""
+    import numpy as np
+
+    ids = _node_columns(np.frombuffer(block, np.uint8))[2]
+    return None if ids is None else (len(ids), ids)
+
+
+def _node_id_rows(rows: Iterator[list[str]]) -> tuple[int, np.ndarray]:
+    """The number of checked node rows, and their ids, appended a row at a
+    time."""
+    import numpy as np
+
+    ids = array("q", (int(row[0]) for row in rows))
+    return len(ids), np.frombuffer(ids, np.int64)
+
+
+def _block_nodes(block: bytes) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
+    """The number of rows of a block of node rows that the node file's
+    row pattern matched, and their ids, their titles' UTF-8 bytes,
+    concatenated, and where each title ends in them; None as for
+    :func:`_node_columns`."""
+    import numpy as np
+
+    text = np.frombuffer(block, np.uint8)
+    ends, commas, ids = _node_columns(text)
     if ids is None:
         return None
     # A title's bytes lie between its row's first comma and its "\n": +1 at
@@ -351,25 +396,53 @@ def _node_rows(
                       np.frombuffer(ends, np.int64))
 
 
-def _read_nodes(node_path: str | Path) -> GraphNodes:
-    """The node file's ids and titles, each title UTF-8 encoded into one
-    buffer, a batch at a time."""
+def _read_node_ids(node_path: str | Path) -> np.ndarray:
+    """The node file's ids, a batch at a time."""
     import numpy as np
 
     ids = array("q")
-    data, bounds = bytearray(), array("q", [0])
-    for _, (batch_ids, titles, ends) in read_batches(
-        node_path, NODE_FIELDS, NODE_ID_COLUMNS, _BLOCK_BYTES, _block_nodes, _node_rows,
+    for _, batch_ids in read_batches(node_path, NODE_FIELDS, NODE_ID_COLUMNS, _BLOCK_BYTES,
+                                     _block_node_ids, _node_id_rows, _BATCH_ROWS):
+        ids.frombytes(memoryview(batch_ids).cast("B"))
+    return np.frombuffer(ids, dtype=np.int64)
+
+
+def read_titles(nodes: NodeFile, ids: np.ndarray) -> Titles:
+    """The titles of the node file :func:`load_graph_file` read, read
+    again, in file order: that of ``ids``, the ids it read.
+
+    Rows are checked as :func:`load_graph_file` checks them, and each
+    batch's ids against ``ids``; each title is UTF-8 encoded into one
+    buffer. A file whose size, modification time or inode, before or after
+    this read, are not those :func:`load_graph_file` found, or whose ids
+    are not ``ids``, raises :class:`DataFormatError`: it changed between
+    the two reads.
+    """
+    import numpy as np
+
+    changed = DataFormatError(f"{nodes.path}: changed since pagerank read its ids")
+    if _file_stat(nodes.path) != nodes.stat:
+        raise changed
+    data, bounds = bytearray(), array("q", [0]) * (len(ids) + 1)
+    ends = np.frombuffer(bounds, np.int64)[1:]  # where each title ends in ``data``
+    taken = 0
+    for rows, (batch_ids, titles, batch_ends) in read_batches(
+        nodes.path, NODE_FIELDS, NODE_ID_COLUMNS, _BLOCK_BYTES, _block_nodes, _node_rows,
         _BATCH_ROWS,
     ):
-        ids.frombytes(memoryview(batch_ids).cast("B"))
-        bounds.frombytes(memoryview(ends + len(data)).cast("B"))
+        if not np.array_equal(batch_ids, ids[taken:taken + rows]):
+            raise changed
+        np.add(batch_ends, len(data), out=ends[taken:taken + rows])
         data += memoryview(titles)
-    return GraphNodes(np.frombuffer(ids, dtype=np.int64), Titles(data, bounds))
+        taken += rows
+    if taken != len(ids) or _file_stat(nodes.path) != nodes.stat:
+        raise changed
+    return Titles(data, bounds)
 
 
-def load_graph_file(edge_path: str | Path, node_path: str | Path) -> tuple[LinkRows, GraphNodes]:
-    """The edges as :class:`LinkRows`, and the nodes in file order.
+def load_graph_file(edge_path: str | Path, node_path: str | Path) -> tuple[LinkRows, NodeFile]:
+    """The edges as :class:`LinkRows`, and the node file whose ids they
+    index, for :func:`read_titles` to read the titles from.
 
     Rows are checked as :func:`compute_stats` checks them. Both files must
     be in the order ``graph`` writes them: node ids strictly ascending, and
@@ -383,7 +456,7 @@ def load_graph_file(edge_path: str | Path, node_path: str | Path) -> tuple[LinkR
 
     Both files are read in blocks, as :func:`compute_stats` reads them,
     and numpy parses each block the pattern accepts: the ids of the edge
-    file, and the ids and titles of the node file. From the first block it
+    file, and the ids alone of the node file. From the first block it
     refuses, or one with an id of more than 19 digits or past
     ``2**63 - 1``, the rest of that file is read through csv. Each batch of
     edges is checked and then appended as target rows and added to the
@@ -395,9 +468,9 @@ def load_graph_file(edge_path: str | Path, node_path: str | Path) -> tuple[LinkR
         return read_batches(edge_path, EDGE_FIELDS, EDGE_ID_COLUMNS, _BLOCK_BYTES, _block_ids,
                             _edge_rows, _BATCH_ROWS)
 
+    nodes = NodeFile.of(node_path)
     try:
-        nodes = _read_nodes(node_path)
-        ids = nodes.ids
+        ids = _read_node_ids(node_path)
         falls = np.flatnonzero(ids[1:] <= ids[:-1])
         if len(falls):
             before, after = ids[falls[0]:falls[0] + 2].tolist()
@@ -414,7 +487,7 @@ def load_graph_file(edge_path: str | Path, node_path: str | Path) -> tuple[LinkR
         raise
     n = len(ids)
     targets = array("i")
-    out_degree = np.zeros(n, np.int64)
+    out_degree = np.zeros(n, np.int32)
     last = -1  # the key of the last edge taken: keys rise strictly
 
     def take(first: int, source_ids: np.ndarray, target_ids: np.ndarray) -> str | None:
@@ -542,7 +615,7 @@ def _step_runs(out_degree: np.ndarray, size: int) -> list[tuple[slice, slice]]:
     """
     import numpy as np
 
-    ends = np.cumsum(out_degree)
+    ends = np.cumsum(out_degree, dtype=np.int64)
     total = int(ends[-1])
     runs = []
     source = link = 0
@@ -556,32 +629,103 @@ def _step_runs(out_degree: np.ndarray, size: int) -> list[tuple[slice, slice]]:
     return runs
 
 
-def rank_articles(result: PageRankResult, nodes: GraphNodes) -> Ranking:
+def rank_articles(result: PageRankResult, titles: Sequence[str]) -> Ranking:
     """Descending by score; equal scores by title, then by id.
 
-    ``nodes`` are the ranked graph's nodes, as :func:`load_graph_file`
-    returns them, in any order; their ids must be exactly the ranked ids,
-    and the ranking's rows index them. One stable sort orders the scores;
-    titles are decoded and compared only inside runs of equal scores.
+    ``titles`` are the ranked nodes' titles in the order of their ids,
+    ascending, as :func:`read_titles` returns them, one per ranked id; the
+    ranking's rows index them. One stable sort orders the scores, so each
+    run of equal scores holds its rows in ascending id order, and
+    :func:`_order_ties` orders the runs by title.
     """
     import numpy as np
 
-    ids, titles = nodes
-    ids = np.asarray(ids, dtype=np.int64)
-    by_id = np.argsort(ids, kind="stable")
-    if not np.array_equal(ids[by_id], result.node_ids):
+    if len(titles) != len(result.node_ids):
         raise ValueError("the titles must cover exactly the ranked nodes")
-
+    if not isinstance(titles, Titles):
+        titles = Titles.of(titles)
     scores = result.scores
-    order = np.argsort(-scores, kind="stable")
-    ordered = scores[order]
-    rows = by_id[order]  # ascending id inside each run of equal scores
-    del by_id, order
-    bounds = np.concatenate(([0], np.flatnonzero(ordered[1:] != ordered[:-1]) + 1, [len(rows)]))
-    ties = np.flatnonzero(np.diff(bounds) > 1)
-    for lo, hi in zip(bounds[ties].tolist(), bounds[ties + 1].tolist()):
-        rows[lo:hi] = sorted(rows[lo:hi].tolist(), key=titles.__getitem__)
+    rows = np.argsort(-scores, kind="stable")
+    ordered = scores[rows]
+    _order_ties(rows, ordered, titles)
     return Ranking(rows, ordered, titles)
+
+
+def _order_ties(rows: np.ndarray, ordered: np.ndarray, titles: Titles) -> None:
+    """Orders the ``rows`` of each run of equal ``ordered`` scores by
+    title, in place; equal titles keep their order.
+
+    The tied rows are sorted about ``_TIE_ROWS`` at a time, in whole runs,
+    as :func:`_step_runs` cuts them (a longer run is sorted alone).
+    """
+    import numpy as np
+
+    firsts = np.concatenate(([0], np.flatnonzero(ordered[1:] != ordered[:-1]) + 1))
+    sizes = np.diff(firsts, append=len(rows))
+    tied = sizes > 1
+    firsts, sizes = firsts[tied], sizes[tied]
+    if len(sizes):
+        for runs, _ in _step_runs(sizes, _TIE_ROWS):
+            _sort_tied(rows, titles, firsts[runs], sizes[runs])
+
+
+def _sort_tied(rows: np.ndarray, titles: Titles, firsts: np.ndarray, sizes: np.ndarray) -> None:
+    """Sorts the runs of ``rows`` that start at ``firsts`` and hold
+    ``sizes`` rows each by title, in place, keeping the order of equal
+    titles.
+
+    One stable sort keys each row on its run, its title's first 16 UTF-8
+    bytes as two big-endian words (zeros past its end), and its length up
+    to 17: UTF-8 byte order is code-point order, and the length puts a
+    title before itself followed by NULs. Titles longer than 16 bytes that
+    share all of these keys are then compared whole, by ``sorted``. About
+    56 bytes per row are held.
+    """
+    import numpy as np
+
+    at = _spans(firsts, sizes)  # the rows' places in ``rows``
+    batch = rows[at]
+    data = np.frombuffer(titles._data, np.uint8)
+    bounds = np.frombuffer(titles._bounds, np.int64)
+    starts = bounds[batch]
+    left = bounds[batch + 1]
+    left -= starts  # each title's bytes not yet taken into its words
+    length = np.minimum(left, 17).astype(np.uint8)
+    high, low = np.zeros(len(batch), np.uint64), np.zeros(len(batch), np.uint64)
+    if len(data):
+        for word in (high, low):
+            for _ in range(8):
+                byte = data.take(starts, mode="clip")
+                byte[left <= 0] = 0
+                word <<= 8
+                word |= byte
+                starts += 1
+                left -= 1
+    del starts, left
+    run = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    order = np.lexsort((length, low, high, run))
+    # Neighbours in sorted order whose keys are equal, both titles longer
+    # than 16 bytes.
+    same = length[order] == 17
+    same = same[1:] & same[:-1]
+    for key in (run, high, low):
+        key = key[order]
+        same &= key[1:] == key[:-1]
+    del run, high, low, length
+    batch = batch[order]
+    del order
+    pairs = np.flatnonzero(same)
+    if len(pairs):
+        buffer, offsets = titles._data, titles._bounds
+
+        def utf8(row: int) -> bytearray:
+            return buffer[offsets[row]:offsets[row + 1]]
+
+        group_firsts = pairs[np.diff(pairs, prepend=-2) > 1]
+        group_ends = pairs[np.diff(pairs, append=pairs[-1] + 2) > 1] + 2
+        for lo, hi in zip(group_firsts.tolist(), group_ends.tolist()):
+            batch[lo:hi] = sorted(batch[lo:hi].tolist(), key=utf8)
+    rows[at] = batch
 
 
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -379,10 +379,11 @@ def cmd_pagerank(config: RunConfig, args: argparse.Namespace) -> int:
 def _pagerank_date(args: argparse.Namespace, label: str, paths: tuple[Path, Path],
                    out: str | Path) -> None:
     """Ranks one date's graph and writes its rankings; its arrays are freed
-    on return, before the next date is read."""
+    on return, before the next date is read. Each phase holds only what it
+    needs: the titles are read once the links are freed."""
     from . import analytics
 
-    links, nodes = analytics.load_graph_file(*paths)
+    links, node_file = analytics.load_graph_file(*paths)
     result = analytics.pagerank(
         links,
         damping=args.damping,
@@ -390,12 +391,12 @@ def _pagerank_date(args: argparse.Namespace, label: str, paths: tuple[Path, Path
         max_iter=args.max_iter,
     )
     del links  # ranking and writing need only the scores and the titles
-    ranking = analytics.rank_articles(result, nodes)
+    ranking = analytics.rank_articles(result, analytics.read_titles(node_file, result.node_ids))
     analytics.write_rankings(ranking, out)
     _event(
         "pagerank-done",
         date=label,
-        nodes=len(nodes.ids),
+        nodes=len(result.node_ids),
         converged=result.converged,
         iterations=result.iterations,
         top=[(title, float(f"{score:.6g}")) for title, score in ranking.head(3)],

@@ -1090,6 +1090,41 @@ class TestPagerankCommand:
             f"{edge_path}: row 3 repeats the link from page id 1 to page id 2")}
         assert not (out_dir / "enwiki.pagerank.2018-03-01.csv.gz").exists()
 
+    @pytest.mark.parametrize("change", ["rewritten", "replaced", "touched"])
+    def test_node_file_changed_after_the_iteration_is_refused(self, out_dir, capsys,
+                                                              monkeypatch, change):
+        # The titles are read from the node file again once the iteration
+        # is done. Rewritten with other titles, replaced by a copy of the
+        # same bytes and modification time (another inode), or only
+        # touched, it is refused, and no rankings are written.
+        from wikilinks import analytics
+
+        write_graph_files(out_dir, [(1, 2), (2, 3), (3, 1)], [(1, "A"), (2, "B"), (3, "C")])
+        node_path = out_dir / "enwiki.wikilinkgraph.nodes.2018-03-01.csv.gz"
+        iterate = analytics.pagerank
+
+        def iterate_then_change(*args, **kwargs):
+            result = iterate(*args, **kwargs)
+            stat = node_path.stat()
+            if change == "rewritten":
+                graph.emit_nodes([(1, "A"), (2, "B"), (3, "Gamma")], node_path)
+            elif change == "replaced":
+                copy = node_path.with_name("copy")
+                shutil.copyfile(node_path, copy)
+                os.utime(copy, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+                os.replace(copy, node_path)
+            else:
+                os.utime(node_path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1))
+            return result
+
+        monkeypatch.setattr(analytics, "pagerank", iterate_then_change)
+        capsys.readouterr()
+        assert cli.main(["pagerank", *base_args(out_dir), "--date", "2018-03-01"]) == 1
+        assert stderr_events(capsys) == [
+            {"event": "fatal", "detail": f"{node_path}: changed since pagerank read its ids"}]
+        assert not list(out_dir.glob("enwiki.pagerank.*"))
+        assert not list(out_dir.glob("*.partial"))
+
     def test_a_date_is_freed_before_the_next_is_read(self, out_dir):
         # Two dates of the same graph peak no higher than one: the first
         # date's nodes, scores and ranking are gone before the second
