@@ -68,7 +68,6 @@ import os
 from array import array
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -89,16 +88,14 @@ _RANKING_ROWS = 1024  # rankings rows formatted at once: about 0.4 MB of tempora
 _MAX_NODES = 2**31 - 1  # target rows are int32
 
 
-@dataclass(frozen=True, slots=True)
-class GraphStats:
+class GraphStats(NamedTuple):
     language: str
     date: str
     node_count: int
     edge_count: int
 
 
-@dataclass(frozen=True, slots=True)
-class PageRankResult:
+class PageRankResult(NamedTuple):
     node_ids: np.ndarray  # sorted int64 ids
     scores: np.ndarray
     converged: bool
@@ -223,7 +220,6 @@ def write_growth_series(stats: Iterable[GraphStats], path: str | Path) -> int:
         return writer.rows_written
 
 
-@dataclass(frozen=True, slots=True)
 class LinkRows:
     """A graph's links as rows of its node ids, in (source, target) order.
 
@@ -234,9 +230,12 @@ class LinkRows:
     before it. ``len()`` is the number of links.
     """
 
-    targets: np.ndarray
-    out_degree: np.ndarray
-    ids: np.ndarray
+    __slots__ = ("targets", "out_degree", "ids")
+
+    def __init__(self, targets: np.ndarray, out_degree: np.ndarray, ids: np.ndarray) -> None:
+        self.targets = targets
+        self.out_degree = out_degree
+        self.ids = ids
 
     def __len__(self) -> int:
         return len(self.targets)

@@ -20,7 +20,6 @@ import time
 import zlib
 from collections import Counter
 from contextlib import ExitStack
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -56,28 +55,41 @@ def _event(event: str, **fields) -> None:
     print(json.dumps({"event": event, **fields}, sort_keys=True), file=sys.stderr)
 
 
-@dataclass
 class RunConfig:
     """Validated settings shared by the subcommands."""
 
-    language: str
-    output_dir: Path
-    inputs: list[Path] = field(default_factory=list)
-    dates: list[SnapshotDate] = field(default_factory=yearly_snapshot_dates)
-    jobs: int = 1
-    codec: str | None = None
-    strip_inert_spans: bool = False
-    drop_self_loops: bool = False
-    sevenzip_command: tuple[str, ...] = DEFAULT_SEVENZIP
-    profiles_path: Path | None = None
+    __slots__ = ("language", "output_dir", "inputs", "dates", "jobs", "codec",
+                 "strip_inert_spans", "drop_self_loops", "sevenzip_command", "profiles_path")
 
-    def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ConfigurationError(f"--jobs must be >= 1, got {self.jobs}")
-        labels = [d.label for d in self.dates]
+    def __init__(
+        self,
+        language: str,
+        output_dir: Path,
+        inputs: list[Path] | None = None,
+        dates: list[SnapshotDate] | None = None,
+        jobs: int = 1,
+        codec: str | None = None,
+        strip_inert_spans: bool = False,
+        drop_self_loops: bool = False,
+        sevenzip_command: tuple[str, ...] = DEFAULT_SEVENZIP,
+        profiles_path: Path | None = None,
+    ) -> None:
+        if jobs < 1:
+            raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
+        dates = yearly_snapshot_dates() if dates is None else dates
+        labels = [d.label for d in dates]
         if len(set(labels)) != len(labels):
             raise ConfigurationError(f"duplicate snapshot dates: {labels}")
-        self.dates = sorted(self.dates, key=lambda d: d.instant)
+        self.language = language
+        self.output_dir = output_dir
+        self.inputs = [] if inputs is None else inputs
+        self.dates = sorted(dates, key=lambda d: d.instant)
+        self.jobs = jobs
+        self.codec = codec
+        self.strip_inert_spans = strip_inert_spans
+        self.drop_self_loops = drop_self_loops
+        self.sevenzip_command = sevenzip_command
+        self.profiles_path = profiles_path
 
     def profile(self) -> LanguageProfile:
         from .wikitext import get_profile, load_profiles
@@ -308,7 +320,7 @@ def cmd_snapshot(config: RunConfig) -> int:
             for date in dates
         ]
         snapshot.write_snapshot_links(writers, snapshot.build_link_snapshot(
-            pipeline.read_raw_records(raw_shards), selection
+            pipeline.read_raw_records(raw_shards, selection.revisions), selection
         ))
     for (label, pages, cycles), writer in zip(done, writers):
         _event(

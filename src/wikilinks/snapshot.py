@@ -13,16 +13,20 @@ timestamps compare as fixed-width strings. So one scan of the redirect
 history finds the revision every date selects for each page
 (:func:`select_snapshot_revisions`), and one scan of the raw links sends each
 link of a selected revision to every date that selected it
-(:func:`build_link_snapshot`). Memory holds one entry per selected revision
-and one per title, not one per page and date. Links travel as
-``wikilinksnapshot`` CSV rows from the raw links to the graph stage, and
-resolved pages as ``resolvedredirects`` rows from the date's state to it.
+(:func:`build_link_snapshot`). That scan parses only the selected
+revisions' rows: :func:`pipeline.read_raw_records` checks every raw row in
+blocks, splits each block into runs of one revision's rows, and hands csv
+only the runs of selected revisions; a block it refuses, such as one with a
+line feed in an anchor, sends the rest of its shard to csv, row by row.
+Memory holds one entry per selected revision and one per title, not one
+per page and date. Links travel as ``wikilinksnapshot`` CSV rows from the
+raw links to the graph stage, and resolved pages as ``resolvedredirects``
+rows from the date's state to it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -65,15 +69,34 @@ SNAPSHOT_LINK_FIELDS = (
 SNAPSHOT_LINK_ID_COLUMNS = (0,)
 
 
-@dataclass(frozen=True, slots=True)
 class SnapshotDate:
-    """A snapshot instant; revisions strictly before it belong to the snapshot."""
+    """A snapshot instant; revisions strictly before it belong to the snapshot.
 
-    instant: datetime
+    An instant without a time zone is taken as UTC. Dates are read-only,
+    and equal, and hash alike, when their instants are equal.
+    """
 
-    def __post_init__(self) -> None:
-        if self.instant.tzinfo is None:
-            object.__setattr__(self, "instant", self.instant.replace(tzinfo=timezone.utc))
+    __slots__ = ("_instant",)
+
+    def __init__(self, instant: datetime) -> None:
+        if instant.tzinfo is None:
+            instant = instant.replace(tzinfo=timezone.utc)
+        self._instant = instant
+
+    @property
+    def instant(self) -> datetime:
+        return self._instant
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SnapshotDate):
+            return NotImplemented
+        return self._instant == other._instant
+
+    def __hash__(self) -> int:
+        return hash(self._instant)
+
+    def __repr__(self) -> str:
+        return f"SnapshotDate({self._instant!r})"
 
     @classmethod
     def of(cls, value: str) -> "SnapshotDate":
@@ -118,7 +141,6 @@ def yearly_snapshot_dates(first: int = 2001, last: int = 2018) -> list[SnapshotD
 PageState = tuple[int, str | None, str | None]
 
 
-@dataclass(slots=True)
 class Selection:
     """The revisions a run's dates select, from one pass over the redirect history.
 
@@ -129,9 +151,17 @@ class Selection:
     of the date indexes at which a page with that title exists.
     """
 
-    revisions: dict[tuple[int, int], tuple[int, int, str, str | None, str | None]]
-    titles: dict[str, int]
-    date_count: int
+    __slots__ = ("revisions", "titles", "date_count")
+
+    def __init__(
+        self,
+        revisions: dict[tuple[int, int], tuple[int, int, str, str | None, str | None]],
+        titles: dict[str, int],
+        date_count: int,
+    ) -> None:
+        self.revisions = revisions
+        self.titles = titles
+        self.date_count = date_count
 
     def states(self) -> Iterator[dict[str, PageState]]:
         """The state of every page at each date in turn, keyed by title.
@@ -267,7 +297,8 @@ def build_link_snapshot(
     """``(date index, wikilinksnapshot row)`` for every link of a selected revision.
 
     ``records`` are raw link rows, as :func:`pipeline.read_raw_records`
-    yields them; each date's rows come out in that order. Targets are
+    yields them for ``selection.revisions``; rows of other revisions are
+    skipped. Each date's rows come out in that order. Targets are
     normalized once per row; links whose target normalizes to nothing (pure
     fragment links like ``[[#top]]``) are dropped. ``is_active`` records
     whether the target title existed at the date; redirect pages count as

@@ -15,8 +15,8 @@ Every stage reads dataset files through :func:`iter_rows`, which checks
 the header, each row's width and that each id column (one some stage
 parses with ``int()``) is ASCII digits, and turns every read fault into a
 :class:`DataFormatError` naming the path and the line or row.
-:func:`read_batches` reads graph files in blocks that a regular expression
-accepts, and the rest through :func:`iter_rows`.
+:func:`read_batches` reads graph files and raw-link shards in blocks that a
+regular expression accepts, and the rest through :func:`iter_rows`.
 """
 
 from __future__ import annotations

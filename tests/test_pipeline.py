@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import csv
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wikilinks.cli import _sort_into
 from wikilinks.dump import filter_namespace, read_pages
@@ -12,6 +17,7 @@ from wikilinks.pipeline import (
     REDIRECT_FIELDS,
     REDIRECT_ID_COLUMNS,
     extract_all,
+    raw_rows_text,
     raw_sort_key,
     read_raw_records,
     read_redirect_events,
@@ -95,12 +101,14 @@ class TestExtractAll:
 
     def test_sink_failure_aborts_with_partial_marker(self, tmp_path):
         class FailingWriter(DatasetWriter):
-            def write_row(self, row):
+            # Raw rows are written a page at a time; the second page fails.
+            def write_text(self, text, rows):
                 if self.rows_written >= 1:
                     raise OSError("disk full")
-                super().write_row(row)
+                super().write_text(text, rows)
 
-        pages = pages_from(page_xml("P", 1, [dict(BASIC_REV, text="[[A]] [[B]]")]))
+        pages = pages_from(page_xml("P", 1, [dict(BASIC_REV, text="[[A]] [[B]]")]),
+                           page_xml("Q", 2, [dict(BASIC_REV, text="[[C]]")]))
         raw = tmp_path / "raw.csv.gz"
         sink = FailingWriter(raw, RAW_LINK_FIELDS)
         redirect_sink = DatasetWriter(tmp_path / "redirects.csv.gz", REDIRECT_FIELDS)
@@ -113,6 +121,39 @@ class TestExtractAll:
         pages = pages_from(page_xml("P", 1, [dict(BASIC_REV, text=text)]))
         summary, _, _ = run_extract(tmp_path, pages, strip=True)
         assert summary.links == 1
+
+
+# Fields with commas, quotes, carriage returns, line feeds, leading and
+# trailing spaces, empty strings and characters of 1 to 4 UTF-8 bytes.
+RAW_FIELD = st.text(st.sampled_from(',"\r\n a\xe9\u20ac\U0001d11e') | st.characters(codec="utf-8"),
+                    max_size=6)
+REVISION_COLUMNS = st.lists(RAW_FIELD, min_size=9, max_size=9)
+LINK_COLUMNS = st.lists(st.tuples(*[RAW_FIELD] * 6), max_size=4)
+
+
+class TestRawRowsText:
+    """A revision's raw rows, formatted as one string, are the bytes of a
+    row-by-row write of the 15-column rows."""
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(REVISION_COLUMNS, LINK_COLUMNS)
+    def test_equals_row_by_row_csv(self, revision, links):
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows([*revision, *link] for link in links)
+        assert raw_rows_text(revision, links) == expected.getvalue()
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(REVISION_COLUMNS, LINK_COLUMNS), max_size=4))
+    def test_page_text_writes_the_bytes_of_row_writes(self, page):
+        rows = [(*revision, *link) for revision, links in page for link in links]
+        with tempfile.TemporaryDirectory() as directory:
+            by_text, by_rows = Path(directory, "text.csv.gz"), Path(directory, "rows.csv.gz")
+            with DatasetWriter(by_text, RAW_LINK_FIELDS) as writer:
+                writer.write_text("".join(raw_rows_text(*revision) for revision in page),
+                                  len(rows))
+            with DatasetWriter(by_rows, RAW_LINK_FIELDS) as writer:
+                writer.write_rows(rows)
+            assert by_text.read_bytes() == by_rows.read_bytes()
 
 
 class TestRedirectHistory:
@@ -186,7 +227,8 @@ class TestSortAndMerge:
                           row(3, 30, "2016-01-01T00:00:00Z", "a2")])
         with DatasetWriter(shard_b, RAW_LINK_FIELDS) as w:
             w.write_rows([row(2, 20, "2016-01-01T00:00:00Z", "b1")])
-        merged = [r[9] for r in read_raw_records([shard_b, shard_a])]
+        keys = {(1, 10), (2, 20), (3, 30)}
+        merged = [r[9] for r in read_raw_records([shard_b, shard_a], keys)]
         assert merged == ["a1", "b1", "a2"]
 
     def test_redirect_events_merge(self, tmp_path):

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import json
+import random
+import re
+import datetime
+
 import pytest
 
+from wikilinks import cli, pipeline, storage
 from wikilinks.errors import DataFormatError
-from wikilinks.pipeline import redirect_sort_key
+from wikilinks.pipeline import RAW_LINK_FIELDS, REDIRECT_FIELDS, redirect_sort_key
 from wikilinks.snapshot import (
     RESOLUTION_ARTICLE,
     RESOLUTION_CYCLE,
@@ -371,3 +377,121 @@ class TestRoundTrip:
             assert write_snapshot_links([first, second], indexed) == 2
         # Q exists only from 2017 on, so the link turns active at the second date.
         assert [row[8] for path in paths for row in read_snapshot_links(path)] == ["0", "1"]
+
+
+# Fields that need quoting, padding, empty strings and 1- to 4-byte UTF-8.
+RAW_TEXTS = ("", " lead", "trail ", "a,b", 'say "hi"', "é", "€uro", "𝄞 clef", '"', ",")
+RAW_DATES = ("2016-03-01", "2017-03-01", "2018-03-01")
+
+
+def raw_history(seed: int, line_feeds: bool) -> tuple[list[list[tuple]], list[list[tuple]]]:
+    """Raw-link and redirect-history rows of a random history in two sorted
+    shards, page 7 split across them: titles with commas and quotes, ids
+    with leading zeros in some raw rows, revisions with no links, some
+    redirect revisions, and, with ``line_feeds``, a few anchors holding a
+    line feed. Most revisions are selected at none of :data:`RAW_DATES`."""
+    rng = random.Random(seed)
+    titles = {page: f"Page {page}" for page in range(1, 13)}
+    titles[3], titles[5] = 'Comma, "Quoted"', "Ünïcode 𝄞"
+    raw_shards: list[list[tuple]] = [[], []]
+    redirect_shards: list[list[tuple]] = [[], []]
+    for page, title in titles.items():
+        days = sorted(rng.sample(range(0, 5 * 365), rng.randint(1, 8)))
+        for number, day in enumerate(days):
+            shard = 0 if page < 7 or (page == 7 and number < len(days) // 2) else 1
+            when = f"{datetime.date(2014, 1, 1) + datetime.timedelta(day)}T00:00:00Z"
+            revision = page * 100 + number
+            target = rng.choice(list(titles.values())) if rng.random() < 0.2 else ""
+            redirect_shards[shard].append((str(page), title, str(revision), when, target, ""))
+            for _ in range(rng.choice((0, 1, 3, 9))):
+                anchor = rng.choice(RAW_TEXTS)
+                if line_feeds and rng.random() < 0.02:
+                    anchor += "\n" + anchor
+                raw_shards[shard].append((
+                    rng.choice((str(page), f"{page:03d}")), title,
+                    rng.choice((str(revision), f"0{revision}")), "", when, "registered",
+                    rng.choice(RAW_TEXTS), "1", "0", rng.choice(list(titles.values()) + ["Red"]),
+                    rng.choice(RAW_TEXTS), anchor, rng.choice(RAW_TEXTS), "2", "1",
+                ))
+    return raw_shards, redirect_shards
+
+
+def write_extract(out, raw_shards, redirect_shards) -> list:
+    """Writes the shards and an extract manifest listing them; returns the
+    raw shards' paths."""
+    out.mkdir(exist_ok=True)
+    files = []
+    for shard, (raw_rows, redirect_rows) in enumerate(zip(raw_shards, redirect_shards)):
+        names = [f"enwiki.rawwikilinks.{shard:04d}.csv.gz",
+                 f"enwiki.redirecthistory.{shard:04d}.csv.gz"]
+        for name, fields, rows in zip(names, (RAW_LINK_FIELDS, REDIRECT_FIELDS),
+                                      (raw_rows, redirect_rows)):
+            with storage.DatasetWriter(out / name, fields) as writer:
+                writer.write_rows(rows)
+        files.append(names)
+    (out / "enwiki.extract.manifest.json").write_text(
+        json.dumps({"shards": [{"files": names} for names in files]}), encoding="utf-8")
+    return [out / names[0] for names in files]
+
+
+def run_snapshot(out, monkeypatch, block_bytes=None, by_csv=False) -> tuple[int, dict]:
+    """The exit code of ``snapshot`` at :data:`RAW_DATES`, and the bytes of
+    every file it wrote, which are then deleted; with ``by_csv``, the
+    block path is forced off."""
+    with monkeypatch.context() as m:
+        if by_csv:
+            m.setattr(storage, "rows_pattern", lambda width, id_columns: re.compile(rb"(?!)"))
+        if block_bytes is not None:
+            m.setattr(pipeline, "_BLOCK_BYTES", block_bytes)
+        dates = [arg for date in RAW_DATES for arg in ("--date", date)]
+        code = cli.main(["snapshot", "--lang", "en", "--output-dir", str(out), *dates])
+    written = {}
+    for path in out.glob("*.20*"):
+        written[path.name] = path.read_bytes()
+        path.unlink()
+    return code, written
+
+
+class TestRawBlockReading:
+    """Snapshot reads the raw shards in blocks and hands csv only the runs
+    of selected revisions; its files are those of csv alone."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("line_feeds", [False, True])
+    def test_files_equal_those_of_csv_alone(self, tmp_path, monkeypatch, seed, line_feeds):
+        raw_paths = write_extract(tmp_path, *raw_history(seed, line_feeds))
+        code, expected = run_snapshot(tmp_path, monkeypatch, by_csv=True)
+        assert code == 0
+        assert len(expected) == 2 * 3 * len(RAW_DATES)  # three files and sidecars per date
+        read_by_csv = []
+        iter_rows = storage.iter_rows
+        monkeypatch.setattr(storage, "iter_rows",
+                            lambda path, *args: read_by_csv.append(path) or iter_rows(path, *args))
+        for block_bytes in (1, 2, 7, 100, 4096, 1 << 20):
+            assert run_snapshot(tmp_path, monkeypatch, block_bytes) == (0, expected), block_bytes
+        if not line_feeds:  # every block took the block path
+            assert not set(map(str, raw_paths)) & set(map(str, read_by_csv))
+
+    @pytest.mark.parametrize("block_bytes", [1, 300, 1 << 20])
+    def test_a_bad_row_of_an_unselected_revision_stops_the_stage(
+        self, tmp_path, monkeypatch, capsys, block_bytes
+    ):
+        raw_shards, redirect_shards = raw_history(1, line_feeds=False)
+        # Page 2's revision 1 precedes every date, and revision 2 replaces it
+        # before the first one, so no date selects revision 1.
+        redirect_shards[0] = [row for row in redirect_shards[0] if row[0] != "2"] + [
+            ("2", "Page 2", "1", "2015-01-01T00:00:00Z", "", ""),
+            ("2", "Page 2", "2", "2015-06-01T00:00:00Z", "", ""),
+        ]
+        redirect_shards[0].sort(key=redirect_sort_key)
+        bad = ("2", "Page 2", "1", "", "2015-01-01T00:00:00Z", "registered", "U", "1", "0",
+               "Page 1", "", "anchor", "", "2")
+        raw_shards[0] = [row for row in raw_shards[0] if int(row[0]) != 2]
+        at = next(n for n, row in enumerate(raw_shards[0]) if int(row[0]) > 2)
+        raw_shards[0].insert(at, bad)
+        raw_paths = write_extract(tmp_path, raw_shards, redirect_shards)
+        capsys.readouterr()
+        assert run_snapshot(tmp_path, monkeypatch, block_bytes)[0] == 1
+        assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [
+            {"event": "fatal",
+             "detail": f"{raw_paths[0]}: row {at + 2} has 14 columns, expected 15"}]
