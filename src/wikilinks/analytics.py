@@ -73,7 +73,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigurationError, DataFormatError
 from .graph import EDGE_FIELDS, EDGE_ID_COLUMNS, NODE_FIELDS, NODE_ID_COLUMNS
-from .storage import DatasetWriter, read_batches
+from .storage import CsvLines, DatasetWriter, read_batches
 
 if TYPE_CHECKING:
     import numpy as np
@@ -738,12 +738,6 @@ def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return index
 
 
-class _Lines(list):
-    """A sink for csv.writer that keeps each line it writes."""
-
-    write = list.append
-
-
 def _quote_titles(
     text: np.ndarray, lengths: np.ndarray, quoted: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -752,7 +746,7 @@ def _quote_titles(
     import numpy as np
 
     starts = np.cumsum(lengths) - lengths
-    lines = _Lines()
+    lines = CsvLines()
     csv.writer(lines, lineterminator="\n").writerows(
         ("", text[start:start + length].tobytes().decode(), "")
         for start, length in zip(starts[quoted].tolist(), lengths[quoted].tolist())

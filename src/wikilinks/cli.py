@@ -28,7 +28,6 @@ from .snapshot import SnapshotDate, yearly_snapshot_dates
 from .storage import (
     CHECKSUM_SUFFIX,
     CODECS,
-    DEFAULT_SEVENZIP,
     PARTIAL_SUFFIX,
     DatasetWriter,
     iter_rows,
@@ -55,85 +54,33 @@ def _event(event: str, **fields) -> None:
     print(json.dumps({"event": event, **fields}, sort_keys=True), file=sys.stderr)
 
 
-class RunConfig:
-    """Validated settings shared by the subcommands."""
-
-    __slots__ = ("language", "output_dir", "inputs", "dates", "jobs", "codec",
-                 "strip_inert_spans", "drop_self_loops", "sevenzip_command", "profiles_path")
-
-    def __init__(
-        self,
-        language: str,
-        output_dir: Path,
-        inputs: list[Path] | None = None,
-        dates: list[SnapshotDate] | None = None,
-        jobs: int = 1,
-        codec: str | None = None,
-        strip_inert_spans: bool = False,
-        drop_self_loops: bool = False,
-        sevenzip_command: tuple[str, ...] = DEFAULT_SEVENZIP,
-        profiles_path: Path | None = None,
-    ) -> None:
-        if jobs < 1:
-            raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
-        dates = yearly_snapshot_dates() if dates is None else dates
-        labels = [d.label for d in dates]
-        if len(set(labels)) != len(labels):
-            raise ConfigurationError(f"duplicate snapshot dates: {labels}")
-        self.language = language
-        self.output_dir = output_dir
-        self.inputs = [] if inputs is None else inputs
-        self.dates = sorted(dates, key=lambda d: d.instant)
-        self.jobs = jobs
-        self.codec = codec
-        self.strip_inert_spans = strip_inert_spans
-        self.drop_self_loops = drop_self_loops
-        self.sevenzip_command = sevenzip_command
-        self.profiles_path = profiles_path
-
-    def profile(self) -> LanguageProfile:
-        from .wikitext import get_profile, load_profiles
-
-        if self.profiles_path is not None:
-            profiles = load_profiles(self.profiles_path)
-            if self.language in profiles:
-                return profiles[self.language]
-        return get_profile(self.language)
-
-    def path(self, kind: str, date: str | None = None, shard: int | None = None,
-             plain: bool = False) -> Path:
-        name = f"{self.language}wiki.{kind}"
-        if shard is not None:
-            name += f".{shard:04d}"
-        if date is not None:
-            name += f".{date}"
-        name += ".csv" if plain else ".csv.gz"
-        return self.output_dir / name
-
-    def manifest_path(self) -> Path:
-        return self.output_dir / f"{self.language}wiki.extract.manifest.json"
+def _path(args: argparse.Namespace, kind: str, date: str | None = None,
+          shard: int | None = None, plain: bool = False) -> Path:
+    """The dataset file of ``kind``, with its shard number and date label."""
+    name = f"{args.lang}wiki.{kind}"
+    if shard is not None:
+        name += f".{shard:04d}"
+    if date is not None:
+        name += f".{date}"
+    name += ".csv" if plain else ".csv.gz"
+    return args.output_dir / name
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        language=args.lang,
-        output_dir=Path(args.output_dir),
-        inputs=[Path(p) for p in getattr(args, "inputs", [])],
-        dates=getattr(args, "date", None) or yearly_snapshot_dates(),
-        jobs=getattr(args, "jobs", 1),
-        codec=getattr(args, "codec", None),
-        strip_inert_spans=getattr(args, "strip_inert_spans", False),
-        drop_self_loops=getattr(args, "drop_self_loops", False),
-        sevenzip_command=(
-            tuple(shlex.split(args.sevenzip_command))
-            if getattr(args, "sevenzip_command", None)
-            else DEFAULT_SEVENZIP
-        ),
-        profiles_path=Path(args.profiles) if getattr(args, "profiles", None) else None,
-    )
+def _manifest_path(args: argparse.Namespace) -> Path:
+    return args.output_dir / f"{args.lang}wiki.extract.manifest.json"
 
 
-def extract_shard(config: RunConfig, profile: LanguageProfile, shard: int,
+def _profile(args: argparse.Namespace) -> LanguageProfile:
+    from .wikitext import get_profile, load_profiles
+
+    if args.profiles is not None:
+        profiles = load_profiles(args.profiles)
+        if args.lang in profiles:
+            return profiles[args.lang]
+    return get_profile(args.lang)
+
+
+def extract_shard(args: argparse.Namespace, profile: LanguageProfile, shard: int,
                   input_path: Path) -> RunSummary:
     """Extract one dump file into raw-link and redirect-history shard ``shard``.
 
@@ -145,13 +92,13 @@ def extract_shard(config: RunConfig, profile: LanguageProfile, shard: int,
     from . import pipeline
     from .dump import filter_namespace, open_dump
 
-    raw_path = config.path("rawwikilinks", shard=shard)
-    redirect_path = config.path("redirecthistory", shard=shard)
+    raw_path = _path(args, "rawwikilinks", shard=shard)
+    redirect_path = _path(args, "redirecthistory", shard=shard)
     issues: Counter = Counter()
     pages = open_dump(
         input_path,
-        config.codec,
-        sevenzip_command=config.sevenzip_command,
+        args.codec,
+        sevenzip_command=args.sevenzip_command,
         on_issue=lambda issue: issues.update([issue.kind]),
     )
     # Rows are written already sorted while page ids ascend; a shard whose
@@ -163,7 +110,7 @@ def extract_shard(config: RunConfig, profile: LanguageProfile, shard: int,
             profile,
             sink,
             redirect_sink=redirect_sink,
-            strip_inert_spans=config.strip_inert_spans,
+            strip_inert_spans=args.strip_inert_spans,
         )
         if not summary.ascending:
             for writer, fields, id_columns, key in (
@@ -187,19 +134,19 @@ def extract_shard(config: RunConfig, profile: LanguageProfile, shard: int,
     return summary
 
 
-def cmd_extract(config: RunConfig) -> int:
+def cmd_extract(args: argparse.Namespace) -> int:
     from .pipeline import RunSummary
 
-    missing = [str(p) for p in config.inputs if not p.is_file()]
+    missing = [str(p) for p in args.inputs if not p.is_file()]
     if missing:
         _event("missing-input", paths=missing)
         return EXIT_USAGE
-    profile = config.profile()
-    config.output_dir.mkdir(parents=True, exist_ok=True)
+    profile = _profile(args)
+    args.output_dir.mkdir(parents=True, exist_ok=True)
 
-    inputs = sorted(config.inputs, key=str)
-    extract = functools.partial(extract_shard, config, profile)
-    workers = min(config.jobs, len(inputs))
+    inputs = sorted(args.inputs, key=str)
+    extract = functools.partial(extract_shard, args, profile)
+    workers = min(args.jobs, len(inputs))
     totals = RunSummary()
     shards = []
     started = time.perf_counter()
@@ -225,24 +172,24 @@ def cmd_extract(config: RunConfig) -> int:
                 "input": str(input_path),
                 "shard": shard,
                 **counts,
-                "files": [config.path("rawwikilinks", shard=shard).name,
-                          config.path("redirecthistory", shard=shard).name],
+                "files": [_path(args, "rawwikilinks", shard=shard).name,
+                          _path(args, "redirecthistory", shard=shard).name],
             })
             _event("extract-shard-done", shard=shard, **counts)
     manifest = {
-        "language": config.language,
+        "language": args.lang,
         "pages": totals.pages,
         "revisions": totals.revisions,
         "links": totals.links,
         "errors": totals.errors,
         "diagnostics": dict(sorted(totals.diagnostics.items())),
-        "flags": {"strip_inert_spans": config.strip_inert_spans},
+        "flags": {"strip_inert_spans": args.strip_inert_spans},
         "shards": shards,
     }
     # Published as every dataset file is, so a failed write leaves only .partial.
-    partial = partial_path(config.manifest_path())
+    partial = partial_path(_manifest_path(args))
     partial.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    os.replace(partial, config.manifest_path())
+    os.replace(partial, _manifest_path(args))
     _event(
         "extract-done",
         seconds=round(time.perf_counter() - started, 3),
@@ -258,32 +205,32 @@ def _sort_into(tmp_path: Path, final_path: Path, fields, id_columns, key) -> Non
         writer.write_rows(external_sort(iter_rows(tmp_path, fields, id_columns), key))
 
 
-def _extract_shards(config: RunConfig) -> tuple[list[Path], list[Path]] | None:
+def _extract_shards(args: argparse.Namespace) -> tuple[list[Path], list[Path]] | None:
     """The raw-link and redirect-history shards of the last extract run.
 
     They are read from the extract manifest, not found by name, so shards
     left over from an earlier run with more inputs are never read. Returns
     None when the manifest is missing.
     """
-    path = config.manifest_path()
+    path = _manifest_path(args)
     if not path.is_file():
         return None
     refuse_stale(path)
     try:
         shards = json.loads(path.read_text(encoding="utf-8"))["shards"]
-        raw = [config.output_dir / shard["files"][0] for shard in shards]
-        redirects = [config.output_dir / shard["files"][1] for shard in shards]
+        raw = [args.output_dir / shard["files"][0] for shard in shards]
+        redirects = [args.output_dir / shard["files"][1] for shard in shards]
     except (ValueError, KeyError, IndexError, TypeError) as err:
         raise DataFormatError(f"{path}: unreadable extract manifest: {err!r}") from err
     return raw, redirects
 
 
-def cmd_snapshot(config: RunConfig) -> int:
+def cmd_snapshot(args: argparse.Namespace) -> int:
     from . import pipeline, snapshot
 
-    shards = _extract_shards(config)
+    shards = _extract_shards(args)
     if shards is None:
-        _event("missing-input", path=str(config.manifest_path()), detail="run extract first")
+        _event("missing-input", path=str(_manifest_path(args)), detail="run extract first")
         return EXIT_USAGE
     raw_shards, redirect_shards = shards
     missing = [str(p) for p in raw_shards + redirect_shards if not p.is_file()]
@@ -291,7 +238,7 @@ def cmd_snapshot(config: RunConfig) -> int:
         _event("missing-input", paths=missing, detail="run extract first")
         return EXIT_USAGE
     # One pass over each input serves every date (see the snapshot module).
-    dates = config.dates
+    dates = args.dates
     selection = snapshot.select_snapshot_revisions(
         pipeline.read_redirect_events(redirect_shards), dates
     )
@@ -300,12 +247,12 @@ def cmd_snapshot(config: RunConfig) -> int:
         label = date.label
         rows = snapshot.resolve_snapshot(state)
         pages = snapshot.write_resolved_redirects(
-            config.path("resolvedredirects", date=label), rows
+            _path(args, "resolvedredirects", date=label), rows
         )
         # A cycle's final target is its immediate target without the fragment.
         cycles = [(row[1], row[4]) for row in rows if row[5] == snapshot.RESOLUTION_CYCLE]
         with DatasetWriter(
-            config.path("redirectcycles", date=label, plain=True),
+            _path(args, "redirectcycles", date=label, plain=True),
             ("title", "immediate_target"),
         ) as writer:
             writer.write_rows(cycles)
@@ -314,7 +261,7 @@ def cmd_snapshot(config: RunConfig) -> int:
     with ExitStack() as stack:
         writers = [
             stack.enter_context(
-                DatasetWriter(config.path("wikilinksnapshot", date=date.label),
+                DatasetWriter(_path(args, "wikilinksnapshot", date=date.label),
                               snapshot.SNAPSHOT_LINK_FIELDS)
             )
             for date in dates
@@ -338,52 +285,53 @@ def _missing_input(detail: str, *paths: Path) -> bool:
     return missing is not None
 
 
-def _graph_paths(config: RunConfig, label: str) -> tuple[Path, Path]:
+def _graph_paths(args: argparse.Namespace, label: str) -> tuple[Path, Path]:
     """The edge and node files of one date."""
-    return (config.path("wikilinkgraph", date=label),
-            config.path("wikilinkgraph.nodes", date=label))
+    return (_path(args, "wikilinkgraph", date=label),
+            _path(args, "wikilinkgraph.nodes", date=label))
 
 
-def cmd_graph(config: RunConfig) -> int:
-    for date in config.dates:
+def cmd_graph(args: argparse.Namespace) -> int:
+    for date in args.dates:
         label = date.label
-        resolved_path = config.path("resolvedredirects", date=label)
-        links_path = config.path("wikilinksnapshot", date=label)
+        resolved_path = _path(args, "resolvedredirects", date=label)
+        links_path = _path(args, "wikilinksnapshot", date=label)
         if _missing_input("run snapshot first", resolved_path, links_path):
             return EXIT_USAGE
-        _graph_date(config, label, resolved_path, links_path)
+        _graph_date(args, label, resolved_path, links_path)
     return EXIT_OK
 
 
-def _graph_date(config: RunConfig, label: str, resolved_path: Path, links_path: Path) -> None:
+def _graph_date(args: argparse.Namespace, label: str, resolved_path: Path,
+                links_path: Path) -> None:
     """Builds and writes one date's graph; what it reads is freed on return,
     before the next date is read."""
     from . import graph, snapshot
 
     resolved = snapshot.read_resolved_redirects(resolved_path)
     links = snapshot.read_snapshot_links(links_path)
-    edges, nodes = graph.build_graph(links, resolved, drop_self_loops=config.drop_self_loops)
-    edge_path, node_path = _graph_paths(config, label)
+    edges, nodes = graph.build_graph(links, resolved, drop_self_loops=args.drop_self_loops)
+    edge_path, node_path = _graph_paths(args, label)
     edge_count = graph.emit_edges(edges, edge_path)
     node_count = graph.emit_nodes(nodes, node_path)
     _event("graph-done", date=label, nodes=node_count, edges=edge_count)
 
 
-def cmd_pagerank(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_pagerank(args: argparse.Namespace) -> int:
     # PageRank calls no BLAS routine, and OpenBLAS's idle worker threads
     # spin before they sleep; the setting must precede numpy's import.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import analytics
 
-    if args.output and len(config.dates) > 1:
+    if args.output and len(args.dates) > 1:
         raise ConfigurationError("--output needs exactly one --date")
     analytics.check_pagerank_options(args.damping, args.tolerance, args.max_iter)
-    for date in config.dates:
+    for date in args.dates:
         label = date.label
-        paths = _graph_paths(config, label)
+        paths = _graph_paths(args, label)
         if _missing_input("run graph first", *paths):
             return EXIT_USAGE
-        out = args.output if args.output else config.path("pagerank", date=label)
+        out = args.output if args.output else _path(args, "pagerank", date=label)
         _pagerank_date(args, label, paths, out)
     return EXIT_OK
 
@@ -415,30 +363,30 @@ def _pagerank_date(args: argparse.Namespace, label: str, paths: tuple[Path, Path
     )
 
 
-def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_stats(args: argparse.Namespace) -> int:
     from . import analytics
 
     collected = []
-    for date in config.dates:
+    for date in args.dates:
         label = date.label
-        paths = _graph_paths(config, label)
+        paths = _graph_paths(args, label)
         if _missing_input("run graph first", *paths):
             return EXIT_USAGE
-        stats = analytics.compute_stats(*paths, language=config.language, date=label)
+        stats = analytics.compute_stats(*paths, language=args.lang, date=label)
         collected.append(stats)
         _event("stats", date=label, nodes=stats.node_count, edges=stats.edge_count)
-    out = args.output if args.output else config.output_dir / f"{config.language}wiki.growth.csv"
+    out = args.output if args.output else args.output_dir / f"{args.lang}wiki.growth.csv"
     analytics.write_growth_series(collected, out)
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     failures = 0
     checked = 0
-    for partial in sorted(config.output_dir.glob(f"*{PARTIAL_SUFFIX}")):
+    for partial in sorted(args.output_dir.glob(f"*{PARTIAL_SUFFIX}")):
         _event("verify-partial-output", path=str(partial))
         failures += 1
-    for sidecar in sorted(config.output_dir.glob(f"*{CHECKSUM_SUFFIX}")):
+    for sidecar in sorted(args.output_dir.glob(f"*{CHECKSUM_SUFFIX}")):
         target = Path(str(sidecar)[: -len(CHECKSUM_SUFFIX)])
         checked += 1
         if not target.is_file():
@@ -465,21 +413,25 @@ def build_parser() -> argparse.ArgumentParser:
         # argparse names a bad value by its type's __name__: "invalid date value".
         return SnapshotDate.of(value)
 
-    def common(p: argparse.ArgumentParser, dates: bool = True) -> None:
+    def command(name: str, run, summary: str, dates: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--lang", required=True, help="language code, e.g. en")
-        p.add_argument("--output-dir", required=True, help="directory for datasets")
+        p.add_argument("--output-dir", required=True, type=Path, help="directory for datasets")
         if dates:
             p.add_argument(
                 "--date",
+                dest="dates",
                 action="append",
                 type=date,
                 metavar="YYYY-MM-DD",
                 help="snapshot date, repeatable (default: every March 1st 2001-2018)",
             )
+        return p
 
-    p = sub.add_parser("extract", help="parse dumps into raw link and redirect datasets")
-    common(p, dates=False)
-    p.add_argument("inputs", nargs="+", metavar="DUMP", help="dump file(s)")
+    p = command("extract", cmd_extract, "parse dumps into raw link and redirect datasets",
+                dates=False)
+    p.add_argument("inputs", nargs="+", type=Path, metavar="DUMP", help="dump file(s)")
     p.add_argument("--jobs", type=int, default=1,
                    help="dump files to extract at once; a single dump runs in one process")
     p.add_argument("--codec", choices=CODECS, help="force input codec (default: by extension)")
@@ -490,35 +442,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--sevenzip-command",
+        type=shlex.split,
         metavar="CMD",
         help='external decompressor command for 7z inputs (default: "7z e -so")',
     )
-    p.add_argument("--profiles", help="JSON file overriding language redirect keywords")
+    p.add_argument("--profiles", type=Path,
+                   help="JSON file overriding language redirect keywords")
 
-    p = sub.add_parser("snapshot", help="select revisions and resolve redirects per date")
-    common(p)
+    command("snapshot", cmd_snapshot, "select revisions and resolve redirects per date")
 
-    p = sub.add_parser("graph", help="build deduplicated edge lists per date")
-    common(p)
+    p = command("graph", cmd_graph, "build deduplicated edge lists per date")
     p.add_argument(
         "--drop-self-loops",
         action="store_true",
         help="also drop self-loops that arise from redirect resolution",
     )
 
-    p = sub.add_parser("pagerank", help="rank articles of each snapshot graph")
-    common(p)
+    p = command("pagerank", cmd_pagerank, "rank articles of each snapshot graph")
     p.add_argument("--damping", type=float, default=0.85)
     p.add_argument("--tolerance", type=float, default=1e-12)
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--output", help="rankings CSV path, or - for stdout")
 
-    p = sub.add_parser("stats", help="count nodes/edges and emit the growth series")
-    common(p)
+    p = command("stats", cmd_stats, "count nodes/edges and emit the growth series")
     p.add_argument("--output", help="growth CSV path, or - for stdout")
 
-    p = sub.add_parser("verify", help="recompute and compare all output checksums")
-    common(p, dates=False)
+    command("verify", cmd_verify, "recompute and compare all output checksums", dates=False)
 
     return parser
 
@@ -530,20 +479,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exit_:
         return EXIT_USAGE if exit_.code not in (0, None) else EXIT_OK
     try:
-        config = _config_from_args(args)
-        if args.command == "extract":
-            return cmd_extract(config)
-        if args.command == "snapshot":
-            return cmd_snapshot(config)
-        if args.command == "graph":
-            return cmd_graph(config)
-        if args.command == "pagerank":
-            return cmd_pagerank(config, args)
-        if args.command == "stats":
-            return cmd_stats(config, args)
-        if args.command == "verify":
-            return cmd_verify(config)
-        parser.error(f"unknown command {args.command!r}")
+        # The two checks argparse cannot make.
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
+        if "dates" in args:
+            dates = args.dates or yearly_snapshot_dates()
+            labels = [d.label for d in dates]
+            if len(set(labels)) != len(labels):
+                raise ConfigurationError(f"duplicate snapshot dates: {labels}")
+            args.dates = sorted(dates)
+        return args.run(args)
     except ConfigurationError as err:
         _event("configuration-error", detail=str(err))
         return EXIT_USAGE
@@ -557,7 +502,6 @@ def main(argv: list[str] | None = None) -> int:
         # A fault no reader names with its file, such as a dump id that is not a number.
         _event("fatal", detail=f"{type(err).__name__}: {err}")
         return EXIT_FATAL
-    return EXIT_OK
 
 
 def entrypoint() -> None:

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .dump import PageHistory
-from .storage import DatasetWriter, iter_rows, read_batches
+from .storage import CsvLines, DatasetWriter, iter_rows, read_batches
 from .wikitext import LanguageProfile, blank_inert_spans, detect_redirect, extract_links
 
 RAW_LINK_FIELDS = (
@@ -98,12 +98,6 @@ class RunSummary:
         self.ascending = self.ascending and other.ascending
 
 
-class _Lines(list):
-    """A list that a ``csv.writer`` writes into: one string per row."""
-
-    write = list.append
-
-
 def raw_rows_text(revision: Sequence[str], links: Sequence[Sequence[str]]) -> str:
     """The raw link rows of one revision, as one string: each of ``links``
     (six columns) after the revision's nine columns, in the bytes
@@ -115,7 +109,7 @@ def raw_rows_text(revision: Sequence[str], links: Sequence[Sequence[str]]) -> st
     """
     if not links:
         return ""
-    lines = _Lines()
+    lines = CsvLines()
     writer = csv.writer(lines, lineterminator="\n")
     writer.writerow(revision)
     prefix = lines.pop()[:-1] + ","

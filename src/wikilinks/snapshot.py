@@ -29,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DataFormatError
 from .storage import DatasetWriter, iter_rows
@@ -69,34 +69,10 @@ SNAPSHOT_LINK_FIELDS = (
 SNAPSHOT_LINK_ID_COLUMNS = (0,)
 
 
-class SnapshotDate:
-    """A snapshot instant; revisions strictly before it belong to the snapshot.
+class SnapshotDate(NamedTuple):
+    """A snapshot instant, in UTC; revisions strictly before it belong to the snapshot."""
 
-    An instant without a time zone is taken as UTC. Dates are read-only,
-    and equal, and hash alike, when their instants are equal.
-    """
-
-    __slots__ = ("_instant",)
-
-    def __init__(self, instant: datetime) -> None:
-        if instant.tzinfo is None:
-            instant = instant.replace(tzinfo=timezone.utc)
-        self._instant = instant
-
-    @property
-    def instant(self) -> datetime:
-        return self._instant
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SnapshotDate):
-            return NotImplemented
-        return self._instant == other._instant
-
-    def __hash__(self) -> int:
-        return hash(self._instant)
-
-    def __repr__(self) -> str:
-        return f"SnapshotDate({self._instant!r})"
+    instant: datetime
 
     @classmethod
     def of(cls, value: str) -> "SnapshotDate":
@@ -190,14 +166,15 @@ def select_snapshot_revisions(
     """Latest revision strictly before each of ``dates``, for every page.
 
     ``events`` are redirect-history rows in (page_id, timestamp, revision_id)
-    order, as :func:`pipeline.read_redirect_events` yields them; a revision
-    listed twice counts once. ``dates`` ascend. A revision is selected from
-    the first date after its timestamp up to, not including, the first date
-    after its page's next revision.
+    order, as :func:`pipeline.read_redirect_events` yields them. ``dates``
+    ascend. A revision is selected from the first date after its timestamp
+    up to, not including, the first date after its page's next revision.
 
     Raises :class:`DataFormatError` when the rows of one page id carry two
     titles, or when two page ids that both exist before the last date share
-    a title: either would give a date two pages for one title, or none.
+    a title: either would give a date two pages for one title, or none. It
+    raises it too when a revision is listed twice, as when one dump is
+    extracted twice, since the raw links would then list its links twice.
     """
     from .wikitext import normalize_title
 
@@ -239,7 +216,9 @@ def select_snapshot_revisions(
             )
         if last is not None and order <= last:
             if order == last:
-                continue
+                raise DataFormatError(
+                    f"page {page_id} lists revision {revision_id} twice; inputs are inconsistent"
+                )
             raise DataFormatError(
                 f"redirect history out of (page_id, timestamp, revision_id) order at {order}"
             )

@@ -156,11 +156,12 @@ def write_checksum(path: str | Path, digest: str | None = None) -> Path:
 
 
 def verify_checksum(path: str | Path) -> bool:
-    sidecar = checksum_path(path)
-    recorded = sidecar.read_text(encoding="utf-8").split()
-    if not recorded:
-        return False  # truncated sidecar counts as a failure, not a crash
-    return recorded[0] == sha256_of(path)
+    try:
+        recorded = checksum_path(path).read_text(encoding="utf-8").split()
+    except UnicodeDecodeError:
+        recorded = []
+    # A truncated or undecodable sidecar counts as a failure, not a crash.
+    return bool(recorded) and recorded[0] == sha256_of(path)
 
 
 class _HashingWriter(io.RawIOBase):
@@ -176,6 +177,13 @@ class _HashingWriter(io.RawIOBase):
     def write(self, data) -> int:
         self._digest.update(data)
         return self._raw.write(data)
+
+
+class CsvLines(list):
+    """A sink that a ``csv.writer`` in the writers' dialect writes into: one
+    string per row, each as :meth:`DatasetWriter.write_row` writes it."""
+
+    write = list.append
 
 
 class DatasetWriter:

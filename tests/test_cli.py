@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import ast
 import concurrent.futures
 import errno
@@ -365,6 +366,20 @@ class TestSnapshotAndGraph:
             [page_xml("Beta", 1, [_rev(12, "2016-02-01T00:00:00Z", "[[Alpha]]")])],
         )
         assert "page 1 carries two titles" in detail
+
+    def test_snapshot_refuses_a_dump_extracted_twice(self, out_dir, minidump_path, tmp_path,
+                                                     capsys):
+        # Both shards list every revision, so each of its links would be written twice.
+        second = tmp_path / "second.xml"
+        second.write_bytes(minidump_path.read_bytes())
+        assert cli.main(["extract", *base_args(out_dir), str(minidump_path), str(second)]) == 0
+        capsys.readouterr()
+        assert cli.main(["snapshot", *base_args(out_dir), "--date", "2018-03-01"]) == 1
+        assert stderr_events(capsys) == [{
+            "event": "fatal",
+            "detail": "page 1 lists revision 101 twice; inputs are inconsistent",
+        }]
+        assert not list(out_dir.glob("enwiki.wikilinksnapshot.*"))
 
     def test_snapshot_refuses_a_title_held_by_two_page_ids(self, tmp_path, capsys):
         alpha = page_xml("Alpha", 1, [_rev(11, "2016-01-01T00:00:00Z", "[[Beta]]")])
@@ -1370,6 +1385,22 @@ class TestVerify:
         victim.write_bytes(b"corrupted")
         assert cli.main(["verify", *base_args(out_dir)]) == 1
 
+    def test_undecodable_sidecar_is_a_mismatch_and_later_files_are_checked(
+        self, out_dir, capsys
+    ):
+        run_pipeline(out_dir)
+        sidecars = sorted(out_dir.glob("*.sha256"))
+        sidecars[0].write_bytes(b"\xff\xfe not UTF-8\n")
+        capsys.readouterr()
+        assert cli.main(["verify", *base_args(out_dir)]) == 1
+        targets = [str(sidecar)[:-len(".sha256")] for sidecar in sidecars]
+        assert any("wikilinksnapshot" in target for target in targets[1:])
+        assert stderr_events(capsys) == [
+            {"event": "verify-mismatch", "path": targets[0]},
+            *({"event": "verify-ok", "path": target} for target in targets[1:]),
+            {"event": "verify-done", "files": len(targets), "failures": 1},
+        ]
+
     def test_verify_detects_partial_marker(self, out_dir):
         run_pipeline(out_dir)
         (out_dir / "enwiki.rawwikilinks.0000.csv.gz.partial").touch()
@@ -1394,15 +1425,77 @@ class TestUsage:
         )
         assert rc == 2
 
-    def test_duplicate_dates_rejected(self, out_dir):
+    def test_duplicate_dates_rejected(self, out_dir, capsys):
         rc = cli.main(
             ["snapshot", *base_args(out_dir), "--date", "2018-03-01", "--date", "2018-03-01"]
         )
         assert rc == 2
+        assert [e["event"] for e in stderr_events(capsys)] == ["configuration-error"]
 
-    def test_bad_jobs_rejected(self, out_dir, minidump_path):
+    def test_bad_jobs_rejected(self, out_dir, minidump_path, capsys):
         rc = cli.main(["extract", *base_args(out_dir), "--jobs", "0", str(minidump_path)])
         assert rc == 2
+        assert [e["event"] for e in stderr_events(capsys)] == ["configuration-error"]
+
+    def test_descending_dates_give_the_ascending_run(self, tmp_path, minidump_path, capsys):
+        runs = []
+        for name, dates in (("ascending", FIXTURE_DATES), ("descending", FIXTURE_DATES[::-1])):
+            out = tmp_path / name
+            assert cli.main(["extract", *base_args(out), str(minidump_path)]) == 0
+            capsys.readouterr()
+            for stage in ("snapshot", "graph", "pagerank", "stats"):
+                assert cli.main([stage, *base_args(out), *date_args(dates)]) == 0
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            runs.append((stderr_events(capsys), files))
+        (events, files), descending = runs
+        assert [e["date"] for e in events if e["event"] == "snapshot-done"] == list(FIXTURE_DATES)
+        assert len(files) == 31  # manifest, 2 shard, 12 dated and 1 growth file, their sidecars
+        assert descending == runs[0]
+
+    def test_option_surface(self):
+        # Every subcommand's options: option strings (or a positional's
+        # name) -> (default, choices, required).
+        common = {
+            "--lang": (None, None, True),
+            "--output-dir": (None, None, True),
+        }
+        dates = {"--date": (None, None, False)}
+        expected = {
+            "extract": {
+                **common,
+                "inputs": (None, None, True),
+                "--jobs": (1, None, False),
+                "--codec": (None, ("plain", "gzip", "bzip2", "7z-external"), False),
+                "--strip-inert-spans": (False, None, False),
+                "--sevenzip-command": (None, None, False),
+                "--profiles": (None, None, False),
+            },
+            "snapshot": {**common, **dates},
+            "graph": {**common, **dates, "--drop-self-loops": (False, None, False)},
+            "pagerank": {
+                **common, **dates,
+                "--damping": (0.85, None, False),
+                "--tolerance": (1e-12, None, False),
+                "--max-iter": (200, None, False),
+                "--output": (None, None, False),
+            },
+            "stats": {**common, **dates, "--output": (None, None, False)},
+            "verify": common,
+        }
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        surface = {
+            name: {
+                "/".join(action.option_strings) or action.dest:
+                    (action.default, action.choices and tuple(action.choices), action.required)
+                for action in sub._actions
+                if action.dest != "help"
+            }
+            for name, sub in commands.choices.items()
+        }
+        assert surface == expected
+        for name, sub in commands.choices.items():
+            assert sub.get_default("run") is getattr(cli, f"cmd_{name}")
 
     def test_profiles_flag(self, out_dir, tmp_path, minidump_path):
         profiles = tmp_path / "profiles.json"

@@ -203,6 +203,13 @@ class TestSelectRevisions:
         with pytest.raises(DataFormatError):
             select_snapshot_revisions(events, self.DATES)
 
+    def test_a_revision_listed_twice_is_refused(self):
+        # Its raw links would be listed twice too, so every link doubles.
+        events = [event(1, "P", 10, "2015-01-01"), event(2, "Q", 20, "2016-01-01"),
+                  event(2, "Q", 20, "2016-01-01")]
+        with pytest.raises(DataFormatError, match="page 2 lists revision 20 twice"):
+            select_snapshot_revisions(events, self.DATES)
+
 
 class TestBuildRedirectMap:
     def test_unredirected_page_absent(self):

@@ -102,8 +102,9 @@ class TestDatasetWriter:
         path = tmp_path / "data.csv"
         with DatasetWriter(path, ("a",)) as writer:
             writer.write_row(("1",))
-        checksum_path(path).write_text("", encoding="utf-8")
-        assert not verify_checksum(path)
+        for sidecar in (b"", b"\xff\xfe not UTF-8  data.csv\n"):
+            checksum_path(path).write_bytes(sidecar)
+            assert not verify_checksum(path)
 
     def test_partial_marker_lifecycle(self, tmp_path):
         path = tmp_path / "data.csv.gz"
