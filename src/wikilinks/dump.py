@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import re
 import zlib
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DumpFormatError
 from .storage import open_dump_stream
@@ -26,8 +25,7 @@ USER_REGISTERED = "registered"
 USER_ANONYMOUS = "anonymous"
 
 
-@dataclass(frozen=True, slots=True)
-class Revision:
+class Revision(NamedTuple):
     revision_id: int
     parent_id: int | None
     timestamp: str  # fixed-width UTC, YYYY-MM-DDTHH:MM:SSZ
@@ -38,16 +36,14 @@ class Revision:
     wikitext: str
 
 
-@dataclass(frozen=True, slots=True)
-class PageHistory:
+class PageHistory(NamedTuple):
     page_id: int
     title: str
     namespace: int
     revisions: tuple[Revision, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class PageIssue:
+class PageIssue(NamedTuple):
     """A non-fatal problem found while reading a dump."""
 
     kind: str  # "page-skipped" or "missing-text"

@@ -29,7 +29,6 @@ from __future__ import annotations
 import csv
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from heapq import merge as heap_merge
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Sequence
@@ -78,16 +77,17 @@ _BATCH_ROWS = 1 << 12
 _RUN = re.compile(rb'(([0-9]+),(?:"(?:[^"]|"")*"|[^,"]*),([0-9]+),)[^\n]*\n(?:\1[^\n]*\n)*')
 
 
-@dataclass
 class RunSummary:
-    pages: int = 0
-    revisions: int = 0
-    links: int = 0
-    errors: int = 0
-    diagnostics: Counter = field(default_factory=Counter)
-    # Every page id was greater than the one before, so the rows were
-    # written in (page_id, timestamp, revision_id) order.
-    ascending: bool = True
+    """What extract read and wrote, for one dump or summed over several."""
+
+    __slots__ = ("pages", "revisions", "links", "errors", "diagnostics", "ascending")
+
+    def __init__(self) -> None:
+        self.pages = self.revisions = self.links = self.errors = 0
+        self.diagnostics: Counter = Counter()
+        # Every page id was greater than the one before, so the rows were
+        # written in (page_id, timestamp, revision_id) order.
+        self.ascending = True
 
     def merge(self, other: "RunSummary") -> None:
         self.pages += other.pages

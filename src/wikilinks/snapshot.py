@@ -18,10 +18,12 @@ revisions' rows: :func:`pipeline.read_raw_records` checks every raw row in
 blocks, splits each block into runs of one revision's rows, and hands csv
 only the runs of selected revisions; a block it refuses, such as one with a
 line feed in an anchor, sends the rest of its shard to csv, row by row.
-Memory holds one entry per selected revision and one per title, not one
-per page and date. Links travel as ``wikilinksnapshot`` CSV rows from the
-raw links to the graph stage, and resolved pages as ``resolvedredirects``
-rows from the date's state to it.
+Memory holds, per selected revision, its range of dates and its page state
+in the bucket of its first date, and per title the first date it exists at: a
+page that exists once exists at every later date. Each date's state is the
+date before's with that date's bucket applied. Links travel as
+``wikilinksnapshot`` CSV rows from the raw links to the graph stage, and
+resolved pages as ``resolvedredirects`` rows from the date's state to it.
 """
 
 from __future__ import annotations
@@ -117,27 +119,20 @@ def yearly_snapshot_dates(first: int = 2001, last: int = 2018) -> list[SnapshotD
 PageState = tuple[int, str | None, str | None]
 
 
-class Selection:
+class Selection(NamedTuple):
     """The revisions a run's dates select, from one pass over the redirect history.
 
     ``revisions`` maps the (page_id, revision_id) of every selected revision
-    to ``(start, stop, title, target, target_fragment)``: the revision is its
-    page's state at date indexes ``start`` to ``stop - 1`` of the
-    ``date_count`` ascending dates. ``titles`` maps every title to a bit mask
-    of the date indexes at which a page with that title exists.
+    to the ``range`` of date indexes at which it is its page's state.
+    ``first`` maps every title to the first date index at which a page with
+    that title exists; the page then exists at every later date, since
+    dumps hold no deleted pages. ``starting`` holds, for each date index,
+    the ``(title, page state)`` of every revision whose range starts there.
     """
 
-    __slots__ = ("revisions", "titles", "date_count")
-
-    def __init__(
-        self,
-        revisions: dict[tuple[int, int], tuple[int, int, str, str | None, str | None]],
-        titles: dict[str, int],
-        date_count: int,
-    ) -> None:
-        self.revisions = revisions
-        self.titles = titles
-        self.date_count = date_count
+    revisions: dict[tuple[int, int], range]
+    first: dict[str, int]
+    starting: list[list[tuple[str, PageState]]]
 
     def states(self) -> Iterator[dict[str, PageState]]:
         """The state of every page at each date in turn, keyed by title.
@@ -149,14 +144,13 @@ class Selection:
 
         Every date gets the same live dict, updated in place: it holds a
         date's state only until the next date is drawn, so a caller that
-        keeps a state copies it.
+        keeps a state copies it. Each date's bucket in ``starting`` is
+        emptied once applied, so the states can be drawn only once.
         """
-        starting: list[list[tuple[str, PageState]]] = [[] for _ in range(self.date_count)]
-        for (page_id, _), (start, _, title, target, fragment) in self.revisions.items():
-            starting[start].append((title, (page_id, target, fragment)))
         state: dict[str, PageState] = {}
-        for pages in starting:
+        for pages in self.starting:
             state.update(pages)
+            pages.clear()
             yield state
 
 
@@ -173,8 +167,9 @@ def select_snapshot_revisions(
     Raises :class:`DataFormatError` when the rows of one page id carry two
     titles, or when two page ids that both exist before the last date share
     a title: either would give a date two pages for one title, or none. It
-    raises it too when a revision is listed twice, as when one dump is
-    extracted twice, since the raw links would then list its links twice.
+    raises it too when a page lists one revision id twice, at one timestamp
+    or at two, as when one dump is extracted twice, since the raw links
+    would then list its links twice.
     """
     from .wikitext import normalize_title
 
@@ -182,55 +177,58 @@ def select_snapshot_revisions(
     if cutoffs != sorted(cutoffs):
         raise ValueError("snapshot dates must ascend")
     count = len(cutoffs)
-    revisions: dict[tuple[int, int], tuple[int, int, str, str | None, str | None]] = {}
-    titles: dict[str, int] = {}
-    kept_page = None  # the page id of the last revision kept
+    selection = Selection({}, {}, [[] for _ in cutoffs])
+    revisions, first, starting = selection
+    spans: dict[tuple[int, int], range] = {}  # one range object per span of dates
 
-    def keep(row: Sequence[str], key: tuple[int, int], start: int, stop: int) -> None:
-        nonlocal kept_page
-        if start >= stop:
-            return
-        title = row[1]
-        if key[0] != kept_page:
-            # Rows come in page-id order, so a title already present belongs
-            # to an earlier page id.
-            if title in titles:
-                raise DataFormatError(
-                    f"title {title!r} is held by more than one page id, "
-                    f"page {key[0]} among them; inputs are inconsistent"
-                )
-            kept_page = key[0]
-        target = normalize_title(row[4]) if row[4] else None
-        revisions[key] = (start, stop, title, target, row[5] or None)
-        titles[title] = titles.get(title, 0) | ((1 << stop) - (1 << start))
+    def keep(page: tuple[int, str], order: tuple[int, str, int], row: Sequence[str],
+             start: int, stop: int) -> None:
+        if start < stop:
+            revisions[page[0], order[2]] = spans.setdefault((start, stop), range(start, stop))
+            target = normalize_title(row[4]) if row[4] else None
+            starting[start].append((page[1], (page[0], target, row[5] or None)))
 
-    last = None  # (page_id, timestamp, revision_id) of the previous row
-    pending = None  # (row, (page_id, revision_id), first date index) of that row
+    page = None  # (page_id, title) of the last row's page, shared by its revisions
+    pending = None  # (page, (page_id, timestamp, revision_id), row, first date index)
+    seen: set[int] = set()  # the revision ids of the last row's page
     for row in events:
         page_id, timestamp, revision_id = int(row[0]), row[3], int(row[2])
         order = (page_id, timestamp, revision_id)
-        if pending is not None and pending[1][0] == page_id and pending[0][1] != row[1]:
+        same_page = page is not None and page[0] == page_id
+        if same_page and page[1] != row[1]:
             raise DataFormatError(
-                f"page {page_id} carries two titles, {pending[0][1]!r} and {row[1]!r}; "
+                f"page {page_id} carries two titles, {page[1]!r} and {row[1]!r}; "
                 "inputs are inconsistent"
             )
-        if last is not None and order <= last:
-            if order == last:
-                raise DataFormatError(
-                    f"page {page_id} lists revision {revision_id} twice; inputs are inconsistent"
-                )
+        if same_page and revision_id in seen:
+            raise DataFormatError(
+                f"page {page_id} lists revision {revision_id} twice; inputs are inconsistent"
+            )
+        if pending is not None and order <= pending[1]:
             raise DataFormatError(
                 f"redirect history out of (page_id, timestamp, revision_id) order at {order}"
             )
         start = bisect_right(cutoffs, timestamp)
+        if not same_page:
+            page = (page_id, row[1])
+            seen.clear()
+            # A page exists from the first date after its first revision on.
+            # Rows come in page-id order, so a title already present belongs
+            # to an earlier page id.
+            if start < count:
+                if row[1] in first:
+                    raise DataFormatError(
+                        f"title {row[1]!r} is held by more than one page id, "
+                        f"page {page_id} among them; inputs are inconsistent"
+                    )
+                first[row[1]] = start
+        seen.add(revision_id)
         if pending is not None:
-            same_page = pending[1][0] == page_id
             keep(*pending, start if same_page else count)
-        pending = (row, (page_id, revision_id), start)
-        last = order
+        pending = (page, order, row, start)
     if pending is not None:
         keep(*pending, count)
-    return Selection(revisions, titles, count)
+    return selection
 
 
 def resolve_snapshot(state: Mapping[str, PageState]) -> list[tuple[str, ...]]:
@@ -285,8 +283,8 @@ def build_link_snapshot(
     """
     from .wikitext import normalize_title
 
-    revisions = selection.revisions
-    titles = selection.titles
+    revisions, first, starting = selection
+    count = len(starting)
     for row in records:
         selected = revisions.get((int(row[0]), int(row[2])))
         if selected is None:
@@ -295,9 +293,9 @@ def build_link_snapshot(
         if target is None:
             continue
         link = (row[0], row[1], target, row[10], row[11], row[12], row[13], row[14])
-        exists = titles.get(target, 0)
-        for index in range(selected[0], selected[1]):
-            yield index, (*link, "1" if exists >> index & 1 else "0")
+        exists_from = first.get(target, count)
+        for index in selected:
+            yield index, (*link, "1" if index >= exists_from else "0")
 
 
 def write_resolved_redirects(path: str | Path, rows: Iterable[Sequence[str]]) -> int:

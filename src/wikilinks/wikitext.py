@@ -26,8 +26,8 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigurationError
 
@@ -57,8 +57,7 @@ _BRACKET_RUN = re.compile(r"\[+")
 LinkRow = tuple[str, str, str, str, str, str]
 
 
-@dataclass(slots=True)
-class Section:
+class Section(NamedTuple):
     """A section of wikitext: ``[start, end)`` offsets into the source string.
 
     Section 0 is the incipit (everything before the first header); numbering
@@ -151,15 +150,16 @@ def _parse_header(line: str) -> tuple[str, int] | None:
 
 def section_scan(text: str) -> list[Section]:
     """Sections of ``text`` in order, starting with the incipit as section 0."""
-    sections = [Section("", 0, 0, 0, len(text))]
+    sections = []
+    name, level, start = "", 0, 0  # of the section being scanned
     offset = 0
     for line in text.splitlines(keepends=True):
         header = _parse_header(line)
         if header is not None:
-            name, level = header
-            sections[-1].end = offset
-            sections.append(Section(name, level, len(sections), offset, len(text)))
+            sections.append(Section(name, level, len(sections), start, offset))
+            (name, level), start = header, offset
         offset += len(line)
+    sections.append(Section(name, level, len(sections), start, len(text)))
     return sections
 
 
@@ -223,16 +223,14 @@ DEFAULT_REDIRECT_KEYWORDS: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass
 class LanguageProfile:
     """Per-language parsing configuration (currently just redirect keywords)."""
 
-    language: str
-    redirect_keywords: frozenset[str] = frozenset()
-    _ordered: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("language", "redirect_keywords", "_ordered")
 
-    def __post_init__(self) -> None:
-        self.redirect_keywords = frozenset(self.redirect_keywords) | {"#REDIRECT"}
+    def __init__(self, language: str, redirect_keywords: frozenset[str] = frozenset()) -> None:
+        self.language = language
+        self.redirect_keywords = frozenset(redirect_keywords) | {"#REDIRECT"}
         # Longest first, so a keyword that prefixes another is tried last.
         self._ordered = tuple(
             sorted((kw.casefold() for kw in self.redirect_keywords), key=len, reverse=True)

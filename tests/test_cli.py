@@ -381,6 +381,16 @@ class TestSnapshotAndGraph:
         }]
         assert not list(out_dir.glob("enwiki.wikilinksnapshot.*"))
 
+    def test_snapshot_refuses_a_revision_listed_at_two_timestamps(self, tmp_path, capsys):
+        # The shards are each in order, but revision 11's links would come twice.
+        text = "[[Beta]] [[Gamma]]"
+        detail = self._refuse_snapshot(
+            tmp_path, capsys,
+            [page_xml("Alpha", 1, [_rev(11, "2016-01-01T00:00:00Z", text)])],
+            [page_xml("Alpha", 1, [_rev(11, "2016-02-01T00:00:00Z", text)])],
+        )
+        assert detail == "page 1 lists revision 11 twice; inputs are inconsistent"
+
     def test_snapshot_refuses_a_title_held_by_two_page_ids(self, tmp_path, capsys):
         alpha = page_xml("Alpha", 1, [_rev(11, "2016-01-01T00:00:00Z", "[[Beta]]")])
         # A page id that only appears after the last date exists at no date.
@@ -1278,10 +1288,12 @@ def stage_exit_and_heavy_modules(out: Path, stage: str) -> str:
 
 
 # What only extract and snapshot run: the XML reader, the link scanner and
-# the extract pipeline, and the modules behind them, dataclasses among them.
-# Loading dataclasses, with inspect, cost every stage about 6 ms of a 27 ms import.
+# the extract pipeline, and the modules behind them.
 EXTRACT_MODULES = ("wikilinks.dump", "wikilinks.wikitext", "wikilinks.pipeline",
-                   "xml.etree.ElementTree", "logging", "dataclasses", "inspect")
+                   "xml.etree.ElementTree", "logging")
+# What no stage loads: dataclasses, with inspect, cost a stage about 6 ms of
+# a 27 ms import. numpy loads inspect for pagerank.
+UNUSED_MODULES = ("dataclasses", "inspect")
 
 
 def modules_loaded_by(code: str, *argv: str) -> list[str]:
@@ -1310,7 +1322,7 @@ class TestConsoleScript:
     def test_cli_import_loads_no_stage_module(self):
         # Modules the interpreter loaded before the import do not count: a
         # site .pth file can load bz2, for one.
-        names = (*EXTRACT_MODULES, "wikilinks.graph", "wikilinks.extsort",
+        names = (*EXTRACT_MODULES, *UNUSED_MODULES, "wikilinks.graph", "wikilinks.extsort",
                  "wikilinks.analytics", "subprocess", "bz2")
         code = f"import wikilinks.cli\nprint(loaded({names!r}))\n"
         assert modules_loaded_by(code) == ["[]"]
@@ -1322,7 +1334,22 @@ class TestConsoleScript:
         code = (
             "from wikilinks import cli\n"
             "code = cli.main(sys.argv[1:])\n"
-            f"print(code, loaded({EXTRACT_MODULES!r}))\n"
+            f"print(code, loaded({(*EXTRACT_MODULES, *UNUSED_MODULES)!r}))\n"
+        )
+        assert modules_loaded_by(code, *args) == ["0 []"]
+
+    @pytest.mark.parametrize("stage", ["extract", "snapshot"])
+    def test_extract_and_snapshot_load_neither_dataclasses_nor_inspect(
+        self, out_dir, minidump_path, stage
+    ):
+        if stage == "snapshot":
+            assert cli.main(["extract", *base_args(out_dir), str(minidump_path)]) == 0
+        args = [stage, *base_args(out_dir),
+                *(["--date", "2018-03-01"] if stage == "snapshot" else [str(minidump_path)])]
+        code = (
+            "from wikilinks import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            f"print(code, loaded({UNUSED_MODULES!r}))\n"
         )
         assert modules_loaded_by(code, *args) == ["0 []"]
 

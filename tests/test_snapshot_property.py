@@ -5,7 +5,9 @@ The histories mix the cases the snapshot rules name: same-second revisions
 listed out of order, revisions stamped exactly at a date's midnight,
 redirects that turn back into articles, chains, cycles and dangling
 redirects, and one page whose revisions are split across two dump shards,
-extracted one shard at a time or both at once.
+extracted one shard at a time or both at once. Every date is also checked
+against two rules the oracle's files do not show: ``is_active`` and the
+growth of the page set from one date to the next.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from wikilinks.snapshot import (
     RESOLUTION_CYCLE,
     RESOLUTION_RESOLVED,
     read_resolved_redirects,
+    read_snapshot_links,
 )
 from wikilinks.storage import iter_rows
 
@@ -150,6 +153,28 @@ def test_every_date_matches_bruteforce(history, jobs, drop_self_loops):
             for kind in ("resolvedredirects", "wikilinksnapshot"):
                 name = f"enwiki.{kind}.{date}.csv.gz"
                 assert gzip.open(alone / name).read() == gzip.open(out / name).read(), name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(histories())
+def test_every_date_flags_links_active_iff_their_target_exists(history):
+    """At every date, a link is active exactly when its target is a title of
+    that date's ``resolvedredirects``, and each date keeps every page of the
+    date before: a page that exists once exists at every later date."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        dumps, _ = write_dumps(*history, out)
+        run(out, "extract", *map(str, dumps))
+        run(out, "snapshot", *(arg for date in DATES for arg in ("--date", date)))
+        previous: set[int] = set()
+        for date in DATES:
+            resolved = read_resolved_redirects(out / f"enwiki.resolvedredirects.{date}.csv.gz")
+            page_ids = {int(row[0]) for row in resolved.values()}
+            assert previous <= page_ids, date
+            previous = page_ids
+            for row in read_snapshot_links(out / f"enwiki.wikilinksnapshot.{date}.csv.gz"):
+                # Columns 2 and 8 are link and is_active.
+                assert row[8] == ("1" if row[2] in resolved else "0"), (date, row)
 
 
 def test_chains_at_the_depth_cap_match_bruteforce(tmp_path):
