@@ -145,8 +145,11 @@ def _parse_contributor(elem: ET.Element | None) -> tuple[str, str, int | None]:
 
 
 def _parse_revision(elem: ET.Element, issue, page_id, title) -> Revision:
-    rev_id = _text(_find(elem, "id"))
-    timestamp = _text(_find(elem, "timestamp"))
+    # One pass over the children; reversed, so the first child of each tag
+    # wins, as with _find.
+    fields = {_local(child.tag): child for child in reversed(elem)}
+    rev_id = _text(fields.get("id"))
+    timestamp = _text(fields.get("timestamp"))
     if rev_id is None:
         raise _PageSkip("revision without id")
     if timestamp is None:
@@ -155,10 +158,9 @@ def _parse_revision(elem: ET.Element, issue, page_id, title) -> Revision:
         ts = normalize_timestamp(timestamp)
     except ValueError:
         raise _PageSkip(f"revision {rev_id} has unparsable timestamp {timestamp!r}")
-    parent = _text(_find(elem, "parentid"))
-    user_type, username, user_id = _parse_contributor(_find(elem, "contributor"))
-    text_elem = _find(elem, "text")
-    wikitext = _text(text_elem)
+    parent = _text(fields.get("parentid"))
+    user_type, username, user_id = _parse_contributor(fields.get("contributor"))
+    wikitext = _text(fields.get("text"))
     if wikitext is None:
         # Deleted or suppressed revision texts occur in real dumps.
         issue(PageIssue("missing-text", page_id, title, f"revision {rev_id} has no text"))
@@ -170,7 +172,7 @@ def _parse_revision(elem: ET.Element, issue, page_id, title) -> Revision:
         user_type=user_type,
         user_username=username,
         user_id=user_id,
-        minor=_find(elem, "minor") is not None,
+        minor="minor" in fields,
         wikitext=wikitext,
     )
 

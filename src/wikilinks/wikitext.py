@@ -8,10 +8,10 @@ non-greedily), closed by ``]]``. Targets that contain ``#`` are split at the
 first ``#`` into (link, tosection) after matching, since ``#`` cannot occur
 in page titles.
 
-:func:`extract_links` uses a hand-written scanner that reproduces the regex
-byte for byte but runs in time linear in the input, including on adversarial
-inputs such as megabyte-long bracket runs. :data:`LINK_RE` is kept as the
-executable statement of the grammar and as a cross-check for tests.
+:data:`LINK_RE` is also the scanner, and it runs in time linear in the
+input, adversarial inputs such as megabyte-long bracket runs included: an
+attempt at a ``[[`` reads at most 256 target characters and stops at the
+next ``[``, which neither the target nor the anchor may contain.
 
 Links and redirects come back as the string columns extract writes: a link
 is a 6-tuple ``(link, tosection, anchor, section_name, section_level,
@@ -48,11 +48,6 @@ LINK_RE = re.compile(
     re.VERBOSE,
 )
 
-# Characters excluded from the target character class of LINK_RE.
-_TARGET_EXCLUDED = "\n|][<>{}"
-_TARGET_RUN = re.compile(r"[^\n\|\]\[\<\>\{\}]{0,256}")
-_BRACKET_RUN = re.compile(r"\[+")
-
 # The link columns of a raw link row, as extract_links returns them.
 LinkRow = tuple[str, str, str, str, str, str]
 
@@ -69,64 +64,6 @@ class Section(NamedTuple):
     number: int
     start: int
     end: int
-
-
-def _match_link_at(text: str, pos: int) -> tuple[str, str | None, int] | None:
-    """Try to match one ``[[...]]`` link with its opening brackets at ``pos``.
-
-    Returns ``(target, anchor, end)`` or ``None``. Mirrors LINK_RE exactly:
-    because the characters that may follow the target (``|`` or ``]``) are
-    excluded from the target class, only the maximal target run can match,
-    so no backtracking is ever needed.
-    """
-    run = _TARGET_RUN.match(text, pos + 2)
-    tend = run.end()
-    if tend >= len(text):
-        return None
-    after = text[tend]
-    if tend - (pos + 2) == 256 and after not in _TARGET_EXCLUDED:
-        return None  # target longer than the 256 cap: nothing can close it
-    if after == "]":
-        if text.startswith("]]", tend):
-            return text[pos + 2 : tend], None, tend + 2
-        return None
-    if after == "|":
-        astart = tend + 1
-        bracket = text.find("[", astart)
-        if bracket == -1:
-            close = text.find("]]", astart)
-        else:
-            close = text.find("]]", astart, bracket)
-        if close == -1:
-            return None
-        return text[pos + 2 : tend], text[astart:close], close + 2
-    return None
-
-
-def scan_links(text: str) -> list[tuple[int, int, str, str | None]]:
-    """All non-overlapping link matches, left to right.
-
-    Returns ``(start, end, target, anchor)`` tuples identical to running
-    ``LINK_RE.finditer`` over ``text``, with ``target`` still unsplit
-    (a possible ``#fragment`` is preserved).
-    """
-    out: list[tuple[int, int, str, str | None]] = []
-    n = len(text)
-    pos = text.find("[[")
-    while pos != -1 and pos + 4 <= n:
-        hit = _match_link_at(text, pos)
-        if hit is not None:
-            target, anchor, end = hit
-            out.append((pos, end, target, anchor))
-            pos = text.find("[[", end)
-            continue
-        if text[pos + 2] == "[":
-            # Bracket flood: only the last two brackets of the run can still
-            # open a link, everything before them fails the same way.
-            pos = _BRACKET_RUN.match(text, pos + 2).end() - 2
-            continue
-        pos = text.find("[[", pos + 1)
-    return out
 
 
 def _parse_header(line: str) -> tuple[str, int] | None:
@@ -200,9 +137,11 @@ def extract_links(wikitext: str) -> list[LinkRow]:
     last = len(sections) - 1
     rows: list[LinkRow] = []
     si = 0
-    for start, _end, target, anchor in scan_links(wikitext):
+    for match in LINK_RE.finditer(wikitext):
+        start = match.start()
         while si < last and starts[si + 1] <= start:
             si += 1
+        target, anchor = match.groups()
         link, _, tosection = target.partition("#")
         rows.append((link, tosection, anchor or "") + columns[si])
     return rows
@@ -289,14 +228,10 @@ def detect_redirect(
         if wikitext[start:end].casefold() != keyword:
             continue
         keyword_seen = True
-        pos = _AFTER_KEYWORD_RE.match(wikitext, end).end()
-        if not wikitext.startswith("[[", pos):
+        match = LINK_RE.match(wikitext, _AFTER_KEYWORD_RE.match(wikitext, end).end())
+        if match is None:
             continue
-        hit = _match_link_at(wikitext, pos)
-        if hit is None:
-            continue
-        target, _anchor, _end = hit
-        link, _, tosection = target.partition("#")
+        link, _, tosection = match["link"].partition("#")
         return link, tosection
     if keyword_seen and diagnostics is not None:
         diagnostics["redirect-keyword-without-target"] += 1

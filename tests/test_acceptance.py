@@ -20,12 +20,12 @@ from wikilinks import cli
 from wikilinks.analytics import pagerank
 from wikilinks.snapshot import RESOLUTION_RESOLVED, read_resolved_redirects
 from wikilinks.storage import iter_rows, sha256_of
-from wikilinks.wikitext import LINK_RE, scan_links
+from wikilinks.wikitext import extract_links
 
 import bruteforce
 from conftest import FIXTURE_DATES, GOLDEN_DIR, MINIDUMP, run_pipeline
 from test_analytics import dense_pagerank, loaded
-from test_wikitext import ADVERSARIAL, random_wikitext
+from test_wikitext import ADVERSARIAL, random_wikitext, reference_rows
 
 
 def _report(name: str, detail: str = "") -> None:
@@ -67,24 +67,17 @@ def test_minidump_golden_pipeline(tmp_path):
 
 
 def test_link_grammar_fidelity():
-    """The linear-time scanner agrees with the reference regex engine running
-    the literal pattern on 10,000 randomized and 50+ adversarial inputs."""
-
-    def reference(text):
-        return [
-            (m.start(), m.end(), m.group("link"), m.group("anchor"))
-            for m in LINK_RE.finditer(text)
-        ]
-
+    """extract_links agrees with the oracle's literal pattern, bruteforce.LINK,
+    on 10,000 randomized and 50+ adversarial inputs."""
     rng = random.Random(20180301)
     checked = 0
     for _ in range(10_000):
         text = random_wikitext(rng, max_len=250)
-        assert scan_links(text) == reference(text), repr(text)
+        assert extract_links(text) == reference_rows(text), repr(text)
         checked += 1
     assert len(ADVERSARIAL) >= 50
     for text in ADVERSARIAL:
-        assert scan_links(text) == reference(text), repr(text)
+        assert extract_links(text) == reference_rows(text), repr(text)
         checked += 1
     _report("link-grammar-fidelity", f"{checked} inputs, 100% agreement")
 

@@ -141,6 +141,22 @@ class TestReadPages:
         assert page.revisions[0].wikitext == ""
         assert [i.kind for i in issues] == ["missing-text"]
 
+    def test_first_child_of_a_repeated_tag_wins(self):
+        rev = (
+            "<revision><id>5</id><id>6</id>"
+            "<timestamp>2016-01-01T00:00:00Z</timestamp><timestamp>2017-01-01T00:00:00Z</timestamp>"
+            "<contributor><ip>1.2.3.4</ip></contributor>"
+            "<contributor><username>U</username><id>9</id></contributor>"
+            "<text>first</text><text>second</text></revision>"
+        )
+        xml = page_xml("A", 1, []).replace("</page>", rev + "</page>")
+        (page,) = read_all(dump_bytes(xml))
+        (revision,) = page.revisions
+        assert revision.revision_id == 5
+        assert revision.timestamp == "2016-01-01T00:00:00Z"
+        assert (revision.user_type, revision.user_username) == ("anonymous", "1.2.3.4")
+        assert revision.wikitext == "first"
+
     def test_page_without_title_is_skipped(self):
         bad = "<page><ns>0</ns><id>7</id><revision><id>1</id><timestamp>2016-01-01T00:00:00Z</timestamp><text>x</text></revision></page>"
         issues: list[PageIssue] = []

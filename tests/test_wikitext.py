@@ -6,9 +6,9 @@ from collections import Counter
 
 import pytest
 
+import bruteforce
 from wikilinks.errors import ConfigurationError
 from wikilinks.wikitext import (
-    LINK_RE,
     LanguageProfile,
     blank_inert_spans,
     detect_redirect,
@@ -16,7 +16,6 @@ from wikilinks.wikitext import (
     get_profile,
     load_profiles,
     normalize_title,
-    scan_links,
     section_scan,
 )
 
@@ -80,22 +79,16 @@ ADVERSARIAL = [
 ]
 
 
-def reference_matches(text: str):
-    return [
-        (m.start(), m.end(), m.group("link"), m.group("anchor"))
-        for m in LINK_RE.finditer(text)
-    ]
-
-
 def reference_rows(text: str):
-    """Link rows of ``text`` built from LINK_RE and section_scan alone.
+    """Link rows of ``text`` built from the oracle's ``bruteforce.LINK``
+    pattern and section_scan alone.
 
     The target is split at its first ``#``, an absent fragment or anchor is
     ``""``, and each link takes the section whose span holds its start.
     """
     sections = section_scan(text)
     rows = []
-    for m in LINK_RE.finditer(text):
+    for m in bruteforce.LINK.finditer(text):
         sec = next(s for s in sections if s.start <= m.start() < s.end)
         link, _, tosection = m.group("link").partition("#")
         rows.append((link, tosection, m.group("anchor") or "",
@@ -129,18 +122,15 @@ def random_sectioned_wikitext(rng: random.Random, lines: int = 8) -> str:
 class TestScanLinks:
     @pytest.mark.parametrize("text", ADVERSARIAL, ids=range(len(ADVERSARIAL)))
     def test_matches_reference_engine_on_adversarial(self, text):
-        assert scan_links(text) == reference_matches(text)
         assert extract_links(text) == reference_rows(text)
 
     def test_matches_reference_engine_on_random_inputs(self):
         rng = random.Random(20180301)
         for _ in range(2000):
             text = random_wikitext(rng)
-            assert scan_links(text) == reference_matches(text), repr(text)
             assert extract_links(text) == reference_rows(text), repr(text)
         for _ in range(2000):
             text = random_sectioned_wikitext(rng)
-            assert scan_links(text) == reference_matches(text), repr(text)
             assert extract_links(text) == reference_rows(text), repr(text)
 
     @pytest.mark.parametrize(
@@ -159,9 +149,18 @@ class TestScanLinks:
 
     def test_linear_time_on_bracket_flood(self):
         # Runtime on adversarial input must stay within 10x uniform text.
+        # The last two make a backtracking engine work hardest per attempt:
+        # a 256-character target that nothing closes backs off character by
+        # character, and a lazy anchor steps over every lone "]".
         size = 1 << 20
         uniform = ("lorem ipsum [[dolor]] sit amet, qui [[minim|labore]] x. " * 40000)[:size]
-        floods = ["[" * size, ("[[a|" + "x" * 60) * (size // 64), "[[a|" + "x" * size]
+        floods = [
+            "[" * size,
+            ("[[a|" + "x" * 60) * (size // 64),
+            "[[a|" + "x" * size,
+            ("[[" + "a" * 256) * (size // 258),
+            "[[a|" + "]x" * (size // 2),
+        ]
 
         def best_of(text, runs=3):
             times = []
@@ -191,13 +190,12 @@ class TestExtractLinks:
 
     def test_empty_target_is_still_a_match(self):
         # Oracle: the reference engine admits a zero-length target.
-        assert reference_matches("[[]]") == [(0, 4, "", None)]
-        assert extract_links("[[]]") == [("", "", "", "", "0", "0")]
+        assert reference_rows("[[]]") == extract_links("[[]]") == [("", "", "", "", "0", "0")]
 
     def test_anchor_admits_pipes(self):
         # Oracle: the reference engine puts everything after the first | in the anchor.
-        assert reference_matches("[[a|b|c]]") == [(0, 9, "a", "b|c")]
-        assert extract_links("[[a|b|c]]") == [("a", "", "b|c", "", "0", "0")]
+        rows = [("a", "", "b|c", "", "0", "0")]
+        assert reference_rows("[[a|b|c]]") == extract_links("[[a|b|c]]") == rows
 
     def test_red_links_are_reported(self):
         assert [row[0] for row in extract_links("[[No Such Page]]")] == ["No Such Page"]
@@ -332,6 +330,36 @@ class TestDetectRedirect:
         profile = get_profile("ru")
         assert detect_redirect("#ПЕРЕНАПРАВЛЕНИЕ [[Москва]]", profile) == ("Москва", "")
         assert detect_redirect("#ПЕРЕНАПР [[Москва]]", profile) == ("Москва", "")
+
+    def test_matches_oracle_on_random_redirect_like_texts(self):
+        rng = random.Random(20190301)
+        profile = get_profile("en")
+        # Half the keywords are #REDIRECT; the rest are near-misses.
+        keywords = ("#REDIRECT",) * 5 + (
+            "#REDIRECTION", "#REDIREC", "REDIRECT", "#RE DIRECT", "x#REDIRECT"
+        )
+        targets = (
+            "Target", "Target", " a_b ", "a#b", "#b", "", ":a", "a|b", "a]b", "a\nb", "a" * 257
+        )
+        redirects = 0
+        for _ in range(10_000):
+            keyword = "".join(
+                c.swapcase() if rng.random() < 0.5 else c for c in rng.choice(keywords)
+            )
+            text = (
+                "".join(rng.choices("\ufeff \t\r\n\v\f\xa0", k=rng.randrange(4)))
+                + keyword
+                + rng.choice(("", " ", ":", " : ", "\t:\n", "::", ":\xa0", "\n\n"))
+                + rng.choice(("[[", "[[", "[[", "[[ ", "[", ""))
+                + rng.choice(targets + (random_wikitext(rng, 12),))
+                + rng.choice(("]]", "]]", "]]", "]", ""))
+                + random_wikitext(rng, 40)
+            )
+            found = detect_redirect(text, profile)
+            target = None if found is None else normalize_title(found[0])
+            assert target == bruteforce.redirect_target(text), repr(text)
+            redirects += target is not None
+        assert redirects > 500
 
     def test_redirect_target_is_first_extracted_link(self):
         rng = random.Random(99)
