@@ -27,7 +27,6 @@ from .errors import ConfigurationError, DataFormatError, DumpFormatError
 from .snapshot import SnapshotDate, yearly_snapshot_dates
 from .storage import (
     CHECKSUM_SUFFIX,
-    CODECS,
     PARTIAL_SUFFIX,
     DatasetWriter,
     iter_rows,
@@ -97,7 +96,6 @@ def extract_shard(args: argparse.Namespace, profile: LanguageProfile, shard: int
     issues: Counter = Counter()
     pages = open_dump(
         input_path,
-        args.codec,
         sevenzip_command=args.sevenzip_command,
         on_issue=lambda issue: issues.update([issue.kind]),
     )
@@ -434,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+", type=Path, metavar="DUMP", help="dump file(s)")
     p.add_argument("--jobs", type=int, default=1,
                    help="dump files to extract at once; a single dump runs in one process")
-    p.add_argument("--codec", choices=CODECS, help="force input codec (default: by extension)")
     p.add_argument(
         "--strip-inert-spans",
         action="store_true",
@@ -492,10 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as err:
         _event("configuration-error", detail=str(err))
         return EXIT_USAGE
-    except (DumpFormatError, DataFormatError) as err:
-        _event("fatal", detail=str(err))
-        return EXIT_FATAL
-    except OSError as err:
+    except (DumpFormatError, DataFormatError, OSError) as err:
         _event("fatal", detail=str(err))
         return EXIT_FATAL
     except (EOFError, zlib.error, csv.Error, ValueError) as err:

@@ -261,13 +261,13 @@ def read_pages(
 
 def open_dump(
     path: str | Path,
-    codec: str | None = None,
     *,
     sevenzip_command: Sequence[str] | None = None,
     on_issue: Callable[[PageIssue], None] | None = None,
 ) -> Iterator[PageHistory]:
-    """Stream one dump file (optionally compressed) as PageHistory values."""
-    stream = open_dump_stream(path, codec, sevenzip_command)
+    """Stream one dump file as PageHistory values, decompressed as its first
+    bytes say (see :func:`~wikilinks.storage.open_dump_stream`)."""
+    stream = open_dump_stream(path, sevenzip_command)
     try:
         yield from read_pages(stream, source=str(path), on_issue=on_issue)
     finally:

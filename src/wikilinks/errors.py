@@ -2,7 +2,7 @@
 
 
 class ConfigurationError(ValueError):
-    """Bad run configuration: unknown codec, invalid dates, broken profile file."""
+    """Bad run configuration: invalid dates, broken profile file, missing decompressor."""
 
 
 class DumpFormatError(RuntimeError):

@@ -39,8 +39,8 @@ from typing import IO, TypeVar
 
 from .errors import ConfigurationError, DataFormatError, DumpFormatError
 
-CODECS = ("plain", "gzip", "bzip2", "7z-external")
 DEFAULT_SEVENZIP = ("7z", "e", "-so")
+_SEVENZIP_MAGIC = b"7z\xbc\xaf\x27\x1c"
 
 PARTIAL_SUFFIX = ".partial"
 CHECKSUM_SUFFIX = ".sha256"
@@ -51,17 +51,6 @@ GZIP_LEVEL = 6
 # The longest field the patterns of rows_pattern take: csv's limit at import.
 _FIELD_LIMIT = csv.field_size_limit()
 _Batch = TypeVar("_Batch")  # what read_batches' parsers make of rows
-
-
-def codec_for_path(path: str | Path) -> str:
-    suffix = Path(path).suffix.lower()
-    if suffix == ".gz":
-        return "gzip"
-    if suffix in (".bz2", ".bzip2"):
-        return "bzip2"
-    if suffix == ".7z":
-        return "7z-external"
-    return "plain"
 
 
 class _SubprocessStream:
@@ -104,30 +93,27 @@ class _SubprocessStream:
 
 
 def open_dump_stream(
-    path: str | Path,
-    codec: str | None = None,
-    sevenzip_command: Sequence[str] | None = None,
+    path: str | Path, sevenzip_command: Sequence[str] | None = None
 ) -> IO[bytes]:
     """Open a dump file as a decompressed binary stream.
 
-    ``codec`` is one of ``plain``, ``gzip``, ``bzip2``, ``7z-external``;
-    ``None`` selects by file extension. 7z content is piped through an
-    external command (default ``7z e -so``) because no codec for it ships
-    with the standard library.
+    The codec is read from the file's first bytes, whatever its name: gzip
+    (``1f 8b``), bzip2 (``BZh``), 7z (``37 7a bc af 27 1c``), and plain XML
+    for anything else. 7z content is piped through an external command
+    (default ``7z e -so``) because no codec for it ships with the standard
+    library.
     """
-    if codec is None:
-        codec = codec_for_path(path)
-    if codec == "plain":
-        return open(path, "rb")
-    if codec == "gzip":
+    with open(path, "rb") as f:
+        magic = f.read(len(_SEVENZIP_MAGIC))
+    if magic.startswith(b"\x1f\x8b"):
         return gzip.open(path, "rb")
-    if codec == "bzip2":
+    if magic.startswith(b"BZh"):
         import bz2  # only bzip2 input loads it
 
         return bz2.open(path, "rb")
-    if codec == "7z-external":
+    if magic == _SEVENZIP_MAGIC:
         return _SubprocessStream(sevenzip_command or DEFAULT_SEVENZIP, path)
-    raise ConfigurationError(f"unknown codec {codec!r}; expected one of {CODECS}")
+    return open(path, "rb")
 
 
 def sha256_of(path: str | Path) -> str:
@@ -288,6 +274,11 @@ def refuse_stale(path: str | Path) -> None:
         )
 
 
+def _open_dataset(path: str | Path, mode: str = "rb", **text) -> IO:
+    """A dataset file opened for reading, gunzipped when its name ends in ``.gz``."""
+    return (gzip.open if str(path).endswith(".gz") else open)(path, mode, **text)
+
+
 def iter_rows(
     path: str | Path, fields: Sequence[str] | None = None, id_columns: Sequence[int] = ()
 ) -> Iterator[list[str]]:
@@ -304,9 +295,8 @@ def iter_rows(
     cannot be opened raises its own :class:`OSError`.
     """
     refuse_stale(path)
-    opener = gzip.open if str(path).endswith(".gz") else open
     number = 1  # the row number of the last row read, the header's is 1
-    with opener(path, "rt", encoding="utf-8", newline="") as f:
+    with _open_dataset(path, "rt", encoding="utf-8", newline="") as f:
         try:
             reader = csv.reader(f)
             header = next(reader, None)
@@ -339,9 +329,8 @@ def _undecodable_line(path: str | Path) -> tuple[int, UnicodeDecodeError] | None
     No UTF-8 sequence holds a "\\n", so line by line finds what decoding the
     whole file finds.
     """
-    opener = gzip.open if str(path).endswith(".gz") else open
     try:
-        with opener(path, "rb") as f:
+        with _open_dataset(path) as f:
             for number, line in enumerate(f, 1):
                 try:
                     line.decode()
@@ -379,8 +368,7 @@ def _line_blocks(path: str | Path, fields: Sequence[str], block_bytes: int) -> I
     lines of about ``block_bytes`` bytes. Raises :class:`ValueError` for a
     header other than ``fields`` joined by commas, or a block not UTF-8."""
     header = (",".join(fields) + "\n").encode()
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rb") as f:
+    with _open_dataset(path) as f:
         if f.readline(len(header)) != header:
             raise ValueError(f"{path}: header is not {header!r}")
         while block := f.read(block_bytes):

@@ -204,7 +204,7 @@ def load_profiles(path: str | Path) -> dict[str, LanguageProfile]:
 
 
 # Old dumps occasionally carry a BOM before the directive.
-_LEADING_WHITESPACE = "﻿ \t\r\n\v\f"
+_LEADING_WHITESPACE_RE = re.compile("[﻿ \t\r\n\v\f]*")
 _AFTER_KEYWORD_RE = re.compile(r"[ \t]*:?\s*")
 
 
@@ -221,7 +221,7 @@ def detect_redirect(
     optional colon and a ``[[target]]`` link. A keyword without a parsable
     target is not a redirect; it is tallied in ``diagnostics`` if given.
     """
-    start = len(wikitext) - len(wikitext.lstrip(_LEADING_WHITESPACE))
+    start = _LEADING_WHITESPACE_RE.match(wikitext).end()
     keyword_seen = False
     for keyword in profile._ordered:
         end = start + len(keyword)

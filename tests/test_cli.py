@@ -70,6 +70,26 @@ class TestExtract:
             other / "enwiki.rawwikilinks.0000.csv.gz"
         )
 
+    def test_misnamed_dumps_give_identical_shards(self, minidump_path, tmp_path):
+        import bz2
+
+        data = minidump_path.read_bytes()
+        shards = []
+        for name, stored in (
+            ("minidump.xml", data),
+            ("minidump.xml.gz", data),
+            ("minidump.bin", gzip.compress(data)),
+            ("minidump.xml", bz2.compress(data)),
+        ):
+            run = tmp_path / f"run{len(shards)}"
+            run.mkdir()
+            (run / name).write_bytes(stored)
+            out = run / "out"
+            assert cli.main(["extract", *base_args(out), str(run / name)]) == 0
+            shards.append({p.name: p.read_bytes() for p in out.glob("*.csv.gz*")})
+        assert len(shards[0]) == 4  # two shards and their sidecars
+        assert shards[1:] == shards[:1] * 3
+
     def test_malformed_dump_exits_1_with_partial_markers(self, out_dir, tmp_path):
         bad = tmp_path / "bad.xml"
         bad.write_text("<mediawiki><page><title>x</title")
@@ -1446,11 +1466,12 @@ class TestUsage:
         assert "invalid date value" in err
         assert list(out_dir.iterdir()) == []
 
-    def test_unknown_codec_rejected_by_parser(self, out_dir, minidump_path):
+    def test_unknown_codec_rejected_by_parser(self, out_dir, minidump_path, capsys):
         rc = cli.main(
-            ["extract", *base_args(out_dir), "--codec", "zstd", str(minidump_path)]
+            ["extract", *base_args(out_dir), "--codec", "gzip", str(minidump_path)]
         )
         assert rc == 2
+        assert "unrecognized arguments: --codec" in capsys.readouterr().err
 
     def test_duplicate_dates_rejected(self, out_dir, capsys):
         rc = cli.main(
@@ -1492,7 +1513,6 @@ class TestUsage:
                 **common,
                 "inputs": (None, None, True),
                 "--jobs": (1, None, False),
-                "--codec": (None, ("plain", "gzip", "bzip2", "7z-external"), False),
                 "--strip-inert-spans": (False, None, False),
                 "--sevenzip-command": (None, None, False),
                 "--profiles": (None, None, False),
@@ -1532,14 +1552,12 @@ class TestUsage:
         )
         assert rc == 0
 
-    def test_sevenzip_command_flag(self, out_dir, minidump_path):
+    def test_sevenzip_command_flag(self, out_dir, minidump_path, tmp_path):
+        # 7z magic, then plain XML, which "tail -c +7" prints.
+        dump = tmp_path / "minidump.xml"
+        dump.write_bytes(b"7z\xbc\xaf\x27\x1c" + minidump_path.read_bytes())
         rc = cli.main(
-            [
-                "extract", *base_args(out_dir),
-                "--codec", "7z-external",
-                "--sevenzip-command", "cat",
-                str(minidump_path),
-            ]
+            ["extract", *base_args(out_dir), "--sevenzip-command", "tail -c +7", str(dump)]
         )
         assert rc == 0
         manifest = json.loads((out_dir / "enwiki.extract.manifest.json").read_text())

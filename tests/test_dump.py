@@ -3,6 +3,7 @@ from __future__ import annotations
 import bz2
 import gzip
 import io
+import re
 import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
@@ -208,52 +209,66 @@ class TestReadPages:
         assert page.title == "A"
 
 
+SEVENZIP_MAGIC = b"7z\xbc\xaf\x27\x1c"
+# Prints a file from its 7th byte on: what 7z prints for a "7z" file whose
+# magic is followed by plain XML.
+SKIP_MAGIC = ("tail", "-c", "+7")
+
+
 class TestOpenDump:
     @pytest.fixture()
-    def xml_path(self, tmp_path) -> Path:
-        path = tmp_path / "dump.xml"
-        path.write_bytes(dump_bytes(
+    def xml(self) -> bytes:
+        return dump_bytes(
             page_xml("A", 1, [BASIC_REV]),
             page_xml("B", 2, [dict(BASIC_REV, id=21)]),
-        ))
+        )
+
+    @pytest.fixture()
+    def sevenzip_path(self, xml, tmp_path) -> Path:
+        path = tmp_path / "dump.xml"
+        path.write_bytes(SEVENZIP_MAGIC + xml)
         return path
 
-    def test_plain(self, xml_path):
-        assert [p.title for p in open_dump(xml_path)] == ["A", "B"]
-
-    def test_compressed_variants_equivalent(self, xml_path, tmp_path):
-        data = xml_path.read_bytes()
-        gz_path = tmp_path / "dump.xml.gz"
-        with gzip.open(gz_path, "wb") as f:
-            f.write(data)
-        bz_path = tmp_path / "dump.xml.bz2"
-        with bz2.open(bz_path, "wb") as f:
-            f.write(data)
-        plain = list(open_dump(xml_path))
-        assert list(open_dump(gz_path)) == plain
-        assert list(open_dump(bz_path)) == plain
-
-    def test_explicit_codec_overrides_extension(self, xml_path, tmp_path):
-        disguised = tmp_path / "dump.bin"
-        with gzip.open(disguised, "wb") as f:
-            f.write(xml_path.read_bytes())
-        assert [p.title for p in open_dump(disguised, "gzip")] == ["A", "B"]
-
-    def test_unknown_codec_is_configuration_error(self, xml_path):
-        with pytest.raises(ConfigurationError, match="codec"):
-            list(open_dump(xml_path, "zstd"))
-
-    def test_7z_external_via_cat(self, xml_path):
-        pages = open_dump(xml_path, "7z-external", sevenzip_command=("cat",))
+    @pytest.mark.parametrize("codec, name", [
+        ("plain", "dump.xml"),
+        ("plain", "dump.xml.gz"),
+        ("gzip", "dump.xml.gz"),
+        ("gzip", "dump.bin"),
+        ("bzip2", "dump.xml.bz2"),
+        ("bzip2", "dump.xml"),
+    ])
+    def test_codec_is_read_from_the_first_bytes(self, xml, tmp_path, codec, name):
+        compress = {"plain": bytes, "gzip": gzip.compress, "bzip2": bz2.compress}[codec]
+        path = tmp_path / name
+        path.write_bytes(compress(xml))
+        pages = list(open_dump(path))
+        assert pages == read_all(xml)
         assert [p.title for p in pages] == ["A", "B"]
 
-    def test_7z_external_failure_raises(self, xml_path):
-        with pytest.raises(DumpFormatError, match="exited"):
-            list(open_dump(xml_path, "7z-external", sevenzip_command=("false",)))
+    @pytest.mark.parametrize("data, fault", [
+        (b"", "malformed XML"),
+        (b"\x1f", "malformed XML"),
+        (b"\x1f\x8b", "cannot decompress"),
+        (b"BZh", "cannot decompress"),
+        (SEVENZIP_MAGIC[:5], "malformed XML"),
+    ])
+    def test_dump_cut_short_is_a_dump_format_error(self, tmp_path, data, fault):
+        path = tmp_path / "dump.xml"
+        path.write_bytes(data)
+        with pytest.raises(DumpFormatError, match=f"^{re.escape(str(path))}: {fault}"):
+            list(open_dump(path))
 
-    def test_missing_7z_binary_is_configuration_error(self, xml_path):
+    def test_7z_external_via_tail(self, sevenzip_path):
+        pages = open_dump(sevenzip_path, sevenzip_command=SKIP_MAGIC)
+        assert [p.title for p in pages] == ["A", "B"]
+
+    def test_7z_external_failure_raises(self, sevenzip_path):
+        with pytest.raises(DumpFormatError, match="exited"):
+            list(open_dump(sevenzip_path, sevenzip_command=("false",)))
+
+    def test_missing_7z_binary_is_configuration_error(self, sevenzip_path):
         with pytest.raises(ConfigurationError, match="decompressor"):
-            list(open_dump(xml_path, "7z-external", sevenzip_command=("/no/such/bin",)))
+            list(open_dump(sevenzip_path, sevenzip_command=("/no/such/bin",)))
 
 
 class TestStreaming:

@@ -11,7 +11,6 @@ from wikilinks.extsort import external_sort, unique_justseen
 from wikilinks.storage import (
     DatasetWriter,
     checksum_path,
-    codec_for_path,
     iter_rows,
     read_batches,
     sha256_of,
@@ -190,21 +189,6 @@ class TestChecksumHelpers:
         path.write_bytes(b"payload")
         write_checksum(path)
         assert verify_checksum(path)
-
-
-class TestCodecForPath:
-    @pytest.mark.parametrize(
-        "name,codec",
-        [
-            ("a.xml", "plain"),
-            ("a.xml.gz", "gzip"),
-            ("a.xml.bz2", "bzip2"),
-            ("a.xml.7z", "7z-external"),
-            ("a", "plain"),
-        ],
-    )
-    def test_by_extension(self, name, codec):
-        assert codec_for_path(name) == codec
 
 
 class TestExternalSort:
