@@ -4,15 +4,15 @@ Counting (:func:`compute_stats`, :func:`write_growth_series`) needs only the
 standard library; numpy is imported inside the functions that rank, so
 ``stats`` never loads it.
 
-Graph files are read through :func:`storage.read_batches`, which checks
-each row against the file kind's fields and id columns, declared in
-:mod:`.graph`, and names each fault as :func:`storage.iter_rows` does. This
-module keeps each file kind's parsers. A block of about 256 KB that the
-row pattern accepts ends each row with a line feed, so
-:func:`compute_stats` counts them, and PageRank's readers parse it with
-numpy; an id of more than 19 digits, or past ``2**63 - 1``, sends it to
-csv. The rows csv reads are parsed a row at a time, and the counts, ids,
-titles and errors are those of csv alone.
+Graph files are read through :func:`storage.read_batches`, only as
+``graph`` writes them: each block of about 256 KB is checked against the
+file kind's fields and id columns, declared in :mod:`.graph`, and a row
+that is not as ``graph`` writes it is a fault, named as
+:func:`storage.iter_rows` names it. This module keeps each file kind's
+block parser. Each row of a checked block ends with a line feed, so
+:func:`compute_stats` counts them, and PageRank's readers parse the block
+with numpy; they read an id as ``int()`` does, and refuse one past
+``2**63 - 1``.
 
 The ``pagerank`` stage holds only what each phase needs.
 :func:`load_graph_file` reads the node file's ids alone, into int64, and
@@ -67,7 +67,7 @@ import csv
 import os
 from array import array
 from collections import deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -80,7 +80,6 @@ if TYPE_CHECKING:
 
 RANKING_FIELDS = ("rank", "title", "score")
 GROWTH_FIELDS = ("language", "date", "nodes", "edges")
-_BATCH_ROWS = 1 << 16  # rows per batch read through csv
 _BLOCK_BYTES = 1 << 18  # a block's parsing temporaries stay below PageRank's arrays
 _STEP_PAIRS = 1 << 16  # links whose flow a PageRank step builds at a time
 _TIE_ROWS = 1 << 14  # tied ranking rows ordered at a time, in whole runs
@@ -181,11 +180,6 @@ def _block_rows(block: bytes) -> tuple[int, None]:
     return block.count(b"\n"), None
 
 
-def _count_rows(rows: Iterator[list[str]]) -> tuple[int, None]:
-    """The number of checked rows, of which nothing is kept."""
-    return sum(1 for _ in rows), None
-
-
 def compute_stats(
     edge_path: str | Path,
     node_path: str | Path,
@@ -202,11 +196,9 @@ def compute_stats(
     takes are counted by their line ends.
     """
     edges = sum(rows for rows, _ in read_batches(
-        edge_path, EDGE_FIELDS, EDGE_ID_COLUMNS, _BLOCK_BYTES, _block_rows, _count_rows,
-        _BATCH_ROWS))
+        edge_path, EDGE_FIELDS, EDGE_ID_COLUMNS, _BLOCK_BYTES, _block_rows))
     nodes = sum(rows for rows, _ in read_batches(
-        node_path, NODE_FIELDS, NODE_ID_COLUMNS, _BLOCK_BYTES, _block_rows, _count_rows,
-        _BATCH_ROWS))
+        node_path, NODE_FIELDS, NODE_ID_COLUMNS, _BLOCK_BYTES, _block_rows))
     return GraphStats(language, date, nodes, edges)
 
 
@@ -263,30 +255,35 @@ def _pack(
     return source_rows, target_rows, source_rows * len(ids) + target_rows, listed
 
 
-def _parse_ids(text: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
-    """The int64 ids ``text[lo[i]:hi[i]]``, each ASCII digits, or None if
-    one has more than 19 digits or is past ``2**63 - 1``."""
+def _parse_ids(text: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The int64 ids ``text[lo[i]:hi[i]]``, each ASCII digits, as ``int()``
+    reads them; ``lo`` and ``hi`` may hold a row per id column, each
+    element of their last axis one row of the block. An id past
+    ``2**63 - 1`` raises :class:`OverflowError` with the index of its row."""
     import numpy as np
 
-    digits = int((hi - lo).max())
-    if digits > 19:
-        return None
-    value = np.zeros(len(lo), np.uint64)
-    for k in range(digits, 0, -1):  # right-aligned: the digit k places before hi
+    digits = hi - lo
+    for at in zip(*np.nonzero(digits > 19)):  # leading zeros dropped, one long id at a time
+        digits[at] = len(text[lo[at]:hi[at]].tobytes().lstrip(b"0"))
+    past = digits > 19
+    digits[past] = 0
+    lo = hi - digits
+    value = np.zeros(lo.shape, np.uint64)
+    for k in range(int(digits.max()), 0, -1):  # right-aligned: the digit k places before hi
         at = hi - k
         digit = text[np.maximum(at, 0)] - np.uint8(ord("0"))
         digit[at < lo] = 0
         value *= 10
         value += digit
-    if value.max() > 2**63 - 1:
-        return None
+    past |= value > 2**63 - 1
+    if past.any():
+        raise OverflowError(int(past.reshape(-1, past.shape[-1]).any(0).argmax()))
     return value.view(np.int64)
 
 
-def _block_ids(block: bytes) -> tuple[int, tuple[np.ndarray, np.ndarray]] | None:
+def _block_ids(block: bytes) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
     """The number of rows of a block of edge rows that the edge file's
-    row pattern matched, and their source and target ids; None if an id
-    has more than 19 digits or is past ``2**63 - 1``."""
+    row pattern matched, and their source and target ids."""
     import numpy as np
 
     text = np.frombuffer(block, np.uint8)
@@ -296,29 +293,13 @@ def _block_ids(block: bytes) -> tuple[int, tuple[np.ndarray, np.ndarray]] | None
         commas = commas[np.searchsorted(np.flatnonzero(text == ord('"')), commas) % 2 == 0]
     commas = commas.reshape(-1, 3)  # the three delimiters of each row
     starts = np.concatenate(([0], ends[:-1] + 1))
-    sources = _parse_ids(text, starts, commas[:, 0])
-    targets = None if sources is None else _parse_ids(text, commas[:, 1] + 1, commas[:, 2])
-    if targets is None:
-        return None
-    return len(sources), (sources, targets)
+    ids = _parse_ids(text, np.stack((starts, commas[:, 1] + 1)), commas[:, ::2].T)
+    return len(starts), (ids[0], ids[1])
 
 
-def _edge_rows(rows: Iterator[list[str]]) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
-    """The number of checked edge rows, and their source and target ids,
-    appended a row at a time."""
-    import numpy as np
-
-    sources, targets = array("q"), array("q")
-    for row in rows:
-        sources.append(int(row[0]))
-        targets.append(int(row[2]))
-    return len(sources), (np.frombuffer(sources, np.int64), np.frombuffer(targets, np.int64))
-
-
-def _node_columns(text: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _node_columns(text: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where each row of a block of node rows that the node file's row
-    pattern matched ends, where its first comma is, and the rows' ids; None
-    for the ids if one has more than 19 digits or is past ``2**63 - 1``."""
+    pattern matched ends, where its first comma is, and the rows' ids."""
     import numpy as np
 
     ends = np.flatnonzero(text == ord("\n"))
@@ -328,35 +309,23 @@ def _node_columns(text: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray 
     return ends, commas, _parse_ids(text, starts, commas)
 
 
-def _block_node_ids(block: bytes) -> tuple[int, np.ndarray] | None:
+def _block_node_ids(block: bytes) -> tuple[int, np.ndarray]:
     """The number of rows of a block of node rows that the node file's
-    row pattern matched, and their ids; None as for :func:`_node_columns`."""
+    row pattern matched, and their ids."""
     import numpy as np
 
     ids = _node_columns(np.frombuffer(block, np.uint8))[2]
-    return None if ids is None else (len(ids), ids)
+    return len(ids), ids
 
 
-def _node_id_rows(rows: Iterator[list[str]]) -> tuple[int, np.ndarray]:
-    """The number of checked node rows, and their ids, appended a row at a
-    time."""
-    import numpy as np
-
-    ids = array("q", (int(row[0]) for row in rows))
-    return len(ids), np.frombuffer(ids, np.int64)
-
-
-def _block_nodes(block: bytes) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
+def _block_nodes(block: bytes) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The number of rows of a block of node rows that the node file's
     row pattern matched, and their ids, their titles' UTF-8 bytes,
-    concatenated, and where each title ends in them; None as for
-    :func:`_node_columns`."""
+    concatenated, and where each title ends in them."""
     import numpy as np
 
     text = np.frombuffer(block, np.uint8)
     ends, commas, ids = _node_columns(text)
-    if ids is None:
-        return None
     # A title's bytes lie between its row's first comma and its "\n": +1 at
     # the one and -1 at the other add up to 1 over the comma and the title.
     keep = np.zeros(len(text), np.int8)
@@ -378,30 +347,13 @@ def _block_nodes(block: bytes) -> tuple[int, tuple[np.ndarray, np.ndarray, np.nd
     return len(ids), (ids, text[keep.view(bool)], np.cumsum(lengths))
 
 
-def _node_rows(
-    rows: Iterator[list[str]],
-) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The number of checked node rows, and their ids, their titles' UTF-8
-    bytes, concatenated, and where each title ends in them, appended a row
-    at a time."""
-    import numpy as np
-
-    ids, titles, ends = array("q"), bytearray(), array("q")
-    for row in rows:
-        ids.append(int(row[0]))
-        titles += row[1].encode()
-        ends.append(len(titles))
-    return len(ids), (np.frombuffer(ids, np.int64), np.frombuffer(titles, np.uint8),
-                      np.frombuffer(ends, np.int64))
-
-
 def _read_node_ids(node_path: str | Path) -> np.ndarray:
     """The node file's ids, a batch at a time."""
     import numpy as np
 
     ids = array("q")
     for _, batch_ids in read_batches(node_path, NODE_FIELDS, NODE_ID_COLUMNS, _BLOCK_BYTES,
-                                     _block_node_ids, _node_id_rows, _BATCH_ROWS):
+                                     _block_node_ids):
         ids.frombytes(memoryview(batch_ids).cast("B"))
     return np.frombuffer(ids, dtype=np.int64)
 
@@ -426,8 +378,7 @@ def read_titles(nodes: NodeFile, ids: np.ndarray) -> Titles:
     ends = np.frombuffer(bounds, np.int64)[1:]  # where each title ends in ``data``
     taken = 0
     for rows, (batch_ids, titles, batch_ends) in read_batches(
-        nodes.path, NODE_FIELDS, NODE_ID_COLUMNS, _BLOCK_BYTES, _block_nodes, _node_rows,
-        _BATCH_ROWS,
+        nodes.path, NODE_FIELDS, NODE_ID_COLUMNS, _BLOCK_BYTES, _block_nodes
     ):
         if not np.array_equal(batch_ids, ids[taken:taken + rows]):
             raise changed
@@ -454,18 +405,15 @@ def load_graph_file(edge_path: str | Path, node_path: str | Path) -> tuple[LinkR
     order or repeated.
 
     Both files are read in blocks, as :func:`compute_stats` reads them,
-    and numpy parses each block the pattern accepts: the ids of the edge
-    file, and the ids alone of the node file. From the first block it
-    refuses, or one with an id of more than 19 digits or past
-    ``2**63 - 1``, the rest of that file is read through csv. Each batch of
-    edges is checked and then appended as target rows and added to the
-    out-degrees, so no array of one int64 per edge is built.
+    and numpy parses each block: the ids of the edge file, and the ids
+    alone of the node file. Each batch of edges is checked and then
+    appended as target rows and added to the out-degrees, so no array of
+    one int64 per edge is built.
     """
     import numpy as np
 
     def edge_batches():
-        return read_batches(edge_path, EDGE_FIELDS, EDGE_ID_COLUMNS, _BLOCK_BYTES, _block_ids,
-                            _edge_rows, _BATCH_ROWS)
+        return read_batches(edge_path, EDGE_FIELDS, EDGE_ID_COLUMNS, _BLOCK_BYTES, _block_ids)
 
     nodes = NodeFile.of(node_path)
     try:

@@ -4,7 +4,8 @@ Pages are yielded one at a time with their full revision list; the element
 tree is cleared after every page, so memory stays proportional to the
 largest single page rather than to the file. Export schema versions
 0.8-0.11 are accepted; element namespaces are ignored by matching on local
-tag names.
+tag names. Line endings in texts and contributor names are made "\n", as
+MediaWiki saves them: XML parsing does so, but "&#13;" gives a "\r".
 """
 
 from __future__ import annotations
@@ -92,15 +93,32 @@ class _PageSkip(Exception):
 
 
 class _NotAnInteger(Exception):
-    """An id or namespace whose text ``int()`` refuses; its args name the
-    element and give its text."""
+    """An id or namespace ``int()`` refuses, or an id outside 0 to
+    ``2**63 - 1``; its args say which and give its text."""
+
+
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")  # never in a MediaWiki title
+_TITLE_BYTES = 255  # MediaWiki's limit on a title without its namespace
 
 
 def _int(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise _NotAnInteger(what, text) from None
+        raise _NotAnInteger(f"{what} is not an integer", text) from None
+
+
+def _id(text: str, what: str) -> int:
+    """An id: an integer that the int64 columns of the later stages hold."""
+    value = _int(text, what)
+    if not 0 <= value <= 2**63 - 1:
+        raise _NotAnInteger(f"{what} is not in 0 to 2**63 - 1", text)
+    return value
+
+
+def _lines(text: str) -> str:
+    """``text`` with "\r\n" and "\r" made "\n"."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 class _CountingReader:
@@ -136,12 +154,12 @@ def _parse_contributor(elem: ET.Element | None) -> tuple[str, str, int | None]:
         return USER_ANONYMOUS, "", None
     ip = _text(_find(elem, "ip"))
     if ip is not None:
-        return USER_ANONYMOUS, ip.strip(), None
+        return USER_ANONYMOUS, _lines(ip.strip()), None
     username = _text(_find(elem, "username"))
     user_id = _text(_find(elem, "id"))
     if username is None or user_id is None:
-        return USER_ANONYMOUS, (username or "").strip(), None
-    return USER_REGISTERED, username, _int(user_id, "contributor id")
+        return USER_ANONYMOUS, _lines((username or "").strip()), None
+    return USER_REGISTERED, _lines(username), _id(user_id, "contributor id")
 
 
 def _parse_revision(elem: ET.Element, issue, page_id, title) -> Revision:
@@ -166,14 +184,14 @@ def _parse_revision(elem: ET.Element, issue, page_id, title) -> Revision:
         issue(PageIssue("missing-text", page_id, title, f"revision {rev_id} has no text"))
         wikitext = ""
     return Revision(
-        revision_id=_int(rev_id, "revision id"),
-        parent_id=_int(parent, "parent id") if parent else None,
+        revision_id=_id(rev_id, "revision id"),
+        parent_id=_id(parent, "parent id") if parent else None,
         timestamp=ts,
         user_type=user_type,
         user_username=username,
         user_id=user_id,
         minor="minor" in fields,
-        wikitext=wikitext,
+        wikitext=_lines(wikitext),
     )
 
 
@@ -185,8 +203,13 @@ def _parse_page(elem: ET.Element, issue) -> PageHistory:
     if page_id is None:
         raise _PageSkip(f"page {title!r} without id")
     ns = _text(_find(elem, "ns"))
-    page_id, title = _int(page_id, "page id"), title.strip()
+    page_id, title = _id(page_id, "page id"), title.strip()
+    if _CONTROL.search(title):
+        raise _PageSkip(f"title {title!r} holds a control character")
     namespace = _int(ns, "namespace") if ns is not None else 0
+    name = title.partition(":")[2] if namespace else title  # without its namespace
+    if len(name.encode()) > _TITLE_BYTES:
+        raise _PageSkip(f"title of {len(name.encode())} UTF-8 bytes, past {_TITLE_BYTES}")
     revisions = [
         _parse_revision(child, issue, page_id, title)
         for child in elem
@@ -208,10 +231,14 @@ def read_pages(
     """Parse a decompressed export stream into PageHistory values.
 
     Pages missing a mandatory element (title, id, or a revision id or
-    timestamp) are reported through ``on_issue`` with kind "page-skipped"
-    and skipped; malformed XML, an id or namespace that is not an integer,
-    and a stream its decompressor cannot read to its end, raise
-    :class:`DumpFormatError` naming the byte offset reached.
+    timestamp), and pages whose title holds a control character or is
+    longer than MediaWiki's 255 UTF-8 bytes (its namespace prefix left
+    out), are reported through ``on_issue`` with kind "page-skipped" and
+    skipped;
+    malformed XML, an id or namespace that is not an integer, an id
+    outside 0 to ``2**63 - 1``, and a stream its decompressor cannot read
+    to its end, raise :class:`DumpFormatError` naming the byte offset
+    reached.
     Without ``on_issue``, issues are logged as warnings.
     """
     # Imported here: the snapshot stage loads this module too, but parses no XML.
@@ -238,7 +265,7 @@ def read_pages(
                 on_issue(
                     PageIssue(
                         "page-skipped",
-                        _int(page_id, "page id") if page_id else None,
+                        _id(page_id, "page id") if page_id else None,
                         title,
                         str(skip),
                     )
@@ -249,9 +276,9 @@ def read_pages(
             f"{source}: malformed XML near byte {counting.bytes_read}: {err}"
         ) from err
     except _NotAnInteger as err:
-        what, text = err.args
+        fault, text = err.args
         raise DumpFormatError(
-            f"{source}: {what} is not an integer near byte {counting.bytes_read}: {text!r}"
+            f"{source}: {fault} near byte {counting.bytes_read}: {text!r}"
         ) from None
     except (EOFError, OSError, zlib.error) as err:  # a truncated or corrupt compressed dump
         raise DumpFormatError(

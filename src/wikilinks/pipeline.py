@@ -66,10 +66,8 @@ REDIRECT_FIELDS = (
 )
 REDIRECT_ID_COLUMNS = (0, 2)
 
-# Raw shards are read in blocks of about this many bytes; the rows csv reads
-# are filtered in batches of at most this many rows.
+# Raw shards are read in blocks of about this many bytes.
 _BLOCK_BYTES = 1 << 18
-_BATCH_ROWS = 1 << 12
 # One revision's run of rows, in a block that storage.rows_pattern accepted:
 # the rows that start with the same page id, title and revision id bytes.
 # Groups 2 and 3 are the ids. A validated block has no "\n" inside a field,
@@ -224,7 +222,7 @@ def read_raw_records(
     share page id, title and revision id, one match of a regular expression
     each; a run's ids are parsed with ``int()``, so leading zeros and a
     quoted title make at most a shorter run, and only the runs of
-    revisions in ``keys`` are parsed by csv. From the first block refused
+    revisions in ``keys`` are parsed by csv. From the first row refused
     (a row whose anchor holds a line feed is one) the rest of the shard is
     read by csv and filtered row by row. Each shard's kept rows stay in
     file order, and ``heapq.merge`` is stable, so the rows come in the
@@ -255,7 +253,7 @@ def read_raw_records(
 
     def selected(path: str) -> Iterator[list[str]]:
         for _, rows in read_batches(path, RAW_LINK_FIELDS, RAW_LINK_ID_COLUMNS, _BLOCK_BYTES,
-                                    parse_block, parse_rows, _BATCH_ROWS):
+                                    parse_block, parse_rows):
             yield from rows
 
     streams = [selected(p) for p in sorted(map(str, paths))]

@@ -16,7 +16,8 @@ the header, each row's width and that each id column (one some stage
 parses with ``int()``) is ASCII digits, and turns every read fault into a
 :class:`DataFormatError` naming the path and the line or row.
 :func:`read_batches` reads graph files and raw-link shards in blocks that a
-regular expression accepts, and the rest through :func:`iter_rows`.
+regular expression accepts: a graph file only as ``graph`` writes it, a
+raw-link shard from its first refused row on through :func:`iter_rows`.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ import zlib
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from functools import cache
-from itertools import count, islice
-from operator import itemgetter
+from itertools import islice
 from pathlib import Path
 from typing import IO, TypeVar
 
@@ -41,6 +41,7 @@ from .errors import ConfigurationError, DataFormatError, DumpFormatError
 
 DEFAULT_SEVENZIP = ("7z", "e", "-so")
 _SEVENZIP_MAGIC = b"7z\xbc\xaf\x27\x1c"
+_STDERR_TAIL = 4096  # bytes of a failed decompressor's standard error it reports
 
 PARTIAL_SUFFIX = ".partial"
 CHECKSUM_SUFFIX = ".sha256"
@@ -51,20 +52,26 @@ GZIP_LEVEL = 6
 # The longest field the patterns of rows_pattern take: csv's limit at import.
 _FIELD_LIMIT = csv.field_size_limit()
 _Batch = TypeVar("_Batch")  # what read_batches' parsers make of rows
+_BATCH_ROWS = 1 << 12  # rows per batch of read_batches' parse_rows
 
 
 class _SubprocessStream:
-    """Readable binary stream backed by an external decompressor process."""
+    """Readable binary stream backed by an external decompressor process,
+    whose standard error goes to a temporary file (a pipe nothing reads
+    could fill up and stop it) and ends the error raised if it fails."""
 
     def __init__(self, command: Sequence[str], path: str | Path):
         import subprocess  # only 7z input loads it
+        import tempfile
 
         self._command = list(command) + [str(path)]
+        self._stderr = tempfile.TemporaryFile()
         try:
             self._proc = subprocess.Popen(
-                self._command, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL
+                self._command, stdout=subprocess.PIPE, stderr=self._stderr
             )
         except OSError as err:
+            self._stderr.close()
             raise ConfigurationError(
                 f"cannot run external decompressor {self._command[0]!r}: {err}"
             ) from err
@@ -74,8 +81,11 @@ class _SubprocessStream:
         if not data:
             code = self._proc.wait()
             if code != 0:
+                self._stderr.seek(max(self._stderr.seek(0, os.SEEK_END) - _STDERR_TAIL, 0))
+                said = self._stderr.read().decode(errors="replace").strip()
                 raise DumpFormatError(
                     f"external decompressor {' '.join(self._command)!r} exited with {code}"
+                    + (f": {said}" if said else "")
                 )
         return data
 
@@ -84,6 +94,7 @@ class _SubprocessStream:
             self._proc.kill()
         self._proc.wait()
         self._proc.stdout.close()
+        self._stderr.close()
 
     def __enter__(self) -> "_SubprocessStream":
         return self
@@ -351,11 +362,8 @@ def rows_pattern(width: int, id_columns: tuple[int, ...]) -> re.Pattern[bytes]:
 
     No field holds a "\\n", so every "\\n" of a matched block ends a row,
     and csv reads each matched row as the fields the pattern sees. The
-    repeats are possessive, so a match keeps no state per row; they need
-    Python 3.11, and on 3.10 the pattern matches nothing.
+    repeats are possessive, so a match keeps no state per row.
     """
-    if sys.version_info < (3, 11):
-        return re.compile(rb"(?!)")
     digits = rb"[0-9]{1,%d}+" % _FIELD_LIMIT
     text = rb'(?:[^,"\r\n\x00]{0,%d}+|"(?:[^"\r\n\x00]|""){0,%d}")' % (
         _FIELD_LIMIT, _FIELD_LIMIT)
@@ -365,17 +373,15 @@ def rows_pattern(width: int, id_columns: tuple[int, ...]) -> re.Pattern[bytes]:
 
 def _line_blocks(path: str | Path, fields: Sequence[str], block_bytes: int) -> Iterator[bytes]:
     """A dataset file after its header, decompressed, in blocks of whole
-    lines of about ``block_bytes`` bytes. Raises :class:`ValueError` for a
-    header other than ``fields`` joined by commas, or a block not UTF-8."""
+    lines of about ``block_bytes`` bytes. A header other than ``fields``
+    joined by commas raises :class:`ValueError` with the bytes read."""
     header = (",".join(fields) + "\n").encode()
     with _open_dataset(path) as f:
-        if f.readline(len(header)) != header:
-            raise ValueError(f"{path}: header is not {header!r}")
+        if (line := f.readline(len(header))) != header:
+            raise ValueError(line)
         while block := f.read(block_bytes):
             if not block.endswith(b"\n"):
                 block += f.readline()
-            if not block.isascii():
-                block.decode()  # raises UnicodeDecodeError, a ValueError
             yield block
 
 
@@ -385,50 +391,67 @@ def read_batches(
     id_columns: tuple[int, ...],
     block_bytes: int,
     parse_block: Callable[[bytes], tuple[int, _Batch] | None],
-    parse_rows: Callable[[Iterator[list[str]]], tuple[int, _Batch]],
-    batch_rows: int,
+    parse_rows: Callable[[Iterator[list[str]]], tuple[int, _Batch]] | None = None,
+    batch_rows: int = _BATCH_ROWS,
 ) -> Iterator[tuple[int, _Batch]]:
     """The rows of a dataset file in batches, in file order: each batch's
     number of rows and what ``parse_block`` or ``parse_rows`` makes of them.
 
-    Each block of :func:`_line_blocks` that the schema's :func:`rows_pattern`
-    accepts goes to ``parse_block``, which returns its row count and batch,
-    or None to leave it to csv. From the first block left, refused or not
-    read, or at every row if csv's field size limit is below the pattern's,
-    the rest of the file is read through :func:`iter_rows`, past the rows
-    already taken, so every fault is named as :func:`iter_rows` names it;
-    ``parse_rows`` makes each batch of at most ``batch_rows`` of its rows. An
-    id that ``parse_rows`` refuses with ``OverflowError`` raises
-    :class:`DataFormatError` naming its row.
+    The rows of each block of :func:`_line_blocks` up to the first that is
+    not UTF-8 or that :func:`rows_pattern` refuses go to ``parse_block``; an
+    ``OverflowError(i)`` it raises for an id past ``2**63 - 1`` in their
+    row i becomes a :class:`DataFormatError` naming the row. The rest is
+    read through :func:`iter_rows`, which names every fault it finds.
+    Without ``parse_rows`` (graph files), a row it reads without fault is
+    still refused. With it (raw-link shards: anchors may hold line feeds),
+    ``parse_rows`` makes batches of at most ``batch_rows`` of those rows,
+    and takes the rows of a block ``parse_block`` returns None for, and
+    every row while csv's field size limit is below the pattern's.
     """
     refuse_stale(path)
+    pattern = rows_pattern(len(fields), id_columns)
     taken = 0
-    if csv.field_size_limit() >= _FIELD_LIMIT:
-        pattern = rows_pattern(len(fields), id_columns)
-        blocks = _line_blocks(path, fields, block_bytes)
-        while True:
+    fault = None  # what a graph file's refused row is, if iter_rows finds no fault
+    blocks = _line_blocks(path, fields, block_bytes)
+    while parse_rows is None or csv.field_size_limit() >= _FIELD_LIMIT:
+        try:
+            block = next(blocks, None)
+        except ValueError as err:  # the header
+            fault = f"{path}: row 1 is not as the pipeline writes rows: {err.args[0]!r}"
+            break
+        except (OSError, EOFError, zlib.error) as err:
+            fault = f"{path}: unreadable row after {taken} data rows: {err}"
+            break
+        if block is None:
+            return  # every row was taken
+        matched = pattern.match(block)
+        end = matched.end() if matched else 0
+        if not block.isascii():
             try:
-                block = next(blocks, None)
-            except (OSError, EOFError, ValueError, zlib.error):
-                break  # csv reads the file again and names the fault
-            if block is None:
-                return  # every row was taken
-            batch = parse_block(block) if pattern.fullmatch(block) else None
+                block.decode()
+            except UnicodeDecodeError as err:
+                end = min(end, block.rfind(b"\n", 0, err.start) + 1)
+        if end:
+            try:
+                batch = parse_block(block[:end])
+            except OverflowError as err:
+                raise DataFormatError(
+                    f"{path}: row {taken + 2 + err.args[0]} has an id past 2**63 - 1"
+                ) from None
             if batch is None:
-                blocks.close()
                 break
             taken += batch[0]
             yield batch
             del batch  # freed before the next block is parsed
+        if end < len(block):
+            line = block[end:block.find(b"\n", end) + 1 or None][:100]
+            fault = f"{path}: row {taken + 2} is not as the pipeline writes rows: {line!r}"
+            break
+    blocks.close()
     read = iter_rows(path, fields, id_columns)
+    if parse_rows is None:
+        deque(read, 0)  # raises the fault iter_rows finds, if it finds one
+        raise DataFormatError(fault)
     deque(islice(read, taken), 0)
-    numbers = count(taken + 2)  # the row number of each row parse_rows takes
-    numbered = map(itemgetter(0), zip(read, numbers))
-    try:
-        while True:
-            rows, batch = parse_rows(islice(numbered, batch_rows))
-            if not rows:
-                return
-            yield rows, batch
-    except OverflowError:  # the last row parse_rows took holds the id
-        raise DataFormatError(f"{path}: row {next(numbers) - 1} has an id past 2**63 - 1")
+    while (batch := parse_rows(islice(read, batch_rows)))[0]:
+        yield batch

@@ -45,7 +45,9 @@ def redirect_target(text):
 
 
 def load_articles(xml_path):
-    """{page_id: (title, [(timestamp, revision_id, text), ...])} for ns0."""
+    """{page_id: (title, [(timestamp, revision_id, text), ...])} for ns0,
+    without the pages whose title holds a control character or is longer
+    than 255 UTF-8 bytes."""
     root = ET.parse(xml_path).getroot()
     pages = {}
     for page in root:
@@ -57,17 +59,17 @@ def load_articles(xml_path):
             tag = _local(child.tag)
             if tag == "revision":
                 rev = {_local(c.tag): c for c in child}
-                revisions.append(
-                    (
-                        rev["timestamp"].text,
-                        int(rev["id"].text),
-                        rev["text"].text or "" if "text" in rev else "",
-                    )
-                )
+                text = rev["text"].text or "" if "text" in rev else ""
+                # MediaWiki saves texts with "\n" line endings.
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+                revisions.append((rev["timestamp"].text, int(rev["id"].text), text))
             else:
                 fields[tag] = child.text
         if int(fields.get("ns") or 0) != 0:
             continue
+        title = fields["title"].strip()
+        if re.search(r"[\x00-\x1f\x7f]", title) or len(title.encode()) > 255:
+            continue  # MediaWiki titles hold no control character, and 255 bytes at most
         pages[int(fields["id"])] = (fields["title"], revisions)
     return pages
 

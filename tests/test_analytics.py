@@ -5,7 +5,6 @@ import gzip
 import os
 import random
 import re
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from wikilinks.analytics import (
     write_rankings,
 )
 from wikilinks.errors import ConfigurationError, DataFormatError
-from wikilinks.graph import emit_edges, emit_nodes
+from wikilinks.graph import EDGE_FIELDS, EDGE_ID_COLUMNS, emit_edges, emit_nodes
 from wikilinks.storage import DatasetWriter, iter_rows, partial_path
 
 
@@ -774,6 +773,43 @@ LIMIT = csv.field_size_limit()
 BLOCK_SIZES = (1, 2, 3, 6, 9, 10, 17, 23, 1 << 20)
 
 
+def refusal(row: int, line: bytes) -> str:
+    """The fault of a graph file's row that is not as ``graph`` writes it."""
+    return f"row {row} is not as the pipeline writes rows: {line!r}"
+
+
+def ring_pairs(rings: int = 1) -> list[tuple[int, int]]:
+    """The (source, target) id pairs of :func:`good_edges`."""
+    return [(5 * ring + k + 1, 5 * ring + (k + 1) % 5 + 1) for ring in range(rings) for k in range(5)]
+
+
+def ring_nodes(rings: int = 1) -> list[tuple[int, str]]:
+    """The (id, title) rows of :func:`good_nodes`, their titles unquoted."""
+    titles = ("Plain", "Comma, title", 'Say "hi"', "Café €", "")
+    return [(5 * ring + k + 1, titles[k]) for ring in range(rings) for k in range(5)]
+
+
+def read_as(pairs, nodes) -> list:
+    """What :func:`read_summary` gives for graph files that hold the edges
+    ``pairs`` and the (id, title) ``nodes``, both in the order ``graph``
+    writes them."""
+    row = {page_id: r for r, (page_id, _) in enumerate(nodes)}
+    out_degree = [0] * len(nodes)
+    for source, _ in pairs:
+        out_degree[row[source]] += 1
+    return [GraphStats("", "", len(nodes), len(pairs)),
+            ([row[target] for _, target in pairs], out_degree, [i for i, _ in nodes],
+             [title for _, title in nodes])]
+
+
+def fails(stats: str, load: str | None = None) -> list:
+    """What :func:`read_summary` gives when compute_stats raises
+    :class:`DataFormatError` with the message ``stats``, and
+    load_graph_file with ``load``, or the same; paths are named from the
+    files' directory."""
+    return [(DataFormatError, stats), (DataFormatError, stats if load is None else load)]
+
+
 def write_file(path, data: bytes):
     if path.suffix == ".gz":
         with gzip.GzipFile(path, "wb", mtime=0) as f:
@@ -785,13 +821,14 @@ def write_file(path, data: bytes):
 
 def read_summary(edge_path, node_path):
     """compute_stats and load_graph_file of the files, each as its result
-    or its error's type and message."""
+    or its error's type and message, with the files' directory left out
+    of the paths it names."""
     outcomes = []
     for read in (compute_stats, load_graph_file):
         try:
             result = read(edge_path, node_path)
         except Exception as err:
-            outcomes.append((type(err), str(err)))
+            outcomes.append((type(err), str(err).replace(f"{Path(edge_path).parent}/", "")))
             continue
         if read is load_graph_file:
             links = result[0]
@@ -801,118 +838,202 @@ def read_summary(edge_path, node_path):
     return outcomes
 
 
-def assert_blocks_read_as_csv(monkeypatch, edge_path, node_path, sizes=BLOCK_SIZES):
-    """At each block size, and with csv batches of the default size, 1 and
-    3 rows, the files read as they do with the block path forced off and
-    batches of the default size, results and errors alike; returns what
-    they read as."""
-    never = re.compile(rb"(?!)")
-    with monkeypatch.context() as m:
-        m.setattr(storage, "rows_pattern", lambda width, id_columns: never)
-        by_csv = read_summary(edge_path, node_path)
-    for batch_rows in (analytics._BATCH_ROWS, 1, 3):
-        monkeypatch.setattr(analytics, "_BATCH_ROWS", batch_rows)
-        with monkeypatch.context() as m:
-            m.setattr(storage, "rows_pattern", lambda width, id_columns: never)
-            assert read_summary(edge_path, node_path) == by_csv, batch_rows
-        for size in sizes:
-            monkeypatch.setattr(analytics, "_BLOCK_BYTES", size)
-            assert read_summary(edge_path, node_path) == by_csv, (batch_rows, size)
-    return by_csv
+def read_at_every_block_size(monkeypatch, edge_path, node_path, sizes=BLOCK_SIZES):
+    """What the files read as, which is the same at every block size."""
+    outcomes = []
+    for size in sizes:
+        monkeypatch.setattr(analytics, "_BLOCK_BYTES", size)
+        outcomes.append(read_summary(edge_path, node_path))
+        assert outcomes[-1] == outcomes[0], size
+    return outcomes[0]
 
 
 class TestBlockReading:
-    """Graph files are read in blocks; from the first block the block path
-    does not take, csv reads the rest. Both give the same counts, ids,
-    titles and errors as csv alone."""
+    """Graph files are read in blocks, only as ``graph`` writes them: a
+    fault is named as storage.iter_rows names it, and a row it reads but
+    graph would not write is refused. Every block size gives the same
+    counts, ids, titles and errors."""
 
-    @pytest.mark.parametrize("edge_data, node_data", [
-        pytest.param(EDGE_HEADER + good_edges(9), NODE_HEADER + good_nodes(9), id="valid"),
-        pytest.param(EDGE_HEADER, NODE_HEADER, id="header-only"),
-        pytest.param(b"", NODE_HEADER, id="empty-file"),
-        pytest.param(EDGE_HEADER[:-1], NODE_HEADER, id="header-without-newline"),
+    @pytest.mark.parametrize("edge_data, node_data, expected", [
+        pytest.param(EDGE_HEADER + good_edges(9), NODE_HEADER + good_nodes(9),
+                     read_as(ring_pairs(9), ring_nodes(9)), id="valid"),
+        pytest.param(EDGE_HEADER, NODE_HEADER, read_as([], []), id="header-only"),
+        pytest.param(b"", NODE_HEADER, fails(
+            "g.csv.gz: expected header ['page_id_from', 'page_title_from', 'page_id_to', "
+            "'page_title_to'], found None"), id="empty-file"),
+        pytest.param(EDGE_HEADER[:-1], NODE_HEADER, fails(
+            "g.csv.gz: " + refusal(1, EDGE_HEADER[:-1])), id="header-without-newline"),
         pytest.param(b'"page_id_from",page_title_from,page_id_to,page_title_to\n' + GOOD_EDGES,
-                     NODE_HEADER + GOOD_NODES, id="quoted-header"),
-        pytest.param(EDGE_HEADER + GOOD_EDGES, b"\xef\xbb\xbf" + NODE_HEADER + GOOD_NODES,
-                     id="bom"),
+                     NODE_HEADER + GOOD_NODES, fails(
+                         "g.csv.gz: " + refusal(
+                         1, b'"page_id_from",page_title_from,page_id_to,page_title_t')),
+                     id="quoted-header"),
+        pytest.param(EDGE_HEADER + GOOD_EDGES, b"\xef\xbb\xbf" + NODE_HEADER + GOOD_NODES, fails(
+            "g.nodes.csv.gz: expected header ['page_id', 'page_title'], found "
+            "['\\ufeffpage_id', 'page_title']"), id="bom"),
         pytest.param(EDGE_HEADER + good_edges(4) + b"1,\xff,2,B\n", NODE_HEADER + good_nodes(4),
-                     id="invalid-utf8"),
+                     fails("g.csv.gz: line 22 is not UTF-8: 'utf-8' codec can't decode byte "
+                           "0xff in position 2: invalid start byte"), id="invalid-utf8"),
         pytest.param(EDGE_HEADER + GOOD_EDGES, NODE_HEADER + GOOD_NODES + b"6,\xed\xa0\x80\n",
+                     fails("g.nodes.csv.gz: line 7 is not UTF-8: 'utf-8' codec can't decode "
+                           "byte 0xed in position 2: invalid continuation byte"),
                      id="encoded-surrogate"),
         pytest.param(EDGE_HEADER + good_edges(3) + b"15,A\x00,12,B\n", NODE_HEADER + good_nodes(3),
-                     id="nul"),
+                     fails("g.csv.gz: " + refusal(17, b'15,A\x00,12,B\n')), id="nul"),
         pytest.param(EDGE_HEADER + good_edges(3) + b'15,"A,\x00",12,B\n',
                      NODE_HEADER + good_nodes(3),
+                     fails("g.csv.gz: " + refusal(17, b'15,"A,\x00",12,B\n')),
                      id="nul-in-quoted-title"),
         pytest.param(EDGE_HEADER + GOOD_EDGES + b"5,A,2,B", NODE_HEADER + GOOD_NODES,
-                     id="no-final-newline"),
+                     fails("g.csv.gz: " + refusal(7, b'5,A,2,B')), id="no-final-newline"),
         pytest.param(EDGE_HEADER + GOOD_EDGES.replace(b"\n", b"\r\n"),
-                     NODE_HEADER + GOOD_NODES, id="crlf"),
+                     NODE_HEADER + GOOD_NODES,
+                     fails("g.csv.gz: " + refusal(2, b'1,Plain,2,"Comma, title"\r\n')),
+                     id="crlf"),
         pytest.param(EDGE_HEADER + GOOD_EDGES + b'"5",A,2,B\n', NODE_HEADER + GOOD_NODES,
-                     id="quoted-id"),
+                     fails("g.csv.gz: " + refusal(7, b'"5",A,2,B\n')), id="quoted-id"),
         pytest.param(EDGE_HEADER + good_edges(2) + b'10,"two\nlines",7,B\n',
-                     NODE_HEADER + good_nodes(2), id="newline-in-title"),
+                     NODE_HEADER + good_nodes(2),
+                     fails("g.csv.gz: " + refusal(12, b'10,"two\n')),
+                     id="newline-in-title"),
         pytest.param(EDGE_HEADER + good_edges(3) + b"\n" + good_edges(4)[len(good_edges(3)):],
                      NODE_HEADER + good_nodes(4),
-                     id="blank-line"),
+                     fails("g.csv.gz: row 17 has 0 columns, expected 4"), id="blank-line"),
         pytest.param(EDGE_HEADER + GOOD_EDGES + b"9223372036854775807,A,1,B\n",
-                     NODE_HEADER + GOOD_NODES + b"9223372036854775807,A\n", id="int64-max"),
+                     NODE_HEADER + GOOD_NODES + b"9223372036854775807,A\n",
+                     read_as(ring_pairs() + [(2**63 - 1, 1)], ring_nodes() + [(2**63 - 1, "A")]),
+                     id="int64-max"),
         pytest.param(EDGE_HEADER + GOOD_EDGES + b"9223372036854775808,A,1,B\n",
-                     NODE_HEADER + GOOD_NODES, id="past-int64"),
+                     NODE_HEADER + GOOD_NODES,
+                     [GraphStats("", "", 5, 6),
+                      (DataFormatError, "g.csv.gz: row 7 has an id past 2**63 - 1")],
+                     id="past-int64"),
         pytest.param(EDGE_HEADER + GOOD_EDGES + b"5,A,0000000000000000000000005,B\n",
-                     NODE_HEADER + GOOD_NODES, id="25-character-id"),
+                     NODE_HEADER + GOOD_NODES, read_as(ring_pairs() + [(5, 5)], ring_nodes()),
+                     id="25-character-id"),
         pytest.param(EDGE_HEADER + GOOD_EDGES + b"5,A,18446744073709551621,B\n",
-                     NODE_HEADER + GOOD_NODES, id="2**64-plus-5"),
+                     NODE_HEADER + GOOD_NODES,
+                     [GraphStats("", "", 5, 6),
+                      (DataFormatError, "g.csv.gz: row 7 has an id past 2**63 - 1")],
+                     id="2**64-plus-5"),
         pytest.param(EDGE_HEADER + GOOD_EDGES + b"5,A,%s,B\n" % (b"1" * (LIMIT + 1)),
-                     NODE_HEADER + GOOD_NODES, id="id-past-limit"),
+                     NODE_HEADER + GOOD_NODES,
+                     fails("g.csv.gz: unreadable row after 5 data rows: field larger than "
+                           f"field limit ({LIMIT})"), id="id-past-limit"),
         pytest.param(EDGE_HEADER + good_edges(40) + b"1,A,2\n", NODE_HEADER + good_nodes(40),
-                     id="width-fault-late"),
+                     fails("g.csv.gz: row 202 has 3 columns, expected 4"), id="width-fault-late"),
         pytest.param(EDGE_HEADER + good_edges(40) + b"1,A,x,B\n", NODE_HEADER + good_nodes(40),
+                     fails("g.csv.gz: row 202 column page_id_to is not an id: 'x'"),
                      id="digit-fault-late"),
         pytest.param(EDGE_HEADER + good_edges(40) + b"1,A,-2,B\n", NODE_HEADER + good_nodes(40),
+                     fails("g.csv.gz: row 202 column page_id_to is not an id: '-2'"),
                      id="negative-id-late"),
         pytest.param(EDGE_HEADER + good_edges(20) + b"1,A,2\n",
-                     NODE_HEADER + good_nodes(20) + b"x,B\n", id="edge-fault-before-node-fault"),
+                     NODE_HEADER + good_nodes(20) + b"x,B\n",
+                     fails("g.csv.gz: row 102 has 3 columns, expected 4"),
+                     id="edge-fault-before-node-fault"),
         pytest.param(EDGE_HEADER + good_edges(20), NODE_HEADER + good_nodes(20) + b"7\n",
-                     id="node-fault"),
+                     fails("g.nodes.csv.gz: row 102 has 1 columns, expected 2"), id="node-fault"),
         pytest.param(EDGE_HEADER + GOOD_EDGES, NODE_HEADER + GOOD_NODES + b"5,\n",
+                     [GraphStats("", "", 6, 5),
+                      (DataFormatError, "g.nodes.csv.gz: page id 5 is listed twice")],
                      id="duplicate-node"),
         pytest.param(EDGE_HEADER + GOOD_EDGES, NODE_HEADER + GOOD_NODES * 2,
+                     [GraphStats("", "", 10, 5),
+                      (DataFormatError, "g.nodes.csv.gz: row 7 lists page id 1 after page id 5, "
+                                        "out of page-id order")],
                      id="nodes-out-of-order"),
         pytest.param(EDGE_HEADER + good_edges(8) + b"40,,41,\n" + GOOD_EDGES,
-                     NODE_HEADER + good_nodes(8), id="unlisted-endpoint"),
+                     NODE_HEADER + good_nodes(8),
+                     [GraphStats("", "", 40, 46),
+                      (DataFormatError, "g.csv.gz: row 42 links a page that g.nodes.csv.gz "
+                                        "does not list")],
+                     id="unlisted-endpoint"),
         pytest.param(EDGE_HEADER + good_edges(8) + b"40,,36,\n" + GOOD_EDGES,
-                     NODE_HEADER + good_nodes(8), id="repeated-edge"),
+                     NODE_HEADER + good_nodes(8),
+                     [GraphStats("", "", 40, 46),
+                      (DataFormatError, "g.csv.gz: row 42 repeats the link from page id 40 to "
+                                        "page id 36")],
+                     id="repeated-edge"),
         pytest.param(EDGE_HEADER + good_edges(8) + GOOD_EDGES, NODE_HEADER + good_nodes(8),
+                     [GraphStats("", "", 40, 45),
+                      (DataFormatError, "g.csv.gz: row 42 links page id 1 to page id 2 after "
+                                        "page id 40 to page id 36, out of (page_id_from, "
+                                        "page_id_to) order")],
                      id="edges-out-of-order"),
         pytest.param(EDGE_HEADER + GOOD_EDGES + b"5,%s,2,B\n" % (b"x" * LIMIT),
-                     NODE_HEADER + GOOD_NODES, id="field-at-limit"),
+                     NODE_HEADER + GOOD_NODES, read_as(ring_pairs() + [(5, 2)], ring_nodes()),
+                     id="field-at-limit"),
         pytest.param(EDGE_HEADER + GOOD_EDGES + b"5,%s,2,B\n" % (b"x" * (LIMIT + 1)),
-                     NODE_HEADER + GOOD_NODES, id="field-past-limit"),
+                     NODE_HEADER + GOOD_NODES,
+                     fails("g.csv.gz: unreadable row after 5 data rows: field larger than "
+                           f"field limit ({LIMIT})"), id="field-past-limit"),
         pytest.param(EDGE_HEADER + GOOD_EDGES + b'5,"%s",2,B\n' % (b'""' * (LIMIT + 1)),
-                     NODE_HEADER + GOOD_NODES, id="quoted-field-past-limit"),
+                     NODE_HEADER + GOOD_NODES,
+                     fails("g.csv.gz: unreadable row after 5 data rows: field larger than "
+                           f"field limit ({LIMIT})"), id="quoted-field-past-limit"),
         pytest.param(EDGE_HEADER + GOOD_EDGES + "5,{},2,B\n".format("é" * LIMIT).encode(),
-                     NODE_HEADER + GOOD_NODES, id="field-at-limit-past-it-in-bytes"),
+                     NODE_HEADER + GOOD_NODES,
+                     fails("g.csv.gz: " + refusal(7, ('5,' + 'é' * 49).encode())),
+                     id="field-at-limit-past-it-in-bytes"),
     ])
-    def test_blocks_read_as_csv(self, tmp_path, monkeypatch, edge_data, node_data):
+    def test_pinned_outcomes(self, tmp_path, monkeypatch, edge_data, node_data, expected):
         edge_path = write_file(tmp_path / "g.csv.gz", edge_data)
         node_path = write_file(tmp_path / "g.nodes.csv.gz", node_data)
-        assert_blocks_read_as_csv(monkeypatch, edge_path, node_path)
+        assert read_at_every_block_size(monkeypatch, edge_path, node_path) == expected
 
     @pytest.mark.parametrize("suffix", [".csv.gz", ".csv"])
     def test_cuts_at_every_offset(self, tmp_path, monkeypatch, suffix):
         edge_path = write_file(tmp_path / f"g{suffix}", EDGE_HEADER + good_edges(3))
         node_path = write_file(tmp_path / f"g.nodes{suffix}", NODE_HEADER + good_nodes(3))
-        assert_blocks_read_as_csv(monkeypatch, edge_path, node_path, range(1, 34))
+        assert read_at_every_block_size(monkeypatch, edge_path, node_path, range(1, 34)) == (
+            read_as(ring_pairs(3), ring_nodes(3)))
 
-    @pytest.mark.parametrize("tail", [b"20,A,17,B", b"1,\xff,2,B\n", b"1,A,x,B\n"])
-    def test_plain_files(self, tmp_path, monkeypatch, tail):
+    @pytest.mark.parametrize("tail, message", [
+        (b"20,A,17,B", "g.csv: " + refusal(22, b"20,A,17,B")),
+        (b"1,\xff,2,B\n", "g.csv: line 22 is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+                          "in position 2: invalid start byte"),
+        (b"1,A,x,B\n", "g.csv: row 22 column page_id_to is not an id: 'x'"),
+    ], ids=["no-final-newline", "invalid-utf8", "digit-fault"])
+    def test_plain_files(self, tmp_path, monkeypatch, tail, message):
         edge_path = write_file(tmp_path / "g.csv", EDGE_HEADER + good_edges(4) + tail)
         node_path = write_file(tmp_path / "g.nodes.csv", NODE_HEADER + good_nodes(4))
-        assert_blocks_read_as_csv(monkeypatch, edge_path, node_path)
+        assert read_at_every_block_size(monkeypatch, edge_path, node_path) == fails(message)
+
+    # A fault row of an edge file, the same row in a node file (its ",2,B"
+    # dropped), and the message each gives at row n. None for an id past
+    # 2**63 - 1, which compute_stats counts.
+    RANDOM_FAULTS = [
+        (b"1,A,2\n", b"1,A,2\n",
+         lambda n: f"row {n} has 3 columns, expected 4",
+         lambda n: f"row {n} has 3 columns, expected 2"),
+        (b"1,A,x,B\n", b"1,A,x,B\n",
+         lambda n: f"row {n} column page_id_to is not an id: 'x'",
+         lambda n: f"row {n} has 4 columns, expected 2"),
+        (b'"1",A,2,B\n', b'"1",A\n',
+         lambda n: refusal(n, b'"1",A,2,B\n'),
+         lambda n: refusal(n, b'"1",A\n')),
+        (b"1,A,2,B\r\n", b"1,A\r\n",
+         lambda n: refusal(n, b'1,A,2,B\r\n'),
+         lambda n: refusal(n, b'1,A\r\n')),
+        (b"\n", b"\n",
+         lambda n: f"row {n} has 0 columns, expected 4",
+         lambda n: f"row {n} has 0 columns, expected 2"),
+        (b"1,\xc3,2,B\n", b"1,\xc3\n",
+         lambda n: f"line {n} is not UTF-8: 'utf-8' codec can't decode byte 0xc3 in position "
+                   "2: invalid continuation byte",
+         lambda n: f"line {n} is not UTF-8: 'utf-8' codec can't decode byte 0xc3 in position "
+                   "2: invalid continuation byte"),
+        (b"1,A\x00,2,B\n", b"1,A\x00\n",
+         lambda n: refusal(n, b'1,A\x00,2,B\n'),
+         lambda n: refusal(n, b'1,A\x00\n')),
+        (b"1,A,%d,B\n" % 2**63, b"1,A,%d,B\n" % 2**63,
+         None,
+         lambda n: f"row {n} has 4 columns, expected 2"),
+    ]
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_random_files_read_as_csv(self, tmp_path, monkeypatch, seed):
+    def test_random_files(self, tmp_path, monkeypatch, seed):
         rng = random.Random(seed)
         titles = ["Plain", "Comma, title", 'Say "hi"', "Café €", "", "𝄞", ",", '"']
         ids = sorted(rng.sample(range(1, 10**6), 6))
@@ -921,25 +1042,26 @@ class TestBlockReading:
         edge_path, node_path = tmp_path / "g.csv.gz", tmp_path / "g.nodes.csv.gz"
         emit_edges([(str(s), f"T{s}", str(t), dict(nodes)[t]) for s, t in edges], edge_path)
         emit_nodes(nodes, node_path)
-        faults = [b"1,A,2\n", b"1,A,x,B\n", b'"1",A,2,B\n', b"1,A,2,B\r\n", b"\n",
-                  b"1,\xc3,2,B\n", b"1,A\x00,2,B\n", b"1,A,%d,B\n" % 2**63, None]
-        for path in (edge_path, node_path):
+        expected = read_as(edges, nodes)
+        faults = []  # the (compute_stats, load_graph_file) messages of each file's fault
+        for kind, path in enumerate((edge_path, node_path)):
             data = gzip.decompress(path.read_bytes()).splitlines(keepends=True)
-            fault = rng.choice(faults)
+            fault = rng.choice(self.RANDOM_FAULTS + [None])
             if fault is not None:
-                if path == node_path:
-                    fault = fault.replace(b",2,B", b"")
-                data.insert(rng.randint(1, len(data)), fault)
+                at = rng.randint(1, len(data))
+                data.insert(at, fault[kind])
+                message = fault[2 + kind]
+                if message is None:  # compute_stats counts the row
+                    expected[0] = expected[0]._replace(edge_count=len(edges) + 1)
+                    faults.append((None, f"{path.name}: row {at + 1} has an id past 2**63 - 1"))
+                else:
+                    faults.append((f"{path.name}: {message(at + 1)}",) * 2)
             write_file(path, b"".join(data))
-        assert_blocks_read_as_csv(monkeypatch, edge_path, node_path)
-
-    def test_a_late_fault_names_its_row(self, tmp_path, monkeypatch):
-        edge_path = write_file(tmp_path / "g.csv.gz", EDGE_HEADER + good_edges(40) + b"1,A,x,B\n")
-        node_path = write_file(tmp_path / "g.nodes.csv.gz", NODE_HEADER + good_nodes(40))
-        message = f"{edge_path}: row 202 column page_id_to is not an id: 'x'"
-        assert assert_blocks_read_as_csv(monkeypatch, edge_path, node_path) == [
-            (DataFormatError, message)
-        ] * 2
+        for reader in (0, 1):  # an edge file's fault comes first
+            message = next((pair[reader] for pair in faults if pair[reader]), None)
+            if message is not None:
+                expected[reader] = (DataFormatError, message)
+        assert read_at_every_block_size(monkeypatch, edge_path, node_path) == expected
 
     @pytest.mark.parametrize("kind", ["edges", "nodes"])
     def test_an_undecodable_byte_names_its_line(self, tmp_path, monkeypatch, kind):
@@ -954,11 +1076,9 @@ class TestBlockReading:
         edge_path = write_file(tmp_path / "g.csv.gz", EDGE_HEADER + b"".join(edges))
         node_path = write_file(tmp_path / "g.nodes.csv.gz", NODE_HEADER + b"".join(nodes))
         path = edge_path if kind == "edges" else node_path
-        message = (f"{path}: line 19 is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+        message = (f"{path.name}: line 19 is not UTF-8: 'utf-8' codec can't decode byte 0xff "
                    "in position 2: invalid start byte")
-        assert assert_blocks_read_as_csv(monkeypatch, edge_path, node_path) == [
-            (DataFormatError, message)
-        ] * 2
+        assert read_at_every_block_size(monkeypatch, edge_path, node_path) == fails(message)
 
     @pytest.mark.parametrize("kind", ["edges", "nodes"])
     @pytest.mark.parametrize("id_first", [True, False], ids=["id-then-short", "short-then-id"])
@@ -980,14 +1100,17 @@ class TestBlockReading:
         edge_path = write_file(tmp_path / "g.csv.gz", edges)
         node_path = write_file(tmp_path / "g.nodes.csv.gz", nodes)
         path = edge_path if kind == "edges" else node_path
-        short_row = f"{path}: row {18 if id_first else 17} has {width}"
-        past_row = f"{path}: row 17 has an id past 2**63 - 1"
-        assert assert_blocks_read_as_csv(monkeypatch, edge_path, node_path) == [
-            (DataFormatError, short_row), (DataFormatError, past_row if id_first else short_row)
-        ]
+        short_row = f"{path.name}: row {18 if id_first else 17} has {width}"
+        past_row = f"{path.name}: row 17 has an id past 2**63 - 1"
+        assert read_at_every_block_size(monkeypatch, edge_path, node_path) == fails(
+            short_row, past_row if id_first else short_row)
 
-    @pytest.mark.parametrize("damage", ["truncated", "bit-flipped"])
-    def test_damaged_gzip_member(self, tmp_path, monkeypatch, damage):
+    @pytest.mark.parametrize("damage, message", [
+        ("truncated", "g.csv.gz: unreadable row after 136 data rows: "
+                      "Compressed file ended before the end-of-stream marker was reached"),
+        ("bit-flipped", "g.csv.gz: row 138 has 3 columns, expected 4"),
+    ])
+    def test_damaged_gzip_member(self, tmp_path, monkeypatch, damage, message):
         edge_path = write_file(tmp_path / "g.csv.gz", EDGE_HEADER + good_edges(60))
         node_path = write_file(tmp_path / "g.nodes.csv.gz", NODE_HEADER + good_nodes(60))
         data = bytearray(edge_path.read_bytes())
@@ -996,37 +1119,39 @@ class TestBlockReading:
         else:
             data[len(data) // 2] ^= 0x10
         edge_path.write_bytes(bytes(data))
-        outcomes = assert_blocks_read_as_csv(monkeypatch, edge_path, node_path)
-        assert all(type_ is DataFormatError for type_, _ in outcomes)
+        assert read_at_every_block_size(monkeypatch, edge_path, node_path) == fails(message)
+        # The message is the one iter_rows gives for the same file.
+        with pytest.raises(DataFormatError) as raised:
+            list(iter_rows(edge_path, EDGE_FIELDS, EDGE_ID_COLUMNS))
+        assert str(raised.value) == f"{tmp_path}/{message}"
 
     def test_stale_file(self, tmp_path, monkeypatch):
         edge_path = write_file(tmp_path / "g.csv.gz", EDGE_HEADER + GOOD_EDGES)
         node_path = write_file(tmp_path / "g.nodes.csv.gz", NODE_HEADER + GOOD_NODES)
         partial_path(edge_path).write_bytes(b"")
-        assert [message for _, message in assert_blocks_read_as_csv(
-            monkeypatch, edge_path, node_path)] == [
-            f"{edge_path}: stale, the run that rebuilt it failed and left g.csv.gz.partial"
-        ] * 2
+        assert read_at_every_block_size(monkeypatch, edge_path, node_path) == fails(
+            "g.csv.gz: stale, the run that rebuilt it failed and left g.csv.gz.partial")
 
     def test_missing_file(self, tmp_path, monkeypatch):
         node_path = write_file(tmp_path / "g.nodes.csv.gz", NODE_HEADER + GOOD_NODES)
-        assert_blocks_read_as_csv(monkeypatch, tmp_path / "g.csv.gz", node_path)
+        assert read_at_every_block_size(monkeypatch, tmp_path / "g.csv.gz", node_path) == [
+            (FileNotFoundError, "[Errno 2] No such file or directory: 'g.csv.gz'")] * 2
 
-    def test_lowered_field_size_limit(self, tmp_path, monkeypatch):
+    def test_a_lowered_field_size_limit_changes_nothing(self, tmp_path, monkeypatch):
+        # Graph files are never read by csv unless they hold a fault.
         edge_path = write_file(tmp_path / "g.csv.gz", EDGE_HEADER + GOOD_EDGES)
         node_path = write_file(tmp_path / "g.nodes.csv.gz", NODE_HEADER + GOOD_NODES)
         old = csv.field_size_limit(8)
         try:
-            outcomes = assert_blocks_read_as_csv(monkeypatch, edge_path, node_path)
+            outcomes = read_at_every_block_size(monkeypatch, edge_path, node_path)
         finally:
             csv.field_size_limit(old)
-        assert "field larger than field limit (8)" in outcomes[0][1]
+        assert outcomes == read_as(ring_pairs(), ring_nodes())
 
-    @pytest.mark.skipif(sys.version_info < (3, 11), reason="the block path needs Python 3.11")
     def test_dataset_writer_files_take_the_block_path_for_every_block(
         self, tmp_path, monkeypatch
     ):
-        fallbacks = count_csv_reads(monkeypatch)
+        csv_reads = count_csv_reads(monkeypatch)
         titles = {
             1: "Plain", 2: "Comma, title", 3: 'Say "hi"', 4: "Café €", 5: "", 6: '"', 7: ",",
             8: "𝄞 astral", 9: '"Quoted", then "twice"', 1_000_000_000_000_000_000: "19 digits",
@@ -1044,18 +1169,23 @@ class TestBlockReading:
             graph = load_graph_file(edge_path, node_path)
             assert decoded_pairs(graph[0]) == edges
             assert (graph[0].ids.tolist(), list(titles_of(graph))) == (ids, list(titles.values()))
-        assert fallbacks == []
+        assert csv_reads == []
 
-    @pytest.mark.skipif(sys.version_info < (3, 11), reason="the block path needs Python 3.11")
+    @pytest.mark.parametrize("title", ["Beta", "Be&#13;ta", "Be&#10;ta", "Be&#9;ta"])
     def test_graph_stage_files_take_the_block_path_for_every_block(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, title
     ):
-        from conftest import FIXTURE_DATES, run_pipeline
+        # extract skips a page whose title holds a control character, so
+        # no title that graph writes sends a row to csv.
+        from conftest import FIXTURE_DATES, MINIDUMP, run_pipeline
 
+        dump = tmp_path / "dump.xml"
+        dump.write_text(MINIDUMP.read_text(encoding="utf-8").replace(
+            "<title>Beta</title>", f"<title>{title}</title>", 1), encoding="utf-8")
         out = tmp_path / "out"
         out.mkdir()
-        run_pipeline(out)
-        fallbacks = count_csv_reads(monkeypatch)
+        run_pipeline(out, dump)
+        csv_reads = count_csv_reads(monkeypatch)
         for size in (1, 64, 1 << 20):
             monkeypatch.setattr(analytics, "_BLOCK_BYTES", size)
             for date in FIXTURE_DATES:
@@ -1064,13 +1194,13 @@ class TestBlockReading:
                 stats = compute_stats(edge_path, node_path)
                 links, _ = load_graph_file(edge_path, node_path)
                 assert (len(links), len(links.ids)) == (stats.edge_count, stats.node_count) != (0, 0)
-        assert fallbacks == []
+        assert csv_reads == []
 
 
 def count_csv_reads(monkeypatch) -> list[list]:
-    """Wraps ``storage.iter_rows``, through which graph files are read as
-    csv, so that each call is listed in the list returned as the file's name
-    and the number of rows it has yielded."""
+    """Wraps ``storage.iter_rows``, through which a graph file with a fault
+    is read, so that each call is listed in the list returned as the file's
+    name and the number of rows it has yielded."""
     calls = []
     read = storage.iter_rows
 
@@ -1098,68 +1228,98 @@ def node_reading(node_path):
     return ids.tolist(), bytes(titles._data), titles._bounds.tolist()
 
 
-def random_node_text(rng: random.Random, rows: int) -> bytes:
-    """Node rows as csv.writer writes them: ids of 1-19 digits, titles bare,
-    quoted, with commas, doubled quotes, non-ASCII text, or empty."""
-    import io
+def read_nodes_as(rows) -> tuple:
+    """What :func:`node_reading` gives for a node file of the (id, title) ``rows``."""
+    data, bounds = b"", [0]
+    for _, title in rows:
+        data += title.encode()
+        bounds.append(len(data))
+    return [page_id for page_id, _ in rows], data, bounds
 
+
+def random_node_rows(rng: random.Random, rows: int) -> list[tuple[int, str]]:
+    """Node rows: ids of 1-19 digits, titles with commas, quotes, non-ASCII
+    text, or empty."""
     pieces = ["Plain", "a,b", 'Say "hi"', '"', ",", "Café €", "𝄞", "日本", " ", "x" * 40, ""]
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
+    drawn = []
     for _ in range(rows):
         digits = rng.randint(1, 19)
         page_id = rng.randrange(10 ** (digits - 1) if digits > 1 else 0, min(10**digits, 2**63))
-        title = "".join(rng.choices(pieces, k=rng.randint(0, 3)))
-        writer.writerow((str(page_id), title))
-    return text.getvalue().encode()
+        drawn.append((page_id, "".join(rng.choices(pieces, k=rng.randint(0, 3)))))
+    return drawn
+
+
+def node_lines(rows) -> list[bytes]:
+    """Node rows as csv.writer writes them, a line each."""
+    import io
+
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue().encode().splitlines(keepends=True)
 
 
 class TestNodeBlocks:
-    """The node file's block path returns what csv alone reads: the same
-    ids, title bytes and bounds, or the same error on the same row."""
+    """The node file's block path reads the ids, title bytes and bounds of
+    the rows written, at every block size, or names the first fault."""
 
-    # Rows that send their block to csv.
-    FAULTS = [
-        b"12345678901234567890,Twenty digits\n",
-        b"00000000000000000007,Twenty digits that fit\n",
-        b"9223372036854775808,Past 2**63 - 1\n",
-        b"x,Bad id\n",
-        b"7\n",
-        b"7,Carriage\rreturn\n",
-        b"7,%s\n" % (b"x" * (LIMIT + 1)),
-        b'7,"%s"\n' % (b'""' * (LIMIT + 1)),
-    ]
-    FAULT_IDS = ["20-digits", "20-digits-fit", "past-int64", "bad-id", "narrow", "cr",
-                 "overlong", "overlong-quoted"]
+    # Rows that are not as graph writes them, or whose id needs care, and
+    # the message each gives at row n; None for one that reads as the row
+    # (7, "Twenty digits that fit").
+    FAULTS = {
+        "20-digits": (b"12345678901234567890,Twenty digits\n",
+                      lambda n: f"row {n} has an id past 2**63 - 1"),
+        "20-digits-fit": (b"00000000000000000007,Twenty digits that fit\n", None),
+        "past-int64": (b"9223372036854775808,Past 2**63 - 1\n",
+                       lambda n: f"row {n} has an id past 2**63 - 1"),
+        "bad-id": (b"x,Bad id\n", lambda n: f"row {n} column page_id is not an id: 'x'"),
+        "narrow": (b"7\n", lambda n: f"row {n} has 1 columns, expected 2"),
+        # csv reads the "\r" as a line end, and "return" as a row of its own.
+        "cr": (b"7,Carriage\rreturn\n", lambda n: f"row {n + 1} has 1 columns, expected 2"),
+        "overlong": (b"7,%s\n" % (b"x" * (LIMIT + 1)),
+                     lambda n: f"unreadable row after {n - 2} data rows: field larger than "
+                               f"field limit ({LIMIT})"),
+        "overlong-quoted": (b'7,"%s"\n' % (b'""' * (LIMIT + 1)),
+                            lambda n: f"unreadable row after {n - 2} data rows: field larger "
+                                      f"than field limit ({LIMIT})"),
+    }
+    FIT = (7, "Twenty digits that fit")
+    # The faults that only csv names; the block parser names the others.
+    CSV_NAMED = {"bad-id", "narrow", "cr", "overlong", "overlong-quoted"}
 
     @pytest.mark.parametrize("seed", range(16))
-    def test_random_node_files_read_as_csv(self, tmp_path, monkeypatch, seed):
+    def test_random_node_files(self, tmp_path, monkeypatch, seed):
         rng = random.Random(seed)
-        lines = random_node_text(rng, rng.randint(0, 120)).splitlines(keepends=True)
-        for fault in rng.sample(self.FAULTS, rng.randint(0, 2)):
-            lines.insert(rng.randint(0, len(lines)), fault)
+        rows = random_node_rows(rng, rng.randint(0, 120))
+        lines = node_lines(rows)
+        messages = []  # the message of each fault, by its row
+        for name in rng.sample(sorted(self.FAULTS), rng.randint(0, 2)):
+            fault, message = self.FAULTS[name]
+            at = rng.randint(0, len(lines))
+            lines.insert(at, fault)
+            rows.insert(at, self.FIT if message is None else None)
+        for at, line in enumerate(lines):
+            if rows[at] is None:
+                message = next(m for f, m in self.FAULTS.values() if f == line)
+                messages.append(message(at + 2))
         node_path = write_file(tmp_path / f"n{rng.choice(['.csv', '.csv.gz'])}",
                                NODE_HEADER + b"".join(lines))
-        with monkeypatch.context() as m:
-            m.setattr(storage, "rows_pattern", lambda width, id_columns: re.compile(rb"(?!)"))
-            by_csv = node_reading(node_path)
+        expected = ((DataFormatError, f"{node_path}: {messages[0]}") if messages
+                    else read_nodes_as(rows))
         for size in (1, 7, 64, 512, 1 << 20):
             monkeypatch.setattr(analytics, "_BLOCK_BYTES", size)
-            assert node_reading(node_path) == by_csv, size
+            assert node_reading(node_path) == expected, size
 
-    @pytest.mark.parametrize("fault", FAULTS, ids=FAULT_IDS)
-    def test_a_fault_in_a_later_block(self, tmp_path, monkeypatch, fault):
-        rows = random_node_text(random.Random(3), 200)
-        node_path = write_file(tmp_path / "n.csv.gz", NODE_HEADER + rows + fault + rows)
-        with monkeypatch.context() as m:
-            m.setattr(storage, "rows_pattern", lambda width, id_columns: re.compile(rb"(?!)"))
-            csv_reads = count_csv_reads(m)
-            by_csv = node_reading(node_path)
+    @pytest.mark.parametrize("name", FAULTS)
+    def test_a_fault_in_a_later_block(self, tmp_path, monkeypatch, name):
+        rows = random_node_rows(random.Random(3), 200)
+        fault, message = self.FAULTS[name]
+        node_path = write_file(tmp_path / "n.csv.gz",
+                               NODE_HEADER + b"".join(node_lines(rows) + [fault] + node_lines(rows)))
         monkeypatch.setattr(analytics, "_BLOCK_BYTES", 256)
-        fallbacks = count_csv_reads(monkeypatch)
-        assert node_reading(node_path) == by_csv
-        # Only the node file goes to csv, for its ids and, if they are read,
-        # again for its titles; the rows the block path took pass through
-        # iter_rows again, as the rows csv alone reads do.
-        assert fallbacks == csv_reads and 1 <= len(fallbacks) <= 2
-        assert all(name == "n.csv.gz" and rows >= 200 for name, rows in fallbacks)
+        csv_reads = count_csv_reads(monkeypatch)
+        assert node_reading(node_path) == (read_nodes_as(rows + [self.FIT] + rows)
+                                           if message is None
+                                           else (DataFormatError, f"{node_path}: {message(202)}"))
+        # Only a fault that the block parser cannot name sends the node
+        # file to csv, once: its titles are never read.
+        assert [file for file, _ in csv_reads] == (["n.csv.gz"] if name in self.CSV_NAMED else [])

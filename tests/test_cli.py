@@ -195,6 +195,101 @@ OFFSET_PAGES = [
 ]
 
 
+def every_stage(out: Path, dump: Path, capsys) -> list[tuple[int, list[dict]]]:
+    """Each stage's exit code and events, extract to pagerank, over one dump."""
+    runs = []
+    for stage in (["extract", str(dump)], ["snapshot", *date_args()], ["graph", *date_args()],
+                  ["stats", *date_args()], ["pagerank", "--date", "2018-03-01"]):
+        capsys.readouterr()
+        runs.append((cli.main([stage[0], *base_args(out), *stage[1:]]), stderr_events(capsys)))
+    return runs
+
+
+def assert_graphs_match_the_oracle(out: Path, dump: Path) -> None:
+    import bruteforce
+
+    for date in FIXTURE_DATES:
+        edges = [(int(r[0]), r[1], int(r[2]), r[3]) for r in iter_rows(
+            out / f"enwiki.wikilinkgraph.{date}.csv.gz", graph.EDGE_FIELDS)]
+        nodes = [(int(r[0]), r[1]) for r in iter_rows(
+            out / f"enwiki.wikilinkgraph.nodes.{date}.csv.gz", graph.NODE_FIELDS)]
+        assert (edges, nodes) == bruteforce.snapshot_edges(dump, date), date
+
+
+class TestTextsMediaWikiWouldNotSave:
+    """extract reads what MediaWiki can save: it skips a page whose title
+    holds a control character or more than 255 UTF-8 bytes, and makes line
+    endings "\\n" in texts and contributor names. The files built from
+    such a dump are those graph writes, and every stage reads them."""
+
+    # A control character, or more than MediaWiki's 255 UTF-8 bytes: 65,537
+    # "é" are past the 131,072 bytes a graph file's field may hold.
+    @pytest.mark.parametrize("title", ["Be&#13;ta", "Be&#10;ta", "Be&#9;ta", "Be&#127;ta",
+                                       "é" * 128, "é" * 65_537],
+                             ids=["cr", "lf", "tab", "del", "256-bytes", "131074-bytes"])
+    def test_a_title_mediawiki_cannot_hold_is_skipped(self, tmp_path, minidump_path, capsys,
+                                                      title):
+        dump = tmp_path / "dump.xml"
+        dump.write_text(minidump_path.read_text(encoding="utf-8").replace(
+            "<title>Beta</title>", f"<title>{title}</title>", 1), encoding="utf-8")
+        out = tmp_path / "out"
+        runs = every_stage(out, dump, capsys)
+        assert [code for code, _ in runs] == [0] * 5
+        (done,) = [e for e in runs[0][1] if e["event"] == "extract-done"]
+        assert done["errors"] == 1
+        nodes = {r[1] for r in iter_rows(
+            out / "enwiki.wikilinkgraph.nodes.2018-03-01.csv.gz", graph.NODE_FIELDS)}
+        assert [t for t in nodes if t.startswith(("Be", "é"))] == []
+        assert_graphs_match_the_oracle(out, dump)
+
+    def test_carriage_returns_become_line_feeds(self, tmp_path, minidump_path, capsys):
+        # A "&#13;" in an anchor, a link target, a section header and a
+        # user name, and a "&#13;&#10;" in a text.
+        text = minidump_path.read_text(encoding="utf-8")
+        edits = [("See [[Delta#History|see]]", "See [[Delta#History|s{}ee]] [[Ze{}ta]]"),
+                 ("=== Details ===", "=== Det{}ails ==="),
+                 ("<username>Bob</username>", "<username>B{}ob</username>"),
+                 ("Alpha begins the row.", "Alpha begins{}the row.")]
+        outputs = {}
+        for name, (cr, crlf) in {"cr": ("&#13;", "&#13;&#10;"), "lf": ("&#10;", "&#10;")}.items():
+            variant = text
+            for old, new in edits[:3]:
+                assert old in variant
+                variant = variant.replace(old, new.format(cr, cr))
+            variant = variant.replace(edits[3][0], edits[3][1].format(crlf))
+            dump = tmp_path / f"{name}.xml"
+            dump.write_text(variant, encoding="utf-8")
+            out = tmp_path / name
+            assert [code for code, _ in every_stage(out, dump, capsys)] == [0] * 5
+            assert_graphs_match_the_oracle(out, dump)
+            outputs[name] = {p.name: sha256_of(p) for p in out.glob("*.csv*")
+                             if not p.name.endswith((".sha256", ".json"))}
+        # Each "\\r" reads as the "\\n" MediaWiki saves for it.
+        assert outputs["cr"] == outputs["lf"]
+        with gzip.open(tmp_path / "cr" / "enwiki.rawwikilinks.0000.csv.gz", "rt",
+                       encoding="utf-8", newline="") as f:
+            raw = f.read()
+        assert "\r" not in raw and "s\nee" in raw and "B\nob" in raw
+
+    @pytest.mark.parametrize("edges, row", [
+        ("1,A,2,B\r\n2,B,1,A\r\n", "1,A,2,B\r\n"),
+        ('1,A,2,B\n"2",B,1,A\n', '"2",B,1,A\n'),
+    ], ids=["crlf", "quoted-id"])
+    @pytest.mark.parametrize("stage", ["stats", "pagerank"])
+    def test_a_graph_file_graph_would_not_write_is_refused(self, out_dir, capsys, edges, row,
+                                                           stage):
+        write_edge_text(out_dir, edges)
+        graph.emit_nodes([(1, "A"), (2, "B")],
+                         out_dir / "enwiki.wikilinkgraph.nodes.2018-03-01.csv.gz")
+        capsys.readouterr()
+        assert cli.main([stage, *base_args(out_dir), "--date", "2018-03-01"]) == 1
+        (event,) = stderr_events(capsys)
+        number = 2 if edges.startswith(row) else 3
+        assert event == {"event": "fatal", "detail": (
+            f"{out_dir / 'enwiki.wikilinkgraph.2018-03-01.csv.gz'}: row {number} is not as the "
+            f"pipeline writes rows: {row.encode()!r}")}
+
+
 class TestExtractWritePaths:
     """Extract writes in-order dumps straight to the final files and sorts
     the others afterwards; both paths must give the same bytes."""
@@ -1551,6 +1646,17 @@ class TestUsage:
             ["extract", *base_args(out_dir), "--profiles", str(profiles), str(minidump_path)]
         )
         assert rc == 0
+
+    def test_a_failing_decompressor_says_why(self, out_dir, minidump_path, tmp_path, capsys):
+        dump = tmp_path / "minidump.xml"
+        dump.write_bytes(b"7z\xbc\xaf\x27\x1c" + minidump_path.read_bytes())
+        capsys.readouterr()
+        rc = cli.main(["extract", *base_args(out_dir), "--sevenzip-command",
+                       "tail -c +7 --bogus", str(dump)])
+        assert rc == 1
+        (event,) = [e for e in stderr_events(capsys) if e["event"] == "fatal"]
+        assert f"'tail -c +7 --bogus {dump}' exited with 1: " in event["detail"]
+        assert "unrecognized option" in event["detail"]
 
     def test_sevenzip_command_flag(self, out_dir, minidump_path, tmp_path):
         # 7z magic, then plain XML, which "tail -c +7" prints.

@@ -203,6 +203,64 @@ class TestReadPages:
         assert message.startswith(f"d.xml: {element} is not an integer near byte ")
         assert message.endswith(f": {text!r}")
 
+    @pytest.mark.parametrize("value", ["9223372036854775808", "-1"])
+    @pytest.mark.parametrize("xml, element", [
+        (page_xml("A", "{}", [BASIC_REV]), "page id"),
+        (page_xml("A", 1, [dict(BASIC_REV, id="{}")]), "revision id"),
+        (page_xml("A", 1, [dict(BASIC_REV, parentid="{}")]), "parent id"),
+        (page_xml("A", 1, [dict(BASIC_REV, user_id="{}")]), "contributor id"),
+    ])
+    def test_id_outside_int64_names_source_and_byte_offset(self, xml, element, value):
+        # Every later stage holds ids as int64, and writes them as digits.
+        with pytest.raises(DumpFormatError) as caught:
+            read_all(dump_bytes(xml.format(value)), source="d.xml")
+        message = str(caught.value)
+        assert message.startswith(f"d.xml: {element} is not in 0 to 2**63 - 1 near byte ")
+        assert message.endswith(f": {value!r}")
+
+    def test_int64_max_ids_are_read(self):
+        big = 2**63 - 1
+        rev = dict(BASIC_REV, id=big, parentid=big, user_id=big)
+        (page,) = read_all(dump_bytes(page_xml("A", big, [rev])))
+        (revision,) = page.revisions
+        assert (page.page_id, revision.revision_id, revision.parent_id, revision.user_id) == (
+            big,) * 4
+
+    # XML 1.0 holds no other control character below U+0020.
+    @pytest.mark.parametrize("title", ["A&#13;B", "A&#10;B", "A&#9;B", "A&#127;B"])
+    def test_a_title_with_a_control_character_is_skipped(self, title):
+        issues: list[PageIssue] = []
+        pages = read_all(dump_bytes(page_xml(title, 1, [BASIC_REV]),
+                                    page_xml(" B&#10;", 2, [dict(BASIC_REV, id=21)])),
+                         on_issue=issues.append)
+        # Surrounding whitespace is stripped first, as ever.
+        assert [p.title for p in pages] == ["B"]
+        (issue,) = issues
+        assert (issue.kind, issue.page_id) == ("page-skipped", 1)
+        assert issue.detail.endswith("holds a control character")
+
+    def test_a_title_past_255_bytes_is_skipped(self):
+        # 255 UTF-8 bytes is MediaWiki's limit, its namespace prefix left out.
+        issues: list[PageIssue] = []
+        pages = read_all(dump_bytes(page_xml("é" * 128, 1, [BASIC_REV]),
+                                    page_xml("é" * 127 + "a", 2, [dict(BASIC_REV, id=21)]),
+                                    page_xml("Talk:" + "a" * 255, 3, [dict(BASIC_REV, id=31)],
+                                             ns=1)),
+                         on_issue=issues.append)
+        assert [p.page_id for p in pages] == [2, 3]
+        (issue,) = issues
+        assert (issue.kind, issue.page_id, issue.detail) == (
+            "page-skipped", 1, "title of 256 UTF-8 bytes, past 255")
+
+    def test_line_endings_become_line_feeds(self):
+        # XML parsing makes a literal "\r\n" or "\r" a "\n"; a "&#13;" is
+        # made one here, as MediaWiki does on save.
+        rev = dict(BASIC_REV, text="a&#13;&#10;b&#13;c\r\nd\re", user="U&#13;&#10;V")
+        anonymous = dict(BASIC_REV, id=12, text="x&#13;", ip="1.2.3.4&#13;5")
+        (page,) = read_all(dump_bytes(page_xml("A", 1, [rev, anonymous])))
+        assert [(r.wikitext, r.user_username) for r in page.revisions] == [
+            ("a\nb\nc\nd\ne", "U\nV"), ("x\n", "1.2.3.4\n5")]
+
     def test_no_namespace_prefix_tolerated(self):
         plain = "<mediawiki>" + page_xml("A", 1, [BASIC_REV]) + "</mediawiki>"
         (page,) = read_all(plain.encode())

@@ -70,6 +70,26 @@ class TestDatasetWriter:
         with pytest.raises(ValueError, match="parser fault"):
             list(batches)
 
+    def test_a_lowered_field_size_limit_sends_every_row_to_parse_rows(self, tmp_path):
+        # Only rows read with parse_rows: graph files ignore csv's limit.
+        path = tmp_path / "data.csv.gz"
+        with DatasetWriter(path, ("a", "b")) as writer:
+            writer.write_rows([("1", "x"), ("2", "y" * 9)])
+
+        def parse_rows(rows):
+            rows = list(rows)
+            return len(rows), rows
+
+        old = csv.field_size_limit(8)
+        try:
+            with pytest.raises(DataFormatError) as raised:
+                list(read_batches(path, ("a", "b"), (0,), 1 << 20, None, parse_rows, 10))
+        finally:
+            csv.field_size_limit(old)
+        assert str(raised.value) == (
+            f"{path}: unreadable row after 1 data rows: field larger than field limit (8)"
+        )
+
     def test_gzip_output_is_deterministic(self, tmp_path):
         digests = set()
         for name in ("one.csv.gz", "two.csv.gz"):
